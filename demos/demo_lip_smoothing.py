@@ -3,8 +3,8 @@
 
 |x|^(1/2) has Hoelder-1/2 quotient exactly 1 through the origin at every
 scale, so its distance to the little Hoelder space is 1 -- no smooth function
-gets closer.  The smoother extends the data off the box by inf-convolution
-(the extension keeps the Hoelder constant exactly), convolves with a
+gets closer.  The smoother extends the data off the box by projection onto
+the box (the extension keeps the Hoelder constant exactly), convolves with a
 heavy-tailed kernel of unit discrete mass, and restricts back.  Member norms
 never exceed the input's; the sup-distance to the input decays like sqrt(t).
 """

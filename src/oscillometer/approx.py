@@ -5,21 +5,21 @@ Poisson smoothing on the circle and torus is applied as an exact DFT
 multiplier (r^|k| per mode), which removes quadrature error from the
 contraction comparisons.  Dilations and Cesaro-damped partial sums act on
 Taylor coefficients.  The Hoelder smoother extends the function off its box
-by inf-convolution (preserving the Hoelder constant exactly), convolves with
-a truncated heavy-tailed kernel of unit discrete mass, applies a smooth
-cutoff and restricts back to the box.
+by composing it with the projection onto the box (edge clamping on the grid,
+which keeps the Hoelder constant exactly), convolves with a truncated
+heavy-tailed kernel of unit discrete mass, applies a smooth cutoff and
+restricts back to the box.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .distance import certification_threshold
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, config_number
 from .family import limsup_estimate, seminorm_sup, tail_profile
 from .funcrep import (BoxDomain, EuclideanSamples, PeriodicSamples,
                       TaylorFunction, TorusSamples, x_norm)
@@ -92,62 +92,6 @@ def fejer_taylor(f: TaylorFunction, n: int) -> TaylorFunction:
 # Hoelder smoothing on box grids
 # ---------------------------------------------------------------------------
 
-try:
-    from numba import njit as _njit
-except ImportError:                                     # pragma: no cover
-    _njit = None
-
-
-def _monotone_argmin(xs, ys, fy, lam, alpha, out):
-    """out[i] = min_j fy[j] + lam * (xs[i] - ys[j])**alpha for targets xs
-    (ascending) strictly beyond the ascending candidates ys.
-
-    Concavity of t**alpha makes low-index optimality propagate to larger
-    targets, so the leftmost minimiser is non-increasing in i; classic
-    divide-and-conquer over the target rows with windows split accordingly.
-    """
-    n = xs.shape[0]
-    m = ys.shape[0]
-    stack_lo = np.empty(80, dtype=np.int64)
-    stack_hi = np.empty(80, dtype=np.int64)
-    stack_jlo = np.empty(80, dtype=np.int64)
-    stack_jhi = np.empty(80, dtype=np.int64)
-    top = 0
-    stack_lo[0], stack_hi[0] = 0, n - 1
-    stack_jlo[0], stack_jhi[0] = 0, m - 1
-    top = 1
-    while top > 0:
-        top -= 1
-        lo, hi = stack_lo[top], stack_hi[top]
-        jlo, jhi = stack_jlo[top], stack_jhi[top]
-        if lo > hi:
-            continue
-        mid = (lo + hi) // 2
-        x = xs[mid]
-        best = 1e300
-        bestj = jlo
-        for j in range(jlo, jhi + 1):
-            d = x - ys[j]
-            if d < 0.0:
-                d = -d
-            val = fy[j] + lam * d ** alpha
-            if val < best:
-                best = val
-                bestj = j
-        out[mid] = best
-        stack_lo[top], stack_hi[top] = lo, mid - 1
-        stack_jlo[top], stack_jhi[top] = bestj, jhi
-        top += 1
-        stack_lo[top], stack_hi[top] = mid + 1, hi
-        stack_jlo[top], stack_jhi[top] = jlo, bestj
-        top += 1
-    return out
-
-
-if _njit is not None:
-    _monotone_argmin = _njit(cache=True)(_monotone_argmin)
-
-
 def lip_const(f: EuclideanSamples, cap: int = 1_000_000) -> float:
     """Grid Hoelder constant from the stratified pair set."""
     ia, ib, dist = lip_pair_indices(f.domain, cap)
@@ -155,49 +99,12 @@ def lip_const(f: EuclideanSamples, cap: int = 1_000_000) -> float:
     return float(np.max(np.abs(flat[ia] - flat[ib]) / dist ** f.alpha))
 
 
-def _extend_mcshane(f: EuclideanSamples, lam: float, pad: int) -> np.ndarray:
-    """Inf-convolution extension f^(x) = min_y f(y) + lam |x-y|^alpha onto the
-    padded grid; equals f on the original grid when lam dominates the grid
-    Hoelder constant, and is lam-Hoelder everywhere by construction."""
-    dom = f.domain
-    alpha = f.alpha
-    if dom.ndim == 1:
-        n = dom.shape[0]
-        ys = dom.axes()[0]
-        fy = f.values
-        ext = np.empty(n + 2 * pad)
-        ext[pad:pad + n] = fy
-        right = ys[-1] + dom.step * np.arange(1, pad + 1)
-        out = np.empty(pad)
-        _monotone_argmin(right, ys, fy, lam, alpha, out)
-        ext[pad + n:] = out
-        # left side: mirror through x -> -x to reuse the right-side solver
-        left = ys[0] - dom.step * np.arange(1, pad + 1)
-        out = np.empty(pad)
-        _monotone_argmin(-left, (-ys[::-1]).copy(), fy[::-1].copy(), lam, alpha, out)
-        ext[:pad] = out[::-1]
-        return ext
-    # 2-d: brute minimisation over the grid, chunked over exterior nodes
-    shape = tuple(s + 2 * pad for s in dom.shape)
-    axes = [dom.axes()[d][0] - dom.step * pad + dom.step * np.arange(shape[d])
-            for d in range(2)]
-    ext = np.empty(shape)
-    ext[pad:pad + dom.shape[0], pad:pad + dom.shape[1]] = f.values
-    inside = np.zeros(shape, dtype=bool)
-    inside[pad:pad + dom.shape[0], pad:pad + dom.shape[1]] = True
-    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    targets = np.stack([xx[~inside], yy[~inside]], axis=1)
-    gx, gy = np.meshgrid(dom.axes()[0], dom.axes()[1], indexing="ij")
-    sources = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    fy = f.values.ravel()
-    vals = np.empty(targets.shape[0])
-    chunk = max(1, 8_000_000 // max(1, sources.shape[0]))
-    for lo in range(0, targets.shape[0], chunk):
-        hi = min(lo + chunk, targets.shape[0])
-        d2 = ((targets[lo:hi, None, :] - sources[None, :, :]) ** 2).sum(axis=2)
-        vals[lo:hi] = np.min(fy[None, :] + lam * d2 ** (alpha / 2.0), axis=1)
-    ext[~inside] = vals
-    return ext
+def _extend_by_projection(f: EuclideanSamples, pad: int) -> np.ndarray:
+    """f composed with the projection onto the box, sampled on the grid padded
+    by pad nodes per side.  Clamping grid indices is the Euclidean projection
+    onto an axis-aligned box, which is 1-Lipschitz, so the extension equals f
+    on the box and keeps its grid Hoelder constant exactly."""
+    return np.pad(f.values, pad, mode="edge")
 
 
 def _poisson_kernel_nd(ndim: int, t: float, step: float, pad: int):
@@ -242,20 +149,18 @@ def _smooth_cutoff(dom: BoxDomain, pad: int) -> np.ndarray:
     return ramps[0][:, None] * ramps[1][None, :]
 
 
-def lip_smooth(f: EuclideanSamples, t: float, *, pad_factor: float = 4.0,
-               lip_const_hint: Optional[float] = None) -> EuclideanSamples:
+def lip_smooth(f: EuclideanSamples, t: float, *,
+               pad_factor: float = 4.0) -> EuclideanSamples:
     """Mollified approximant: extend, convolve at scale t, cut off, restrict.
 
     Refused for alpha = 1 and for kernels finer than the grid step.
     """
-    samples, _ = lip_smooth_with_info(f, t, pad_factor=pad_factor,
-                                      lip_const_hint=lip_const_hint)
+    samples, _ = lip_smooth_with_info(f, t, pad_factor=pad_factor)
     return samples
 
 
 def lip_smooth_with_info(f: EuclideanSamples, t: float, *,
-                         pad_factor: float = 4.0,
-                         lip_const_hint: Optional[float] = None):
+                         pad_factor: float = 4.0):
     """lip_smooth plus the truncated kernel mass (reported, not hidden)."""
     if f.alpha >= 1.0:
         raise ConfigError("little space may be trivial")
@@ -263,16 +168,11 @@ def lip_smooth_with_info(f: EuclideanSamples, t: float, *,
         raise ConfigError(f"kernel scale must be positive, got {t}")
     if t < f.domain.step:
         raise ConfigError("kernel under-resolved")
+    if not 0.0 <= pad_factor < math.inf:
+        raise ConfigError(f"pad factor must be finite and >= 0, got {pad_factor}")
     dom = f.domain
     pad = int(math.ceil(pad_factor * dom.diameter / dom.step))
-    lam = lip_const(f) if lip_const_hint is None else float(lip_const_hint)
-    key = (lam, pad)
-    cache = getattr(f, "_extension_cache", None)
-    if cache is None or cache[0] != key:
-        ext = _extend_mcshane(f, lam, pad)
-        f._extension_cache = (key, ext)
-    else:
-        ext = cache[1]
+    ext = _extend_by_projection(f, pad)
     kernel, outside = _poisson_kernel_nd(dom.ndim, t, dom.step, pad)
     smoothed = _fft_convolve_same(ext, kernel)
     smoothed = smoothed * _smooth_cutoff(dom, pad)
@@ -322,14 +222,12 @@ def fejer_family(f: TaylorFunction, levels: int = 8) -> ApproxFamily:
 
 def lip_smooth_family(f: EuclideanSamples, levels: int = 8, t0: float = 0.1,
                       pad_factor: float = 4.0) -> ApproxFamily:
-    lam = lip_const(f)
     ts, members, infos = [], [], []
     for m in range(levels):
         t = t0 * 2.0 ** -m
         if t < f.domain.step:
             break
-        g, outside = lip_smooth_with_info(f, t, pad_factor=pad_factor,
-                                          lip_const_hint=lam)
+        g, outside = lip_smooth_with_info(f, t, pad_factor=pad_factor)
         ts.append(t)
         members.append(g)
         infos.append({"kernel_truncation": outside})
@@ -338,12 +236,13 @@ def lip_smooth_family(f: EuclideanSamples, levels: int = 8, t0: float = 0.1,
     return ApproxFamily("lip_smooth", ts, members, infos)
 
 
+# each ladder with the one input representation it acts on
 _FAMILY_KINDS = {
-    "poisson_circle": poisson_family,
-    "poisson_torus": poisson_torus_family,
-    "dilation": dilation_family,
-    "fejer": fejer_family,
-    "lip_smooth": lip_smooth_family,
+    "poisson_circle": (poisson_family, PeriodicSamples),
+    "poisson_torus": (poisson_torus_family, TorusSamples),
+    "dilation": (dilation_family, TaylorFunction),
+    "fejer": (fejer_family, TaylorFunction),
+    "lip_smooth": (lip_smooth_family, EuclideanSamples),
 }
 
 
@@ -352,16 +251,17 @@ def family_from_config(cfg: dict, f) -> ApproxFamily:
     kind = cfg.get("kind")
     if kind not in _FAMILY_KINDS:
         raise ConfigError(f"unknown approximation family '{kind}'")
+    make, representation = _FAMILY_KINDS[kind]
+    if not isinstance(f, representation):
+        raise ConfigError(f"family '{kind}' needs {representation.__name__} "
+                          f"input, got {type(f).__name__}")
     ladder = cfg.get("ladder", {})
-    kwargs = {}
-    if "levels" in ladder:
-        kwargs["levels"] = int(ladder["levels"])
+    casts = {"levels": int}
     if kind == "lip_smooth":
-        if "t0" in ladder:
-            kwargs["t0"] = float(ladder["t0"])
-        if "pad_factor" in ladder:
-            kwargs["pad_factor"] = float(ladder["pad_factor"])
-    return _FAMILY_KINDS[kind](f, **kwargs)
+        casts.update(t0=float, pad_factor=float)
+    kwargs = {key: config_number(ladder, key, None, cast)
+              for key, cast in casts.items() if key in ladder}
+    return make(f, **kwargs)
 
 
 # ---------------------------------------------------------------------------

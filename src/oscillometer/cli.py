@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import approx, builtins as fn_registry, distance as dist_mod
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, config_number
 from .family import seminorm_sup, tail_profile, limsup_estimate
 from .spaces import SpaceDescriptor, build_family, compose_mobius
 
@@ -66,13 +66,13 @@ class RunConfig:
         self.family_cfg = raw.get("family")
         self.approximants_cfg = raw.get("approximants")
         self.phi_cfg = raw.get("phi")
-        self.tolerance = float(raw.get("tolerance", 0.02))
-        self.slack = float(raw.get("slack", 1e-3))
-        self.x_tol_rel = float(raw.get("x_tol_rel", 1e-2))
+        self.tolerance = config_number(raw, "tolerance", 0.02)
+        self.slack = config_number(raw, "slack", 1e-3)
+        self.x_tol_rel = config_number(raw, "x_tol_rel", 1e-2)
         output = raw.get("output", {})
         self.report_path = os.path.join(out_dir, output.get("report", "report.json"))
         self.profile_path = os.path.join(out_dir, output.get("profile", "profile.csv"))
-        self.seed = int(raw.get("seed", seed))
+        self.seed = config_number(raw, "seed", seed, int)
 
     def make_function(self):
         return fn_registry.make_function(self.function_cfg, self.desc)

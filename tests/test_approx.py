@@ -7,7 +7,7 @@ from oscillometer.approx import (ApproxFamily, assumption_check, dilate,
                                  lip_smooth, lip_smooth_family,
                                  lip_smooth_with_info, poisson_circle,
                                  poisson_family, poisson_torus2,
-                                 _extend_mcshane)
+                                 _extend_by_projection)
 from oscillometer.builtins import (box_builtin, circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
                                    torus_builtin)
@@ -168,28 +168,49 @@ class TestLipSmooth:
             assert seminorm_sup(fam, g).value <= base * (1 + 1e-12)
         assert base == pytest.approx(lam)
 
-    def test_mcshane_extension_matches_bruteforce(self):
-        dom = BoxDomain([-1.0], [1.0], 0.01)
-        rng = np.random.default_rng(10)
-        f = EuclideanSamples(dom, np.cumsum(rng.normal(size=201)) * 0.05, 0.5)
-        lam = lip_const(f)
-        pad = 40
-        ext = _extend_mcshane(f, lam, pad)
-        ys = dom.axes()[0]
-        for side, xs in [("left", ys[0] - 0.01 * np.arange(pad, 0, -1)),
-                         ("right", ys[-1] + 0.01 * np.arange(1, pad + 1))]:
-            want = np.min(f.values[None, :]
-                          + lam * np.abs(xs[:, None] - ys[None, :]) ** 0.5, axis=1)
-            got = ext[:pad] if side == "left" else ext[-pad:]
-            assert np.allclose(got, want, atol=1e-12), side
+    @staticmethod
+    def _all_pairs_hoelder(values, step, alpha):
+        coords = np.argwhere(np.ones(values.shape, dtype=bool)) * step
+        ia, ib = np.triu_indices(values.size, k=1)
+        dist = np.linalg.norm(coords[ia] - coords[ib], axis=1)
+        flat = values.ravel()
+        return float(np.max(np.abs(flat[ia] - flat[ib]) / dist ** alpha))
 
-    def test_mcshane_2d(self):
-        dom = BoxDomain([0.0, 0.0], [1.0, 1.0], 1.0 / 16)
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_projection_extension_keeps_hoelder_constant(self, ndim):
+        # random walks (201 nodes, or 17^2 with walks along both axes): the
+        # extension restricts to f and its all-pairs grid constant is f's
+        rng = np.random.default_rng(10)
+        n, pad = (201, 40) if ndim == 1 else (17, 8)
+        dom = BoxDomain([-1.0] * ndim, [1.0] * ndim, 2.0 / (n - 1))
+        for alpha in (0.3, 0.5, 0.8):
+            walk = rng.normal(size=(n,) * ndim)
+            for axis in range(ndim):
+                walk = np.cumsum(walk, axis=axis)
+            f = EuclideanSamples(dom, 0.05 * walk, alpha)
+            ext = _extend_by_projection(f, pad)
+            inner = tuple(slice(pad, pad + n) for _ in range(ndim))
+            assert ext.shape == (n + 2 * pad,) * ndim
+            assert np.array_equal(ext[inner], f.values)
+            base = self._all_pairs_hoelder(f.values, dom.step, alpha)
+            extended = self._all_pairs_hoelder(ext, dom.step, alpha)
+            assert extended <= base * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [17, 65])
+    def test_smoothing_2d(self, n):
+        dom = BoxDomain([0.0, 0.0], [1.0, 1.0], 1.0 / (n - 1))
         xx, yy = np.meshgrid(dom.axes()[0], dom.axes()[1], indexing="ij")
         f = EuclideanSamples(dom, np.hypot(xx - 0.5, yy - 0.5) ** 0.5, 0.5)
         g = lip_smooth(f, 0.25, pad_factor=1.0)
         assert g.values.shape == dom.shape
         assert np.all(np.isfinite(g.values))
+        assert lip_const(g) <= lip_const(f) * (1 + 1e-12)
+
+    def test_negative_pad_factor_refused(self):
+        dom = BoxDomain([0.0], [1.0], 0.01)
+        f = EuclideanSamples(dom, np.sqrt(dom.axes()[0]), 0.5)
+        with pytest.raises(ConfigError, match="pad factor"):
+            lip_smooth(f, 0.1, pad_factor=-1.0)
 
 
 class TestLadders:
@@ -204,6 +225,30 @@ class TestLadders:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             family_from_config({"kind": "nope"}, None)
+
+    def test_representation_mismatch_refused(self):
+        inputs = {
+            "PeriodicSamples": PeriodicSamples(np.ones(64)),
+            "TorusSamples": TorusSamples(np.ones((16, 16))),
+            "TaylorFunction": taylor_builtin("monomial", degree=1),
+            "EuclideanSamples": box_builtin(
+                "holder_cusp", BoxDomain([-1.0], [1.0], 0.01), 0.5),
+        }
+        accepts = {"poisson_circle": "PeriodicSamples",
+                   "poisson_torus": "TorusSamples", "dilation": "TaylorFunction",
+                   "fejer": "TaylorFunction", "lip_smooth": "EuclideanSamples"}
+        for kind, wanted in accepts.items():
+            for name, f in inputs.items():
+                if name != wanted:
+                    with pytest.raises(ConfigError, match=f"needs {wanted}"):
+                        family_from_config({"kind": kind}, f)
+
+    @pytest.mark.parametrize("ladder", [{"levels": "abc"}, {"levels": None},
+                                        {"t0": "x"}, {"pad_factor": "x"}])
+    def test_bad_ladder_number_refused(self, ladder):
+        f = box_builtin("holder_cusp", BoxDomain([-1.0], [1.0], 0.01), 0.5)
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            family_from_config({"kind": "lip_smooth", "ladder": ladder}, f)
 
     def test_lip_ladder_stops_at_grid_step(self):
         dom = BoxDomain([-1.0], [1.0], 1e-3)

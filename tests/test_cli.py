@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +165,54 @@ class TestCheck:
         assert code == 2
         assert not (tmp_path / "never.json").exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+
+LIP_SMOOTH_CHECK = {"space": {"space": "lip", "alpha": 0.5},
+                    "function": {"kind": "builtin", "name": "holder_cusp",
+                                 "exponent": 0.5},
+                    "task": "assumption-check",
+                    "family": {"kind": "lip_smooth", "ladder": {"levels": 5}}}
+BLOCH_NORM = {"space": BLOCH_LIGHT,
+              "function": {"kind": "builtin", "name": "monomial", "degree": 1}}
+BLOCH_DISTANCE = dict(BLOCH_NORM, approximants={"kind": "dilation",
+                                                "ladder": {"levels": 4}})
+
+
+def _with(base, **changes):
+    payload = json.loads(json.dumps(base))
+    for key, value in changes.items():
+        block = payload
+        *path, last = key.split(".")
+        for part in path:
+            block = block[part]
+        block[last] = value
+    return payload
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("check", _with(LIP_SMOOTH_CHECK, family={"kind": "dilation"})),
+    ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.pad_factor": -1})),
+    ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.t0": "x"})),
+    ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.t0": float("nan")})),
+    ("check", _with(LIP_SMOOTH_CHECK, slack="x")),
+    ("check", _with(LIP_SMOOTH_CHECK, x_tol_rel="x")),
+    ("distance", _with(BLOCH_DISTANCE, **{"approximants.ladder.levels": "abc"})),
+    ("norm", _with(BLOCH_NORM, tolerance="x")),
+    ("norm", _with(BLOCH_NORM, seed="x")),
+], ids=["lip-dilation", "pad-factor-negative", "t0-text", "t0-nan", "slack-text",
+        "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text"])
+def test_bad_config_exit_code(tmp_path, command, payload):
+    # run as a process, so an uncaught exception shows as a traceback on stderr
+    cfg = write_config(tmp_path, "bad.json", payload)
+    out = tmp_path / "out"
+    out.mkdir()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "oscillometer.cli", command,
+                           "--config", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "configuration error" in proc.stderr
+    assert list(out.iterdir()) == []
