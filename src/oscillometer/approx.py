@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distance import certification_threshold
-from .errors import ConfigError, config_number
+from .errors import ConfigError, config_block, config_number
 from .family import limsup_estimate, seminorm_sup, tail_profile
 from .funcrep import (BoxDomain, EuclideanSamples, PeriodicSamples,
                       TaylorFunction, TorusSamples, x_norm)
@@ -255,7 +255,7 @@ def family_from_config(cfg: dict, f) -> ApproxFamily:
     if not isinstance(f, representation):
         raise ConfigError(f"family '{kind}' needs {representation.__name__} "
                           f"input, got {type(f).__name__}")
-    ladder = cfg.get("ladder", {})
+    ladder = config_block(cfg, "ladder")
     casts = {"levels": int}
     if kind == "lip_smooth":
         casts.update(t0=float, pad_factor=float)

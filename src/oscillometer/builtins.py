@@ -92,13 +92,21 @@ def monomial(degree: int) -> TaylorFunction:
     return TaylorFunction.polynomial(coeffs)
 
 
+def _complex_list(raw) -> np.ndarray:
+    """JSON coefficients (numbers or [re, im] pairs) as a complex array."""
+    try:
+        return np.asarray([complex(c[0], c[1]) if isinstance(c, (list, tuple))
+                           else complex(c) for c in raw], dtype=complex)
+    except (TypeError, ValueError, IndexError):
+        raise ConfigError(f"'coeffs' must be a list of numbers or [re, im] "
+                          f"pairs, got {raw!r}")
+
+
 def taylor_builtin(name: str, **params) -> TaylorFunction:
     if name == "monomial":
         return monomial(int(params.get("degree", 1)))
     if name == "poly":
-        coeffs = [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                  for c in params["coeffs"]]
-        return TaylorFunction.polynomial(np.asarray(coeffs, dtype=complex))
+        return TaylorFunction.polynomial(_complex_list(params["coeffs"]))
     if name == "log_singular":
         return log_singular(int(params.get("n_coeffs", 4096)))
     if name == "cauchy_kernel":

@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import approx, builtins as fn_registry, distance as dist_mod
-from .errors import ConfigError, NumericalError, config_number
+from .errors import ConfigError, NumericalError, config_block, config_number
 from .family import seminorm_sup, tail_profile, limsup_estimate
 from .spaces import SpaceDescriptor, build_family, compose_mobius
 
@@ -57,19 +57,20 @@ class RunConfig:
             raise ConfigError("config needs a 'space' block")
         if "function" not in raw:
             raise ConfigError("config needs a 'function' block")
-        space_block = raw["space"]
-        if isinstance(space_block, str):
-            space_block = {"space": space_block}
+        if isinstance(raw["space"], str):
+            space_block = {"space": raw["space"]}
+        else:
+            space_block = config_block(raw, "space")
         self.desc = SpaceDescriptor.from_config(space_block)
-        self.function_cfg = raw["function"]
+        self.function_cfg = config_block(raw, "function")
         self.task = raw.get("task")
-        self.family_cfg = raw.get("family")
-        self.approximants_cfg = raw.get("approximants")
-        self.phi_cfg = raw.get("phi")
+        self.family_cfg = config_block(raw, "family")
+        self.approximants_cfg = config_block(raw, "approximants")
+        self.phi_cfg = config_block(raw, "phi")
         self.tolerance = config_number(raw, "tolerance", 0.02)
         self.slack = config_number(raw, "slack", 1e-3)
         self.x_tol_rel = config_number(raw, "x_tol_rel", 1e-2)
-        output = raw.get("output", {})
+        output = config_block(raw, "output")
         self.report_path = os.path.join(out_dir, output.get("report", "report.json"))
         self.profile_path = os.path.join(out_dir, output.get("profile", "profile.csv"))
         self.seed = config_number(raw, "seed", seed, int)
@@ -86,6 +87,8 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     return RunConfig(raw, args.out, args.seed)
 
 

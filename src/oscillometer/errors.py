@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the config-number check
-that raises one."""
+"""Exception types shared across the package, and the config-number and
+config-block checks that raise one."""
 
 import math
 
@@ -23,3 +23,14 @@ def config_number(block: dict, key: str, default, cast=float):
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
+
+
+def config_block(block: dict, key: str) -> dict:
+    """block[key] as a JSON object ({} when absent or null); any other JSON
+    type is a configuration error, not a traceback."""
+    value = block.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{key}' must be a JSON object, got {value!r}")
+    return value

@@ -36,6 +36,30 @@ def thread_budget() -> int:
     return n
 
 
+def map_chunks(fn: Callable[[int, int], np.ndarray], size: int,
+               chunks: int) -> np.ndarray:
+    """fn(lo, hi) over `chunks` contiguous slices of range(size), joined.
+
+    The slices run on thread_budget() workers; with one worker, fn(0, size)
+    runs in the caller.  fn must compute each entry independently of the
+    slice it is in, so the result does not depend on the thread count.
+    """
+    workers = thread_budget()
+    if workers <= 1 or chunks <= 1:
+        return fn(0, size)
+    bounds = np.linspace(0, size, chunks + 1).astype(int)
+    out = np.empty(size)
+
+    def run(i):
+        lo, hi = bounds[i], bounds[i + 1]
+        if hi > lo:
+            out[lo:hi] = fn(lo, hi)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, range(chunks)))
+    return out
+
+
 def dyadic_level_count(remoteness: np.ndarray) -> int:
     """Number of distinct power-of-two bins spanned by the remoteness values."""
     r = np.asarray(remoteness, dtype=float)
@@ -47,15 +71,13 @@ class OperatorFamilyGrid:
 
     entries are exposed as parallel arrays: `params[i]` describes entry i,
     `remoteness[i]` is its scale, and `evaluate_all(f)` returns the vector of
-    per-entry values ||L_i f||.  Entries are independent; evaluation may be
-    chunked across threads without affecting results.
+    per-entry values ||L_i f||.
     """
 
     def __init__(self, space_tag: str, params: Sequence, remoteness,
                  eval_all: Callable[[object], np.ndarray],
                  allowance_rel: float = 0.02,
-                 default_scales: Optional[np.ndarray] = None,
-                 parallel_chunks: int = 1):
+                 default_scales: Optional[np.ndarray] = None):
         remoteness = np.asarray(remoteness, dtype=float)
         if remoteness.ndim != 1 or len(params) != remoteness.size:
             raise ConfigError("family parameters and remoteness lengths differ")
@@ -71,7 +93,6 @@ class OperatorFamilyGrid:
         self.remoteness = remoteness
         self._eval_all = eval_all
         self.allowance_rel = float(allowance_rel)
-        self._parallel_chunks = max(1, int(parallel_chunks))
         if default_scales is None:
             default_scales = dyadic_scales(float(remoteness.max()),
                                            float(remoteness.min()))
@@ -81,20 +102,7 @@ class OperatorFamilyGrid:
         return len(self.params)
 
     def evaluate_all(self, f) -> np.ndarray:
-        workers = thread_budget()
-        if workers <= 1 or self._parallel_chunks <= 1:
-            vals = np.asarray(self._eval_all(f, None), dtype=float)
-        else:
-            bounds = np.linspace(0, len(self), self._parallel_chunks + 1).astype(int)
-            vals = np.empty(len(self), dtype=float)
-
-            def run(i):
-                lo, hi = bounds[i], bounds[i + 1]
-                if hi > lo:
-                    vals[lo:hi] = self._eval_all(f, (lo, hi))
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, range(self._parallel_chunks)))
+        vals = np.asarray(self._eval_all(f), dtype=float)
         if vals.shape != (len(self),):
             raise NumericalError("family evaluation returned a malformed vector")
         if not np.all(np.isfinite(vals)):

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, NumericalError
-from .family import OperatorFamilyGrid, dyadic_scales
+from .errors import ConfigError, NumericalError, config_block, config_number
+from .family import OperatorFamilyGrid, dyadic_scales, map_chunks
 from .funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
                       PeriodicSamples, QuadratureRule, TaylorFunction,
                       TorusSamples, disk_quadrature, mobius_apply, snap_arc)
@@ -72,7 +73,7 @@ def kernel_from_config(cfg) -> KKernel:
         cfg = {"name": "power", "exponent": 1.0}
     name = cfg.get("name", "power")
     if name == "power":
-        s = float(cfg.get("exponent", 1.0))
+        s = config_number(cfg, "exponent", 1.0)
         if s <= 0:
             raise ConfigError("power kernel needs a positive exponent")
         return KKernel(lambda t, s=s: t ** s, name=f"power[{s}]")
@@ -125,11 +126,11 @@ def weight_from_config(cfg) -> WeightV:
     if cfg is None:
         cfg = {"name": "one_minus_r2"}
     name = cfg.get("name", "one_minus_r2")
-    domain = cfg.get("domain", {"kind": "disc"})
+    domain = config_block(cfg, "domain")
     if name == "one_minus_r2":
         return WeightV(lambda z: 1.0 - np.abs(z) ** 2, domain, name=name)
     if name == "power_dist":
-        s = float(cfg.get("exponent", 1.0))
+        s = config_number(cfg, "exponent", 1.0)
         w = WeightV(lambda z: np.ones(np.shape(z)), domain, name=name)
         return WeightV(lambda z, w=w, s=s: w.boundary_distance(z) ** s, domain, name=name)
     raise ConfigError(f"unknown weight '{name}'")
@@ -205,18 +206,19 @@ class SpaceDescriptor:
         if "space" not in cfg:
             raise ConfigError("space config needs a 'space' key")
         tag = cfg["space"]
-        kwargs = {"tag": tag, "resolution": dict(cfg.get("resolution", {}))}
+        kwargs = {"tag": tag, "resolution": dict(config_block(cfg, "resolution"))}
         if "p" in cfg:
-            kwargs["p"] = float(cfg["p"])
+            kwargs["p"] = config_number(cfg, "p", None)
         if "alpha" in cfg:
-            kwargs["alpha"] = float(cfg["alpha"])
+            kwargs["alpha"] = config_number(cfg, "alpha", None)
         if tag == "qk":
-            kwargs["kernel"] = kernel_from_config(cfg.get("K"))
+            kwargs["kernel"] = kernel_from_config(config_block(cfg, "K"))
         if tag == "weighted":
-            kwargs["weight"] = weight_from_config(cfg.get("weight"))
+            kwargs["weight"] = weight_from_config(config_block(cfg, "weight"))
         if tag == "lip" and "domain" in cfg:
-            d = cfg["domain"]
-            kwargs["lip_domain"] = BoxDomain(d["lo"], d["hi"], float(d["step"]))
+            d = config_block(cfg, "domain")
+            kwargs["lip_domain"] = BoxDomain(d["lo"], d["hi"],
+                                             config_number(d, "step", None))
         return cls(**kwargs)
 
 
@@ -491,23 +493,30 @@ def _build_bmo(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     remoteness = np.array([a[1] * TWO_PI / n for a in arcs])
     p = desc.p
     starts = np.array([a[0] for a in arcs], dtype=np.int64)
-    ncells = np.array([a[1] for a in arcs], dtype=np.int64)
+    spacing = n // mids
+    levels = [(i * mids, n >> k) for i, k in enumerate(range(kmin, kmax + 1))]
+    lead = (n >> kmin) // 2       # the longest arcs start this far before 0
 
-    def eval_all(f: PeriodicSamples, bounds=None) -> np.ndarray:
+    def eval_all(f: PeriodicSamples) -> np.ndarray:
         if not isinstance(f, PeriodicSamples) or f.n != n:
             raise ConfigError("function does not match the family's circle grid")
         out = np.empty(len(arcs))
         centred, sums, sums2 = _centred_sums(f)
-        for nc in np.unique(ncells):
-            sel = np.nonzero(ncells == nc)[0]
-            st = starts[sel]
+        if p != 2.0:
+            # node j sits at j + lead, so every arc is one contiguous run
+            wrapped = np.concatenate([centred[n - lead:], centred, centred[:lead]])
+        for off, nc in levels:
+            sel = slice(off, off + mids)
             length = nc * f.step
-            mean = sums.window(st, int(nc)) / length
+            mean = sums.window(starts[sel], nc) / length
             if p == 2.0:
-                msq = sums2.window(st, int(nc)).real / length
+                msq = sums2.window(starts[sel], nc).real / length
                 out[sel] = np.sqrt(np.maximum(msq - np.abs(mean) ** 2, 0.0))
             else:
-                out[sel] = _direct_osc(centred, f.step, st, int(nc), mean, p)
+                # one level's arcs start `spacing` nodes apart: strided windows
+                first = lead - nc // 2
+                windows = sliding_window_view(wrapped[first:], nc + 1)[::spacing][:mids]
+                out[sel] = _direct_osc(windows, mean, p)
         return out
 
     scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
@@ -516,21 +525,20 @@ def _build_bmo(desc: SpaceDescriptor) -> OperatorFamilyGrid:
                               default_scales=scales)
 
 
-def _direct_osc(centred: np.ndarray, step: float, starts: np.ndarray,
-                ncells: int, means: np.ndarray, p: float,
-                chunk: int = 1 << 24) -> np.ndarray:
-    """Direct trapezoid p-oscillation for many same-length arcs, chunked."""
-    n = centred.shape[0]
-    out = np.empty(starts.size)
-    w = np.ones(ncells + 1)
+def _direct_osc(windows: np.ndarray, means: np.ndarray, p: float,
+                chunk: int = 1 << 16) -> np.ndarray:
+    """Direct trapezoid p-oscillation of each row of `windows` (the ncells + 1
+    nodes of one arc, usually a strided view) about its mean, reduced a
+    bounded number of elements at a time."""
+    count, width = windows.shape
+    w = np.ones(width)
     w[0] = w[-1] = 0.5
-    rows = max(1, chunk // (ncells + 1))
-    offs = np.arange(ncells + 1, dtype=np.int64)
-    for lo in range(0, starts.size, rows):
-        hi = min(lo + rows, starts.size)
-        idx = (starts[lo:hi, None] + offs[None, :]) % n
-        dev = np.abs(centred[idx] - means[lo:hi, None]) ** p
-        out[lo:hi] = (dev @ w) / ncells
+    out = np.empty(count)
+    rows = max(1, chunk // width)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        dev = np.abs(windows[lo:hi] - means[lo:hi, None]) ** p
+        out[lo:hi] = (dev @ w) / (width - 1)
     return out ** (1.0 / p)
 
 
@@ -550,7 +558,7 @@ def _build_bloch(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     w, params = _disc_nodes(radii, n_ang, BlochParam)
     remoteness = 1.0 - np.abs(w)
 
-    def eval_all(f: TaylorFunction, bounds=None) -> np.ndarray:
+    def eval_all(f: TaylorFunction) -> np.ndarray:
         if not isinstance(f, TaylorFunction):
             raise ConfigError("the analytic family needs a TaylorFunction")
         return (1.0 - np.abs(w) ** 2) * np.abs(f.deriv(w))
@@ -601,10 +609,8 @@ def _build_qk(desc: SpaceDescriptor) -> OperatorFamilyGrid:
         rows.append((float(rho), rots, offset))
         offset += rots.size
 
-    def eval_all(f: TaylorFunction, bounds=None) -> np.ndarray:
-        if not isinstance(f, TaylorFunction):
-            raise ConfigError("the invariant-integral family needs a TaylorFunction")
-        lo, hi = bounds if bounds is not None else (0, centres.size)
+    def pointwise(f: TaylorFunction, lo: int, hi: int) -> np.ndarray:
+        """Entries lo..hi-1 from f' at every pulled-back node."""
         out = np.empty(hi - lo)
         for rho, rots, off in rows:
             r_lo, r_hi = max(lo, off), min(hi, off + rots.size)
@@ -614,17 +620,62 @@ def _build_qk(desc: SpaceDescriptor) -> OperatorFamilyGrid:
             sub = rots[r_lo - off:r_hi - off]
             deriv_sq = np.abs(f.deriv(sub[:, None] * phi[None, :])) ** 2
             # row-wise reduction: summation order independent of chunking
-            vals = (deriv_sq * jac[None, :]).sum(axis=1)
-            if not np.all(np.isfinite(vals)):
-                raise NumericalError("singular node")
-            out[r_lo - lo:r_hi - lo] = np.sqrt(np.maximum(vals, 0.0))
+            out[r_lo - lo:r_hi - lo] = (deriv_sq * jac[None, :]).sum(axis=1)
         return out
+
+    def eval_all(f: TaylorFunction) -> np.ndarray:
+        if not isinstance(f, TaylorFunction):
+            raise ConfigError("the invariant-integral family needs a TaylorFunction")
+        deriv_coeffs = _gram_deriv_coeffs(f, n_ang)
+        if deriv_coeffs is None:
+            vals = map_chunks(lambda lo, hi: pointwise(f, lo, hi), centres.size, 8)
+        else:
+            vals = np.concatenate([_gram_shell(deriv_coeffs, *templates[rho], rots)
+                                   for rho, rots, _ in rows])
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError("singular node")
+        return np.sqrt(np.maximum(vals, 0.0))
 
     shell_to = int(res["shell_to"])
     scales = 2.0 ** -np.arange(0, shell_to + 1, dtype=float)
     return OperatorFamilyGrid("qk", params, remoteness, eval_all,
                               allowance_rel=desc.allowance_rel,
-                              default_scales=scales, parallel_chunks=8)
+                              default_scales=scales)
+
+
+def _gram_deriv_coeffs(f: TaylorFunction, n_ang: int) -> Optional[np.ndarray]:
+    """Taylor coefficients c_k = (k+1) a_{k+1} of f' when the Gram form pays
+    (an exact polynomial of degree at most the shell's rotation count, so d^2
+    work per entry undercuts a Horner pass over every node); else None."""
+    if f.deriv_fn is not None or f.radius_cap < 1.0:
+        return None
+    coeffs = np.trim_zeros(f.coeffs, "b")
+    if coeffs.size > n_ang:
+        return None
+    return coeffs * np.arange(1, coeffs.size + 1)
+
+
+def _gram_shell(c: np.ndarray, phi: np.ndarray, jac: np.ndarray,
+                rots: np.ndarray) -> np.ndarray:
+    """sum_n jac_n |f'(r phi_n)|^2 for every rotation r of one shell.
+
+    With f'(r phi) = sum_k c_k r^k phi^k, each entry is the Hermitian form
+    u^T G conj(u) in u_k = c_k r^k and the shell's Gram matrix
+    G[k, l] = sum_n jac_n phi_n^k conj(phi_n)^l: the same quadrature sum.
+    The template's nodes are closed under conjugation (real centre, angular
+    grid through 0) with matching weights, so G is real: one real
+    S S^T product over the interleaved real and imaginary parts of
+    S[k] = sqrt(jac) phi^k.
+    """
+    scaled_powers = np.empty((c.size, phi.size), dtype=complex)
+    if c.size:
+        scaled_powers[0] = np.sqrt(jac)
+    for k in range(1, c.size):
+        scaled_powers[k] = scaled_powers[k - 1] * phi
+    s = scaled_powers.view(float)
+    gram = s @ s.T
+    u = c * rots[:, None] ** np.arange(c.size)
+    return ((u @ gram) * u.conj()).sum(axis=1).real
 
 
 def _build_weighted(desc: SpaceDescriptor) -> OperatorFamilyGrid:
@@ -652,7 +703,7 @@ def _build_weighted(desc: SpaceDescriptor) -> OperatorFamilyGrid:
         raise ConfigError("weight must be strictly positive on the grid")
     remoteness = v.boundary_remoteness(z)
 
-    def eval_all(f: TaylorFunction, bounds=None) -> np.ndarray:
+    def eval_all(f: TaylorFunction) -> np.ndarray:
         if not isinstance(f, TaylorFunction):
             raise ConfigError("the weighted family needs a TaylorFunction")
         return vv * np.abs(f.value(z))
@@ -705,7 +756,7 @@ def _build_lip(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     params = _LipParams(_grid_coords(dom), ia, ib)
     denom = dist ** alpha
 
-    def eval_all(f: EuclideanSamples, bounds=None) -> np.ndarray:
+    def eval_all(f: EuclideanSamples) -> np.ndarray:
         if not isinstance(f, EuclideanSamples) or f.domain.shape != dom.shape:
             raise ConfigError("function does not match the family's box grid")
         flat = f.values.ravel()
@@ -793,7 +844,7 @@ def _build_rect(desc: SpaceDescriptor) -> OperatorFamilyGrid:
             params.append(RectParam(mI, lI, mJ, lJ))
     remoteness = np.minimum.outer(lengths, lengths).ravel()
 
-    def eval_all(F: TorusSamples, bounds=None) -> np.ndarray:
+    def eval_all(F: TorusSamples) -> np.ndarray:
         if not isinstance(F, TorusSamples) or F.n != n:
             raise ConfigError("function does not match the family's torus grid")
         return TorusOscillator(F).family_values(snapped, snapped)

@@ -199,8 +199,20 @@ def _with(base, **changes):
     ("distance", _with(BLOCH_DISTANCE, **{"approximants.ladder.levels": "abc"})),
     ("norm", _with(BLOCH_NORM, tolerance="x")),
     ("norm", _with(BLOCH_NORM, seed="x")),
+    ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder": 5})),
+    ("check", _with(LIP_SMOOTH_CHECK, family="lip_smooth")),
+    ("norm", _with(BLOCH_NORM, output="x")),
+    ("norm", _with(BLOCH_NORM, space=3)),
+    ("norm", _with(BLOCH_NORM, space={"space": "qk", "resolution": "fine"})),
+    ("check", _with(LIP_SMOOTH_CHECK, space={"space": "lip", "domain": [0, 1]})),
+    ("norm", _with(BLOCH_NORM, function={"kind": "taylor", "coeffs": 5})),
+    ("norm", _with(BLOCH_NORM, function="monomial")),
+    ("norm", _with(BLOCH_NORM, space={"space": "bmo_circle", "p": "x"})),
 ], ids=["lip-dilation", "pad-factor-negative", "t0-text", "t0-nan", "slack-text",
-        "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text"])
+        "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
+        "ladder-number", "family-text", "output-text", "space-number",
+        "resolution-text", "domain-list", "coeffs-number", "function-text",
+        "p-text"])
 def test_bad_config_exit_code(tmp_path, command, payload):
     # run as a process, so an uncaught exception shows as a traceback on stderr
     cfg = write_config(tmp_path, "bad.json", payload)

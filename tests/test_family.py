@@ -42,7 +42,7 @@ class TestSeminormSup:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
-            OperatorFamilyGrid("x", [], np.array([]), lambda f, b: np.array([]))
+            OperatorFamilyGrid("x", [], np.array([]), lambda f: np.array([]))
 
 
 class TestTailProfile:
@@ -137,7 +137,7 @@ class TestInvariants:
     def test_nonfinite_evaluations_rejected(self):
         fam = OperatorFamilyGrid(
             "x", list(range(8)), 2.0 ** -np.arange(8, dtype=float),
-            lambda f, b: np.full(8, np.nan))
+            lambda f: np.full(8, np.nan))
         with pytest.raises(NumericalError):
             fam.evaluate_all(None)
 
@@ -156,12 +156,14 @@ class TestThreads:
         grid = build_family(SpaceDescriptor("qk", resolution={
             "shell_from": 2, "shell_to": 7, "extra_radii": (0.5,),
             "angles": 16, "quad_nr": 16, "quad_ntheta": 32}))
-        f = taylor_builtin("monomial", degree=2)
-        monkeypatch.setenv("OSCILLOMETER_THREADS", "1")
-        serial = grid.evaluate_all(f)
-        monkeypatch.setenv("OSCILLOMETER_THREADS", "4")
-        parallel = grid.evaluate_all(f)
-        assert np.array_equal(serial, parallel)
+        # a polynomial takes the Gram form, a closed form the threaded
+        # pointwise path
+        for f in (taylor_builtin("monomial", degree=2), log_singular()):
+            monkeypatch.setenv("OSCILLOMETER_THREADS", "1")
+            serial = grid.evaluate_all(f)
+            monkeypatch.setenv("OSCILLOMETER_THREADS", "4")
+            parallel = grid.evaluate_all(f)
+            assert np.array_equal(serial, parallel)
 
 
 def test_dyadic_scales_ladder():

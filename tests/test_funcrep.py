@@ -127,6 +127,20 @@ class TestTaylorFunction:
         assert d.value(z) == pytest.approx(-np.log(1 - z) - 0.5 * z)
         assert d.deriv(z) == pytest.approx(1 / (1 - z) - 0.5)
 
+    def test_difference_of_polynomials_stays_coefficient_only(self):
+        rng = np.random.default_rng(11)
+        p = TaylorFunction.polynomial(rng.normal(size=12) + 1j * rng.normal(size=12),
+                                      const=0.5)
+        q = TaylorFunction.polynomial(rng.normal(size=7) + 1j * rng.normal(size=7))
+        d = p - q
+        assert not d.has_closed_form
+        assert d.radius_cap == np.inf
+        z = 0.999 * np.exp(2j * np.pi * rng.uniform(size=50)) * rng.uniform(size=50)
+        # |p|, |q| <= 0.5 + sum |coefficients| on the disc
+        scale = 0.5 + np.abs(p.coeffs).sum() + np.abs(q.coeffs).sum()
+        assert np.max(np.abs(d.value(z) - (p.value(z) - q.value(z)))) <= 1e-14 * scale
+        assert np.max(np.abs(d.deriv(z) - (p.deriv(z) - q.deriv(z)))) <= 1e-14 * 12 * scale
+
     def test_scaling(self):
         f = log_singular()
         g = f * 2.0

@@ -246,6 +246,63 @@ class TestBuildFamily:
             fam.evaluate_all(PeriodicSamples(np.ones(8)))
 
 
+EPS = np.finfo(float).eps
+QK_LIGHT_RES = {"shell_from": 2, "shell_to": 7, "extra_radii": (0.5,),
+                "angles": 16, "quad_nr": 16, "quad_ntheta": 32}
+
+
+class TestFamilyKernels:
+    """Every entry of the vectorised evaluators against the single-entry
+    references, with tolerances set from float64 rounding."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 12, 17])
+    def test_qk_entries_match_qk_local(self, degree):
+        # degree 0 is the zero polynomial; 17 exceeds the 16 family angles, so
+        # it takes the pointwise fallback instead of the Gram form
+        from oscillometer.spaces import _gram_deriv_coeffs
+        desc = SpaceDescriptor("qk", resolution=QK_LIGHT_RES)
+        fam = build_family(desc)
+        rng = np.random.default_rng(degree)
+        coeffs = rng.normal(size=max(degree, 1)) + 1j * rng.normal(size=max(degree, 1))
+        f = TaylorFunction.polynomial(coeffs if degree else np.zeros(3))
+        assert (_gram_deriv_coeffs(f, 16) is None) == (degree > 16)
+        rule = QuadratureRule(16, 32)
+        n_nodes = 16 * 32
+        c_abs = np.abs(np.trim_zeros(f.coeffs, "b") * np.arange(1, degree + 1)).sum()
+        vals = fam.evaluate_all(f)
+        for val, param in zip(vals, fam.params):
+            want = qk_local(f, param.a, desc.kernel, rule)
+            # sum_n jac_n over the centre's nodes (f' = 1) times the majorant
+            # (sum |c_k|)^2 of |f'|^2 bounds every term; Horner or Gram form,
+            # node rotation and the n-term sum each add O(d + n) eps of it
+            mass = qk_local(TaylorFunction.polynomial([1.0]), param.a, desc.kernel, rule)
+            tol = (16 * degree + n_nodes) * EPS * c_abs ** 2 * mass
+            assert abs(val ** 2 - want) <= tol
+
+    @pytest.mark.parametrize("mids", [64, "all"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_bmo_entries_match_direct_oscillation(self, p, mids):
+        n = 1024
+        fam = build_family(SpaceDescriptor("bmo_circle", p=p, resolution={
+            "n_samples": n, "midpoints": mids, "min_len_exp": 2, "max_len_exp": 7}))
+        rng = np.random.default_rng(9)
+        f = PeriodicSamples(rng.normal(size=n) + 1j * rng.normal(size=n) + 0.5)
+        scale = 2.0 * np.abs(f.values).max()    # bounds |f| and |f - mean f|
+        vals = fam.evaluate_all(f)
+        for val, param in zip(vals, fam.params):
+            start, ncells = snap_arc(f, Arc(param.midpoint, param.length))
+            want = direct_oscillation(f.values, start, ncells, p)
+            # window means from prefix sums: two differenced cumsums of up to n
+            # terms, divided by ncells; plus the direct sum over ncells + 1 nodes
+            bound = (2.0 * n * n / ncells + 8.0 * (ncells + 1)) * EPS * scale
+            if p == 2.0:
+                # moment path: the error lands on the square
+                assert abs(val ** 2 - want ** 2) <= 4.0 * scale * bound
+            else:
+                # the p-mean deviation is 1-Lipschitz in the mean
+                assert abs(val - want) <= 2.0 * bound
+
+
 class TestHomogeneity:
     CASES = {
         "bmo_circle": lambda: (SpaceDescriptor(
