@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, config_number
 from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
                       TaylorFunction, TorusSamples)
 from .spaces import SpaceDescriptor
@@ -42,7 +42,7 @@ def circle_builtin(name: str, n: int, **params) -> PeriodicSamples:
     if name == "triangle":
         return PeriodicSamples(triangle_values(n))
     if name == "cosine":
-        freq = int(params.get("freq", 1))
+        freq = config_number(params, "freq", 1, int)
         theta = TWO_PI * np.arange(n) / n
         return PeriodicSamples(np.cos(freq * theta).astype(complex))
     raise ConfigError(f"unknown circle builtin '{name}'")
@@ -104,15 +104,15 @@ def _complex_list(raw) -> np.ndarray:
 
 def taylor_builtin(name: str, **params) -> TaylorFunction:
     if name == "monomial":
-        return monomial(int(params.get("degree", 1)))
+        return monomial(config_number(params, "degree", 1, int))
     if name == "poly":
         return TaylorFunction.polynomial(_complex_list(params["coeffs"]))
     if name == "log_singular":
-        return log_singular(int(params.get("n_coeffs", 4096)))
+        return log_singular(config_number(params, "n_coeffs", 4096, int))
     if name == "cauchy_kernel":
-        return cauchy_kernel(int(params.get("n_coeffs", 4096)))
+        return cauchy_kernel(config_number(params, "n_coeffs", 4096, int))
     if name == "lacunary":
-        return lacunary(int(params.get("top_exp", 10)))
+        return lacunary(config_number(params, "top_exp", 10, int))
     raise ConfigError(f"unknown analytic builtin '{name}'")
 
 
@@ -150,7 +150,7 @@ def box_builtin(name: str, domain: BoxDomain, alpha: float,
         xx, yy = np.meshgrid(coords[0], coords[1], indexing="ij")
         radius = np.hypot(xx, yy)
     if name == "holder_cusp":
-        expo = float(params.get("exponent", alpha))
+        expo = config_number(params, "exponent", alpha)
         return EuclideanSamples(domain, radius ** expo, alpha)
     if name == "linear":
         vals = coords[0] if domain.ndim == 1 else xx
@@ -200,7 +200,7 @@ def make_function(cfg: dict, desc: SpaceDescriptor):
     if desc.tag == "bmo_circle":
         if name not in _CIRCLE_NAMES:
             raise ConfigError(f"builtin '{name}' is not a circle function")
-        return circle_builtin(name, int(desc.resolution["n_samples"]), **params)
+        return circle_builtin(name, desc.resolution["n_samples"], **params)
     if desc.tag in ("bloch", "qk", "weighted"):
         if name not in _TAYLOR_NAMES:
             raise ConfigError(f"builtin '{name}' is not an analytic function")
@@ -208,7 +208,7 @@ def make_function(cfg: dict, desc: SpaceDescriptor):
     if desc.tag == "rect_bmo":
         if name not in _TORUS_NAMES:
             raise ConfigError(f"builtin '{name}' is not a torus function")
-        return torus_builtin(name, int(desc.resolution["n_samples"]), **params)
+        return torus_builtin(name, desc.resolution["n_samples"], **params)
     if desc.tag == "lip":
         if name == "cosine_box":
             name = "cosine"

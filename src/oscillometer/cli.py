@@ -21,7 +21,8 @@ import tempfile
 import numpy as np
 
 from . import approx, builtins as fn_registry, distance as dist_mod
-from .errors import ConfigError, NumericalError, config_block, config_number
+from .errors import (ConfigError, NumericalError, config_block, config_number,
+                     config_numbers)
 from .family import seminorm_sup, tail_profile, limsup_estimate
 from .spaces import SpaceDescriptor, build_family, compose_mobius
 
@@ -71,12 +72,19 @@ class RunConfig:
         self.slack = config_number(raw, "slack", 1e-3)
         self.x_tol_rel = config_number(raw, "x_tol_rel", 1e-2)
         output = config_block(raw, "output")
-        self.report_path = os.path.join(out_dir, output.get("report", "report.json"))
-        self.profile_path = os.path.join(out_dir, output.get("profile", "profile.csv"))
+        self.report_path = _output_path(out_dir, output, "report", "report.json")
+        self.profile_path = _output_path(out_dir, output, "profile", "profile.csv")
         self.seed = config_number(raw, "seed", seed, int)
 
     def make_function(self):
         return fn_registry.make_function(self.function_cfg, self.desc)
+
+
+def _output_path(out_dir: str, output: dict, key: str, default: str) -> str:
+    name = output.get(key, default)
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"output '{key}' must be a file name, got {name!r}")
+    return os.path.join(out_dir, name)
 
 
 def _load_config(args) -> RunConfig:
@@ -164,8 +172,8 @@ def _run_invariance(cfg: RunConfig) -> int:
         raise ConfigError("invariance-check runs on the invariant-integral space")
     if not cfg.phi_cfg:
         raise ConfigError("invariance-check needs a 'phi' block")
-    a = complex(*cfg.phi_cfg.get("a", [0.0, 0.0]))
-    lam_re, lam_im = cfg.phi_cfg.get("lambda", [1.0, 0.0])
+    a = complex(*config_numbers(cfg.phi_cfg, "a", [0.0, 0.0], 2))
+    lam_re, lam_im = config_numbers(cfg.phi_cfg, "lambda", [1.0, 0.0], 2)
     f = cfg.make_function()
     grid = build_family(cfg.desc)
     base = seminorm_sup(grid, f).value

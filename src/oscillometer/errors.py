@@ -25,6 +25,15 @@ def config_number(block: dict, key: str, default, cast=float):
     raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
 
 
+def config_numbers(block: dict, key: str, default=None, size=None) -> list:
+    """block[key] (default when absent) as a list of finite numbers, of
+    length `size` when given; anything else is a configuration error."""
+    value = block.get(key, default)
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        raise ConfigError(f"'{key}' must be a list of numbers, got {value!r}")
+    return [config_number({key: v}, key, None) for v in value]
+
+
 def config_block(block: dict, key: str) -> dict:
     """block[key] as a JSON object ({} when absent or null); any other JSON
     type is a configuration error, not a traceback."""

@@ -97,6 +97,7 @@ class OperatorFamilyGrid:
             default_scales = dyadic_scales(float(remoteness.max()),
                                            float(remoteness.min()))
         self.default_scales = np.asarray(default_scales, dtype=float)
+        self._levels = None   # (ladder, finest_levels) of the ladder last profiled
 
     def __len__(self) -> int:
         return len(self.params)
@@ -110,6 +111,17 @@ class OperatorFamilyGrid:
         if np.any(vals < 0):
             raise NumericalError("family evaluation produced negative values")
         return vals
+
+    def finest_levels(self, scales: np.ndarray) -> np.ndarray:
+        """Per entry, 1 + the finest level k with remoteness <= scales[k]
+        (1 + 1e-12), 0 if none; kept for the ladder last asked for."""
+        cached = self._levels
+        if cached is None or not np.array_equal(cached[0], scales):
+            ascending = (scales * (1 + 1e-12))[::-1]
+            levels = scales.size - np.searchsorted(ascending, self.remoteness, side="left")
+            cached = self._levels = (scales.copy(),
+                                     levels.astype(np.min_scalar_type(scales.size)))
+        return cached[1]
 
 
 def dyadic_scales(t0: float, t_min: float, max_levels: int = 24) -> np.ndarray:
@@ -212,15 +224,12 @@ def tail_profile(fam: OperatorFamilyGrid, f, scales=None,
     if np.any(np.abs(ratios - 0.5) > 1e-9):
         raise ConfigError("scale ladder must be dyadic (each level half the last)")
     vals = fam.evaluate_all(f) if values is None else values
-    sups = np.full(scales.size, np.nan)
-    order = np.argsort(fam.remoteness)
-    sorted_rho = fam.remoteness[order]
-    # running max over entries sorted by remoteness: prefix maxima give each
-    # level's sup in one pass
-    prefix_max = np.maximum.accumulate(vals[order])
-    counts = np.searchsorted(sorted_rho, scales * (1 + 1e-12), side="right")
-    nonzero = counts > 0
-    sups[nonzero] = prefix_max[counts[nonzero] - 1]
+    maxima = np.full(scales.size + 1, -np.inf)
+    np.maximum.at(maxima, fam.finest_levels(scales), vals)
+    # an entry counts at its finest level and every coarser one: a running
+    # max from the finest level outward (max is order-free, so exact)
+    sups = np.maximum.accumulate(maxima[:0:-1])[::-1]
+    sups[sups == -np.inf] = np.nan
     return TailProfile(scales, sups, allowance_rel=fam.allowance_rel)
 
 

@@ -28,7 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, NumericalError, config_block, config_number
+from .errors import (ConfigError, NumericalError, config_block, config_number,
+                     config_numbers)
 from .family import OperatorFamilyGrid, dyadic_scales, map_chunks
 from .funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
                       PeriodicSamples, QuadratureRule, TaylorFunction,
@@ -197,8 +198,16 @@ class SpaceDescriptor:
             self.kernel = kernel_from_config(None)
         if self.tag == "weighted" and self.weight is None:
             self.weight = weight_from_config(None)
+        # each value takes its default's type; bmo midpoints may be "all"
         merged = dict(_DEFAULT_RESOLUTION[self.tag])
-        merged.update(self.resolution)
+        for key, value in self.resolution.items():
+            default = merged.get(key)
+            if isinstance(default, tuple):
+                value = tuple(config_numbers(self.resolution, key))
+            elif default is not None and not (self.tag == "bmo_circle"
+                                              and key == "midpoints" and value == "all"):
+                value = config_number(self.resolution, key, None, type(default))
+            merged[key] = value
         self.resolution = merged
 
     @classmethod
@@ -217,7 +226,8 @@ class SpaceDescriptor:
             kwargs["weight"] = weight_from_config(config_block(cfg, "weight"))
         if tag == "lip" and "domain" in cfg:
             d = config_block(cfg, "domain")
-            kwargs["lip_domain"] = BoxDomain(d["lo"], d["hi"],
+            kwargs["lip_domain"] = BoxDomain(config_numbers(d, "lo"),
+                                             config_numbers(d, "hi"),
                                              config_number(d, "step", None))
         return cls(**kwargs)
 
@@ -330,35 +340,36 @@ def compose_mobius(f: TaylorFunction, a: complex, lam: complex = 1.0) -> TaylorF
 # rectangular oscillation
 # ---------------------------------------------------------------------------
 
-class _WrapCumsum:
-    """Row-wise trapezoid window sums on a periodic axis, via doubled cumsums."""
+def _window_means(values: np.ndarray, starts: np.ndarray, ncells: np.ndarray,
+                  axis: int) -> np.ndarray:
+    """Trapezoid means of `values` over the periodic arcs [starts, starts +
+    ncells] along `axis`, one per arc, with the arc axis first.
 
-    def __init__(self, values: np.ndarray, axis: int):
-        v = np.moveaxis(values, axis, -1)
-        self.n = v.shape[-1]
-        shape = list(v.shape)
-        shape[-1] = 2 * self.n + 1
-        cum = np.empty(shape, dtype=v.dtype)
-        cum[..., 0] = 0
-        np.cumsum(v, axis=-1, out=cum[..., 1:self.n + 1])
-        cum[..., self.n + 1:] = cum[..., 1:self.n + 1] + cum[..., self.n:self.n + 1]
-        self._cum = cum
-
-    def window(self, start: int, ncells: int) -> np.ndarray:
-        """Trapezoid sum over [start, start+ncells] along the axis, for all rows."""
-        start %= self.n
-        c = self._cum
-        plain = c[..., start + ncells + 1] - c[..., start]
-        ends = ((c[..., start + 1] - c[..., start])
-                + (c[..., start + ncells + 1] - c[..., start + ncells]))
-        return plain - 0.5 * ends
+    Prefix sums are formed only at the arcs' end nodes: one reduceat gives
+    the sums between consecutive nodes, their running total the prefix.  With
+    q_k = prefix(node_k) + v[node_k] / 2 an arc's trapezoid sum is
+    q[end] - q[start], plus the row total when the arc wraps past node 0.
+    """
+    n = values.shape[axis]
+    count = starts.size
+    starts = starts % n
+    nodes, at = np.unique(np.concatenate([[0], starts, (starts + ncells) % n]),
+                          return_inverse=True)
+    segments = np.moveaxis(np.add.reduceat(values, nodes, axis=axis), axis, 0)
+    q = np.empty(segments.shape, dtype=segments.dtype)
+    q[0] = 0
+    np.cumsum(segments[:-1], axis=0, out=q[1:])
+    total = q[-1] + segments[-1]
+    q += np.moveaxis(np.take(values, nodes, axis=axis), axis, 0) / 2
+    sums = q[at[count + 1:]] - q[at[1:count + 1]]
+    sums[starts + ncells >= n] += total
+    return sums / ncells.reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
 class TorusOscillator:
     """Shared machinery for rectangular oscillations of one torus function."""
 
     def __init__(self, F: TorusSamples):
-        self.F = F
         self.n = F.n
         self.h = F.step
         # the oscillation is exactly invariant under adding any g(zeta) +
@@ -368,11 +379,7 @@ class TorusOscillator:
         vals = F.values
         rowm = vals.mean(axis=1, keepdims=True)
         colm = vals.mean(axis=0, keepdims=True)
-        centred = (vals - rowm) - (colm - colm.mean())
-        # λ-axis windows of F and |F|^2 (per row ζ), ζ-axis windows of F
-        self._row_f = _WrapCumsum(centred, axis=1)
-        self._row_f2 = _WrapCumsum(np.abs(centred) ** 2, axis=1)
-        self._col_f = _WrapCumsum(centred, axis=0)
+        self.centred = (vals - rowm) - (colm - colm.mean())
 
     def pair(self, I: Arc, J: Arc) -> float:
         """Oscillation for a single arc pair."""
@@ -383,37 +390,22 @@ class TorusOscillator:
     def family_values(self, arcs_i, arcs_j) -> np.ndarray:
         """Oscillations over the product family, J-major order.
 
-        Per J-arc the work is O(N) (window averages along lambda and their
-        zeta-prefix sums); every I-arc then costs O(1).
+        Every pair at once from four moments of I x J means:
+        q^2 = E|F|^2 - E_I |F_J|^2 - E_J |F_I|^2 + |F_IxJ|^2, where
+        F_J(zeta) and F_I(lambda) are the one-variable means.
         """
-        from .funcrep import _CircleSums
-        h = self.h
-        starts_i = np.array([a[0] for a in arcs_i], dtype=np.int64)
-        ncells_i = np.array([a[1] for a in arcs_i], dtype=np.int64)
-        # lambda-axis prefix sums of |mean_I F|^2, one row per I-arc
-        b2 = np.empty((len(arcs_i), self.n))
-        for k, (sI, nI) in enumerate(arcs_i):
-            b2[k] = np.abs(self._col_f.window(sI, nI) / nI) ** 2
-        b2cum = _WrapCumsum(b2, axis=1)
-        out = np.empty((len(arcs_j), len(arcs_i)))
-        for j, (sJ, nJ) in enumerate(arcs_j):
-            lenJ = nJ * h
-            A = self._row_f.window(sJ, nJ) * h / lenJ       # mean over J per zeta
-            u = self._row_f2.window(sJ, nJ).real * h / lenJ  # mean of |F|^2 over J
-            sums_a = _CircleSums(A)
-            sums_a2 = _CircleSums(np.abs(A) ** 2)
-            sums_u = _CircleSums(u)
-            e_b = b2cum.window(sJ, nJ).real * h / lenJ      # E_J |mean_I F|^2 per I
-            for nc in np.unique(ncells_i):
-                sel = np.nonzero(ncells_i == nc)[0]
-                st = starts_i[sel]
-                lenI = nc * h
-                m_sq = sums_u.window(st, int(nc)).real / lenI   # E_{IxJ} |F|^2
-                c = sums_a.window(st, int(nc)) / lenI           # E_{IxJ} F
-                e_a = sums_a2.window(st, int(nc)).real / lenI   # E_I |mean_J F|^2
-                q2 = m_sq - e_a - e_b[sel] + np.abs(c) ** 2
-                out[j, sel] = np.sqrt(np.maximum(q2, 0.0))
-        return out.ravel()
+        si, ni = (np.array(c, dtype=np.int64) for c in zip(*arcs_i))
+        sj, nj = (np.array(c, dtype=np.int64) for c in zip(*arcs_j))
+        F = self.centred
+        A = _window_means(F, sj, nj, axis=1)                  # F_J per zeta
+        U = _window_means(np.abs(F) ** 2, sj, nj, axis=1)     # J-mean of |F|^2
+        B = _window_means(F, si, ni, axis=0)                  # F_I per lambda
+        c = _window_means(A, si, ni, axis=1)                  # F_IxJ
+        m_sq = _window_means(U, si, ni, axis=1)               # E_{IxJ} |F|^2
+        e_a = _window_means(np.abs(A) ** 2, si, ni, axis=1)   # E_I |F_J|^2
+        e_b = _window_means(np.abs(B) ** 2, sj, nj, axis=1)   # E_J |F_I|^2
+        q2 = m_sq.T - e_a.T - e_b + np.abs(c.T) ** 2
+        return np.sqrt(np.maximum(q2, 0.0)).ravel()
 
 
 def _snap_torus_arc(osc: TorusOscillator, arc: Arc) -> tuple[int, int]:
@@ -467,8 +459,8 @@ def _arc_layout(n: int, midpoints: int, kmin: int, kmax: int):
     """Midpoint nodes x dyadic lengths, snapped exactly to the grid."""
     if kmax - kmin + 1 < 6:
         raise ConfigError("family resolution too coarse: fewer than 6 dyadic levels")
-    if n % midpoints != 0:
-        raise ConfigError("midpoint count must divide the grid size")
+    if midpoints < 1 or n % midpoints != 0:
+        raise ConfigError("midpoint count must be a positive divisor of the grid size")
     if n * 2 ** -(kmax + 1) < 1:
         raise ConfigError(f"finest arcs under-resolved on a grid of {n}")
     mids = np.arange(midpoints) * (n // midpoints)
@@ -484,10 +476,9 @@ def _arc_layout(n: int, midpoints: int, kmin: int, kmax: int):
 
 def _build_bmo(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     res = desc.resolution
-    n = int(res["n_samples"])
-    mids = res["midpoints"]
-    mids = n if mids == "all" else int(mids)
-    kmin, kmax = int(res["min_len_exp"]), int(res["max_len_exp"])
+    n = res["n_samples"]
+    mids = n if res["midpoints"] == "all" else res["midpoints"]
+    kmin, kmax = res["min_len_exp"], res["max_len_exp"]
     arcs = _arc_layout(n, mids, kmin, kmax)
     params = [BmoParam(a[2], a[3]) for a in arcs]
     remoteness = np.array([a[1] * TWO_PI / n for a in arcs])
@@ -553,8 +544,8 @@ def _disc_radii(uniform: int, shells: int, shell_from: int = 1,
 
 def _build_bloch(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     res = desc.resolution
-    radii = _disc_radii(int(res["uniform_radii"]), int(res["shells"]))
-    n_ang = int(res["angles"])
+    radii = _disc_radii(res["uniform_radii"], res["shells"])
+    n_ang = res["angles"]
     w, params = _disc_nodes(radii, n_ang, BlochParam)
     remoteness = 1.0 - np.abs(w)
 
@@ -563,7 +554,7 @@ def _build_bloch(desc: SpaceDescriptor) -> OperatorFamilyGrid:
             raise ConfigError("the analytic family needs a TaylorFunction")
         return (1.0 - np.abs(w) ** 2) * np.abs(f.deriv(w))
 
-    shells = int(res["shells"])
+    shells = res["shells"]
     scales = 2.0 ** -np.arange(0, shells + 1, dtype=float)
     return OperatorFamilyGrid("bloch", params, remoteness, eval_all,
                               allowance_rel=desc.allowance_rel,
@@ -582,11 +573,11 @@ def _disc_nodes(radii: np.ndarray, n_ang: int, param_cls):
 
 def _build_qk(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     res = desc.resolution
-    n_ang = int(res["angles"])
-    rule = QuadratureRule(int(res["quad_nr"]), int(res["quad_ntheta"]))
+    n_ang = res["angles"]
+    rule = QuadratureRule(res["quad_nr"], res["quad_ntheta"])
     if rule.n_theta % n_ang != 0:
         raise ConfigError("quadrature angles must be a multiple of the family angles")
-    radii = _disc_radii(0, int(res["shell_to"]), int(res["shell_from"]),
+    radii = _disc_radii(0, res["shell_to"], res["shell_from"],
                         extra=(0.0,) + tuple(res["extra_radii"]))
     centres, params = _disc_nodes(radii, n_ang, QkParam)
     remoteness = 1.0 - np.abs(centres)
@@ -636,7 +627,7 @@ def _build_qk(desc: SpaceDescriptor) -> OperatorFamilyGrid:
             raise NumericalError("singular node")
         return np.sqrt(np.maximum(vals, 0.0))
 
-    shell_to = int(res["shell_to"])
+    shell_to = res["shell_to"]
     scales = 2.0 ** -np.arange(0, shell_to + 1, dtype=float)
     return OperatorFamilyGrid("qk", params, remoteness, eval_all,
                               allowance_rel=desc.allowance_rel,
@@ -683,17 +674,17 @@ def _build_weighted(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     v = desc.weight
     kind = v.domain["kind"]
     if kind == "disc":
-        radii = _disc_radii(int(res["uniform_radii"]), int(res["shells"]))
-        z, params = _disc_nodes(radii, int(res["angles"]), WeightedParam)
+        radii = _disc_radii(res["uniform_radii"], res["shells"])
+        z, params = _disc_nodes(radii, res["angles"], WeightedParam)
     elif kind == "annulus":
         r0, r1 = v.domain["r0"], v.domain["r1"]
         gap = (r1 - r0) / 2.0
-        offs = _disc_radii(int(res["uniform_radii"]), int(res["shells"])) * gap
+        offs = _disc_radii(res["uniform_radii"], res["shells"]) * gap
         radii = np.unique(np.concatenate([r0 + offs[offs > 0], r1 - offs[offs > 0],
                                           [r0 + gap]]))
-        z, params = _disc_nodes(radii, int(res["angles"]), WeightedParam)
+        z, params = _disc_nodes(radii, res["angles"], WeightedParam)
     else:
-        m = int(res["box_nodes"])
+        m = res["box_nodes"]
         x = np.linspace(v.domain["x0"], v.domain["x1"], m + 2)[1:-1]
         y = np.linspace(v.domain["y0"], v.domain["y1"], m + 2)[1:-1]
         z = (x[:, None] + 1j * y[None, :]).ravel()
@@ -708,7 +699,7 @@ def _build_weighted(desc: SpaceDescriptor) -> OperatorFamilyGrid:
             raise ConfigError("the weighted family needs a TaylorFunction")
         return vv * np.abs(f.value(z))
 
-    shells = int(res.get("shells", 12))
+    shells = res["shells"]
     t0 = float(remoteness.max())
     scales = dyadic_scales(t0, max(float(remoteness.min()), t0 * 2.0 ** -shells))
     return OperatorFamilyGrid("weighted", params, remoteness, eval_all,
@@ -732,28 +723,28 @@ def lip_pair_indices(dom: BoxDomain, cap: int = 1_000_000):
     return ia, ib, dist
 
 
-class _LipParams:
-    """Lazy parameter view: builds the coordinate pair only when indexed."""
+class _LazyParams:
+    """Lazy parameter view: entry k is built by make(k) only when indexed."""
 
-    def __init__(self, coords, ia, ib):
-        self._coords = coords
-        self._ia = ia
-        self._ib = ib
+    def __init__(self, size: int, make: Callable[[int], tuple]):
+        self._size = size
+        self._make = make
 
     def __len__(self):
-        return self._ia.size
+        return self._size
 
-    def __getitem__(self, i):
-        return LipParam(tuple(self._coords[self._ia[i]]),
-                        tuple(self._coords[self._ib[i]]))
+    def __getitem__(self, k):
+        return self._make(range(self._size)[k])
 
 
 def _build_lip(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     dom = desc.lip_domain
     alpha = desc.alpha
-    cap = int(desc.resolution["pair_cap"])
+    cap = desc.resolution["pair_cap"]
     ia, ib, dist = lip_pair_indices(dom, cap)
-    params = _LipParams(_grid_coords(dom), ia, ib)
+    coords = _grid_coords(dom)
+    params = _LazyParams(ia.size, lambda k: LipParam(tuple(coords[ia[k]]),
+                                                     tuple(coords[ib[k]])))
     denom = dist ** alpha
 
     def eval_all(f: EuclideanSamples) -> np.ndarray:
@@ -832,16 +823,16 @@ def _strata_pairs(dom: BoxDomain, cap: int):
 
 def _build_rect(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     res = desc.resolution
-    n = int(res["n_samples"])
-    mids = int(res["midpoints"])
-    kmin, kmax = int(res["min_len_exp"]), int(res["max_len_exp"])
+    n = res["n_samples"]
+    mids = res["midpoints"]
+    kmin, kmax = res["min_len_exp"], res["max_len_exp"]
     arcs = _arc_layout(n, mids, kmin, kmax)
     snapped = [(a[0], a[1]) for a in arcs]
     lengths = np.array([a[1] * TWO_PI / n for a in arcs])
-    params = []
-    for (mJ, lJ) in [(a[2], a[3]) for a in arcs]:
-        for (mI, lI) in [(a[2], a[3]) for a in arcs]:
-            params.append(RectParam(mI, lI, mJ, lJ))
+    # entry j * len(arcs) + i pairs I-arc i with J-arc j
+    mid_len = [(a[2], a[3]) for a in arcs]
+    params = _LazyParams(len(arcs) ** 2, lambda k: RectParam(
+        *mid_len[k % len(arcs)], *mid_len[k // len(arcs)]))
     remoteness = np.minimum.outer(lengths, lengths).ravel()
 
     def eval_all(F: TorusSamples) -> np.ndarray:

@@ -176,6 +176,12 @@ BLOCH_NORM = {"space": BLOCH_LIGHT,
               "function": {"kind": "builtin", "name": "monomial", "degree": 1}}
 BLOCH_DISTANCE = dict(BLOCH_NORM, approximants={"kind": "dilation",
                                                 "ladder": {"levels": 4}})
+QK_INVARIANCE = {"space": QK_LIGHT,
+                 "function": {"kind": "builtin", "name": "monomial", "degree": 2},
+                 "task": "invariance-check",
+                 "phi": {"a": [0.3, 0.2], "lambda": [1.0, 0.0]}}
+RECT_NORM = {"space": {"space": "rect_bmo"},
+             "function": {"kind": "builtin", "name": "step_tensor"}}
 
 
 def _with(base, **changes):
@@ -208,11 +214,30 @@ def _with(base, **changes):
     ("norm", _with(BLOCH_NORM, function={"kind": "taylor", "coeffs": 5})),
     ("norm", _with(BLOCH_NORM, function="monomial")),
     ("norm", _with(BLOCH_NORM, space={"space": "bmo_circle", "p": "x"})),
+    ("norm", _with(BLOCH_NORM, **{"space.resolution.angles": "x"})),
+    ("norm", _with(RECT_NORM, space={"space": "rect_bmo",
+                                     "resolution": {"midpoints": "x"}})),
+    ("norm", _with(RECT_NORM, space={"space": "rect_bmo",
+                                     "resolution": {"midpoints": 0}})),
+    ("check", _with(QK_INVARIANCE, **{"space.resolution.extra_radii": "x"})),
+    ("norm", _with(BLOCH_NORM, **{"function.degree": "x"})),
+    ("norm", _with(BLOCH_NORM, function={"kind": "builtin", "name": "log_singular",
+                                         "n_coeffs": "x"})),
+    ("check", _with(LIP_SMOOTH_CHECK, **{"function.exponent": "x"})),
+    ("norm", _with(BLOCH_NORM, output={"report": 5})),
+    ("norm", _with(BLOCH_NORM, output={"report": ""})),
+    ("check", _with(QK_INVARIANCE, phi={"a": "x"})),
+    ("check", _with(QK_INVARIANCE, **{"phi.lambda": [1.0]})),
+    ("check", _with(LIP_SMOOTH_CHECK, space={
+        "space": "lip", "domain": {"lo": "a", "hi": [1], "step": 0.1}})),
 ], ids=["lip-dilation", "pad-factor-negative", "t0-text", "t0-nan", "slack-text",
         "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
         "ladder-number", "family-text", "output-text", "space-number",
         "resolution-text", "domain-list", "coeffs-number", "function-text",
-        "p-text"])
+        "p-text", "angles-text", "rect-midpoints-text", "rect-midpoints-zero",
+        "extra-radii-text", "degree-text", "n-coeffs-text", "exponent-text",
+        "report-number", "report-empty", "phi-a-text", "phi-lambda-short",
+        "domain-text"])
 def test_bad_config_exit_code(tmp_path, command, payload):
     # run as a process, so an uncaught exception shows as a traceback on stderr
     cfg = write_config(tmp_path, "bad.json", payload)

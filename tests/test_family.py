@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillometer.errors import ConfigError, NumericalError
 from oscillometer.family import (OperatorFamilyGrid, TailProfile, dyadic_scales,
@@ -85,6 +86,36 @@ class TestTailProfile:
         lines = text.strip().splitlines()
         assert lines[0] == "scale,tail_sup"
         assert len(lines) == prof.scales.size + 1
+
+
+@st.composite
+def remoteness_and_ladders(draw):
+    """Remoteness with many ties (a few mantissas times powers of two, so it
+    spans at least 6 dyadic bins), values, and two dyadic ladders whose tops
+    lie above, inside or below the remoteness range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(1, 300))
+    rho = rng.choice([1.0, 1.25, 1.5]) * 2.0 ** -rng.integers(0, 12, size)
+    rho = np.concatenate([2.0 ** -np.arange(6.0), rho])
+    vals = rng.choice([0.0, 0.5, 1.0, 2.0], rho.size) + rng.uniform(0, 1, rho.size)
+    ladders = [2.0 ** draw(st.integers(-14, 3)) * 0.5 ** np.arange(draw(st.integers(1, 20)))
+               for _ in range(2)]
+    return rho, vals, ladders
+
+
+class TestTailProfileProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(remoteness_and_ladders())
+    def test_levels_are_direct_maxima(self, case):
+        rho, vals, ladders = case
+        fam = OperatorFamilyGrid("x", list(range(rho.size)), rho, lambda f: vals)
+        # alternating ladders on one grid: a stale level index would show
+        for scales in ladders + ladders:
+            for values in (vals, vals[::-1].copy()):
+                got = tail_profile(fam, None, scales=scales, values=values).tail_sups
+                want = [values[rho <= t * (1 + 1e-12)].max()
+                        if np.any(rho <= t * (1 + 1e-12)) else np.nan for t in scales]
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestLimsupEstimate:

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillometer.errors import ConfigError
 from oscillometer.funcrep import (Arc, BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
                                   TaylorFunction, TorusSamples, snap_arc)
-from oscillometer.spaces import (SpaceDescriptor, bloch_term, bmo_oscillation,
-                                 build_family, compose_mobius,
-                                 kernel_from_config, lip_quotient, qk_local,
-                                 rect_oscillation, weight_from_config,
-                                 weighted_term)
+from oscillometer.spaces import (RectParam, SpaceDescriptor, TorusOscillator,
+                                 bloch_term, bmo_oscillation, build_family,
+                                 compose_mobius, kernel_from_config,
+                                 lip_quotient, qk_local, rect_oscillation,
+                                 weight_from_config, weighted_term)
 from oscillometer.family import seminorm_sup
 from oscillometer.builtins import (circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
@@ -26,6 +27,38 @@ def direct_oscillation(values, start, ncells, p):
     mean = np.dot(w, window) / ncells
     dev = np.dot(w, np.abs(window - mean) ** p) / ncells
     return dev ** (1.0 / p)
+
+
+def direct_rect_square(values, arc_i, arc_j):
+    """Independent oracle for the squared rectangular oscillation of one arc
+    pair: the trapezoid I x J mean of |F - F_J - F_I + F_IxJ|^2, summed
+    directly over the (ncells + 1)^2 nodes."""
+    n = values.shape[0]
+
+    def nodes(arc):
+        start, ncells = arc
+        w = np.ones(ncells + 1)
+        w[0] = w[-1] = 0.5
+        return (start + np.arange(ncells + 1)) % n, w / ncells
+
+    ii, wi = nodes(arc_i)
+    jj, wj = nodes(arc_j)
+    block = values[np.ix_(ii, jj)]
+    dev = block - (block @ wj)[:, None] - (wi @ block)[None, :] + wi @ block @ wj
+    return wi @ np.abs(dev) ** 2 @ wj
+
+
+@st.composite
+def torus_arc_pairs(draw):
+    """A torus sample grid with a large constant offset, and I- and J-arcs of
+    any start and 2..N cells (full circles and wrapping arcs included)."""
+    n = draw(st.sampled_from([8, 16, 32, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    offset = complex(*draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))))
+    values = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)) + offset
+    arcs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(2, n)),
+                    min_size=1, max_size=5)
+    return values, draw(arcs), draw(arcs)
 
 
 class TestBmoOscillation:
@@ -240,6 +273,21 @@ class TestBuildFamily:
                              np.abs(desc.lip_domain.axes()[0]) ** 0.5, 0.5)
         assert seminorm_sup(fam, f).value == pytest.approx(1.0)
 
+    def test_rect_params_match_product_list(self):
+        from oscillometer.spaces import _arc_layout
+        fam = build_family(SpaceDescriptor("rect_bmo", resolution={
+            "n_samples": 128, "midpoints": 8, "min_len_exp": 1, "max_len_exp": 6}))
+        arcs = [(a[2], a[3]) for a in _arc_layout(128, 8, 1, 6)]
+        # J-major: entry j * len(arcs) + i pairs I-arc i with J-arc j
+        want = [RectParam(mi, li, mj, lj) for mj, lj in arcs for mi, li in arcs]
+        assert len(fam) == len(want) == 48 * 48
+        got = [fam.params[k] for k in range(len(fam))]
+        assert got == want
+        assert all(type(x) is float for param in got for x in param)
+        assert fam.params[-1] == want[-1]
+        with pytest.raises(IndexError):
+            fam.params[len(fam)]
+
     def test_wrong_representation_rejected(self):
         fam = build_family(SpaceDescriptor("bloch"))
         with pytest.raises(ConfigError):
@@ -301,6 +349,21 @@ class TestFamilyKernels:
             else:
                 # the p-mean deviation is 1-Lipschitz in the mean
                 assert abs(val - want) <= 2.0 * bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(torus_arc_pairs())
+    def test_rect_entries_match_direct_sum(self, case):
+        values, arcs_i, arcs_j = case
+        n = values.shape[0]
+        got = TorusOscillator(TorusSamples(values)).family_values(arcs_i, arcs_j)
+        want = [direct_rect_square(values, i, j) for j in arcs_j for i in arcs_i]
+        # every moment is a window mean: a difference of prefix sums of at most
+        # n terms, each at most 16 max|F|^2 after two-way centring, over
+        # ncells >= 2 cells; four moments, the centring and the oracle's own
+        # sums stay below 64 n^2 eps max|F|^2.  Compared on the square, since
+        # the moment form's absolute error blows up under the root near 0.
+        tol = 64 * n * n * EPS * np.abs(values).max() ** 2
+        assert np.all(np.abs(got ** 2 - np.array(want)) <= tol)
 
 
 class TestHomogeneity:
