@@ -68,18 +68,31 @@ def cauchy_kernel(n_coeffs: int = 4096) -> TaylorFunction:
 
 
 def lacunary(top_exp: int = 10) -> TaylorFunction:
-    """sum of z^(2^j) for j = 0..top_exp: bounded coefficients, gap powers."""
+    """sum of z^(2^j) for j = 0..top_exp: bounded coefficients, gap powers.
+
+    The closed forms run by repeated squaring: z^(2^j) is the square of the
+    last power, and z^(2^j - 1) the product of all the lower ones."""
     powers = 2 ** np.arange(top_exp + 1)
     coeffs = np.zeros(int(powers[-1]), dtype=complex)
     coeffs[powers - 1] = 1.0
 
     def value(z):
-        z = np.asarray(z, dtype=complex)
-        return sum(z ** int(p) for p in powers)
+        zp = np.asarray(z, dtype=complex)
+        total = zp
+        for _ in range(top_exp):
+            zp = zp * zp
+            total = total + zp
+        return total
 
     def deriv(z):
-        z = np.asarray(z, dtype=complex)
-        return sum(int(p) * z ** (int(p) - 1) for p in powers)
+        zp = np.asarray(z, dtype=complex)
+        lower = np.ones_like(zp)          # z^(2^j - 1)
+        total = np.zeros_like(zp)
+        for j in range(top_exp + 1):
+            total = total + 2.0 ** j * lower
+            lower = lower * zp
+            zp = zp * zp
+        return total
 
     return TaylorFunction(coeffs, value_fn=value, deriv_fn=deriv, radius_cap=1.0)
 
@@ -179,20 +192,31 @@ def make_function(cfg: dict, desc: SpaceDescriptor):
 
     kinds: {"kind": "builtin", "name": ..., ...params},
            {"kind": "taylor", "coeffs": [[re, im], ...]},
-           {"kind": "samples", "values": [[re, im], ...]} (circle or torus).
+           {"kind": "samples", "values": [[re, im], ...]} (circle or torus;
+           real values on the box grid).
     """
     kind = cfg.get("kind", "builtin")
     if kind == "taylor":
         return taylor_builtin("poly", coeffs=cfg["coeffs"])
     if kind == "samples":
-        values = np.asarray(cfg["values"], dtype=float)
-        if values.ndim == 2 and values.shape[-1] == 2 and desc.tag == "bmo_circle":
-            return PeriodicSamples(values[:, 0] + 1j * values[:, 1])
-        if desc.tag == "rect_bmo":
-            return TorusSamples(values[..., 0] + 1j * values[..., 1])
+        raw = cfg.get("values")
+        try:
+            values = np.asarray(raw, dtype=float)
+            finite = bool(np.all(np.isfinite(values)))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"sample 'values' must be finite numbers, got {raw!r}")
         if desc.tag == "lip":
             return EuclideanSamples(desc.lip_domain, values, desc.alpha)
-        raise ConfigError(f"sample input not supported for space '{desc.tag}'")
+        if desc.tag not in ("bmo_circle", "rect_bmo"):
+            raise ConfigError(f"sample input not supported for space '{desc.tag}'")
+        ndim = 2 if desc.tag == "bmo_circle" else 3
+        if values.ndim != ndim or values.shape[-1] != 2:
+            raise ConfigError(f"'{desc.tag}' samples must be an array of "
+                              f"[re, im] pairs with {ndim - 1} grid axes")
+        z = values[..., 0] + 1j * values[..., 1]
+        return PeriodicSamples(z) if desc.tag == "bmo_circle" else TorusSamples(z)
     if kind != "builtin":
         raise ConfigError(f"unknown function kind '{kind}'")
     name = cfg.get("name")

@@ -45,7 +45,6 @@ class PeriodicSamples:
         self.values = values
         self.n = n
         self.step = TWO_PI / n
-        self._sums: Optional[_CircleSums] = None
 
     @property
     def thetas(self) -> np.ndarray:
@@ -53,11 +52,6 @@ class PeriodicSamples:
 
     def mean(self) -> complex:
         return complex(self.values.mean())
-
-    def sums(self) -> "_CircleSums":
-        if self._sums is None:
-            self._sums = _CircleSums(self.values)
-        return self._sums
 
     def scaled(self, c) -> "PeriodicSamples":
         return PeriodicSamples(self.values * c)
@@ -102,34 +96,30 @@ class Arc:
         object.__setattr__(self, "midpoint", float(midpoint))
 
 
-class _CircleSums:
-    """Prefix sums on the doubled circle grid: O(1) trapezoid window sums.
+def _window_means(values: np.ndarray, starts: np.ndarray, ncells: np.ndarray,
+                  axis: int) -> np.ndarray:
+    """Trapezoid means of `values` over the periodic arcs [starts, starts +
+    ncells] along `axis`, one per arc, with the arc axis first.
 
-    window(start, ncells) is the trapezoid sum of the stored samples over the
-    node range [start, start + ncells] with wrap-around, times the grid step.
+    Prefix sums are formed only at the arcs' end nodes: one reduceat gives
+    the sums between consecutive nodes, their running total the prefix.  With
+    q_k = prefix(node_k) + v[node_k] / 2 an arc's trapezoid sum is
+    q[end] - q[start], plus the row total when the arc wraps past node 0.
     """
-
-    def __init__(self, values: np.ndarray):
-        self.n = values.shape[0]
-        self.step = TWO_PI / self.n
-        cum = np.empty(2 * self.n + 1, dtype=values.dtype)
-        cum[0] = 0
-        np.cumsum(values, out=cum[1:self.n + 1])
-        cum[self.n + 1:] = cum[1:self.n + 1] + cum[self.n]
-        self._cum = cum
-
-    def window(self, start, ncells: int):
-        """Trapezoid integral over ncells cells starting at node index `start`.
-
-        `start` may be an integer or an integer array; indices are taken mod N.
-        """
-        start = np.asarray(start, dtype=np.int64) % self.n
-        if ncells < 1 or ncells > self.n:
-            raise ConfigError(f"window of {ncells} cells outside [1, {self.n}]")
-        c = self._cum
-        plain = c[start + ncells + 1] - c[start]
-        ends = (c[start + 1] - c[start]) + (c[start + ncells + 1] - c[start + ncells])
-        return (plain - 0.5 * ends) * self.step
+    n = values.shape[axis]
+    count = starts.size
+    starts = starts % n
+    nodes, at = np.unique(np.concatenate([[0], starts, (starts + ncells) % n]),
+                          return_inverse=True)
+    segments = np.moveaxis(np.add.reduceat(values, nodes, axis=axis), axis, 0)
+    q = np.empty(segments.shape, dtype=segments.dtype)
+    q[0] = 0
+    np.cumsum(segments[:-1], axis=0, out=q[1:])
+    total = q[-1] + segments[-1]
+    q += np.moveaxis(np.take(values, nodes, axis=axis), axis, 0) / 2
+    sums = q[at[count + 1:]] - q[at[1:count + 1]]
+    sums[starts + ncells >= n] += total
+    return sums / ncells.reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
 def snap_arc(samples: PeriodicSamples, arc: Arc) -> tuple[int, int]:
@@ -154,8 +144,7 @@ def arc_average(f: PeriodicSamples, arc: Arc) -> complex:
     constants average exactly to themselves.
     """
     start, ncells = snap_arc(f, arc)
-    total = f.sums().window(start, ncells)
-    return complex(total / (ncells * f.step))
+    return complex(_window_means(f.values, np.array([start]), np.array([ncells]), 0)[0])
 
 
 # ---------------------------------------------------------------------------

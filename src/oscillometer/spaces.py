@@ -33,7 +33,8 @@ from .errors import (ConfigError, NumericalError, config_block, config_number,
 from .family import OperatorFamilyGrid, dyadic_scales, map_chunks
 from .funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
                       PeriodicSamples, QuadratureRule, TaylorFunction,
-                      TorusSamples, disk_quadrature, mobius_apply, snap_arc)
+                      TorusSamples, _window_means, disk_quadrature,
+                      mobius_apply, snap_arc)
 
 # ---------------------------------------------------------------------------
 # kernels and weights
@@ -168,6 +169,11 @@ _DEFAULT_RESOLUTION = {
                  "min_len_exp": 1, "max_len_exp": 6},
 }
 
+# resolution values that may be 0 (exponents, and an empty uniform fill);
+# every other one is a count that must be positive
+_MAY_BE_ZERO = {"uniform_radii", "min_len_exp", "max_len_exp", "shell_from",
+                "shell_to"}
+
 
 @dataclass
 class SpaceDescriptor:
@@ -207,6 +213,10 @@ class SpaceDescriptor:
             elif default is not None and not (self.tag == "bmo_circle"
                                               and key == "midpoints" and value == "all"):
                 value = config_number(self.resolution, key, None, type(default))
+                floor = 0 if key in _MAY_BE_ZERO else 1
+                if value < floor:
+                    raise ConfigError(f"resolution '{key}' must be at least "
+                                      f"{floor}, got {value!r}")
             merged[key] = value
         self.resolution = merged
 
@@ -248,27 +258,14 @@ def bmo_oscillation(f: PeriodicSamples, arc: Arc, p: float) -> float:
     if not p >= 1.0:
         raise ConfigError(f"oscillation exponent p must be >= 1, got {p}")
     start, ncells = snap_arc(f, arc)
-    length = ncells * f.step
-    centred, sums, sums2 = _centred_sums(f)
-    mean = sums.window(start, ncells) / length
+    starts, cells = np.array([start]), np.array([ncells])
+    centred = f.values - f.values.mean()
+    mean = _window_means(centred, starts, cells, 0)
     if p == 2.0:
-        sq = sums2.window(start, ncells).real / length
-        return float(np.sqrt(max(sq - abs(mean) ** 2, 0.0)))
-    idx = (start + np.arange(ncells + 1)) % f.n
-    w = np.ones(ncells + 1)
-    w[0] = w[-1] = 0.5
-    dev = np.abs(centred[idx] - mean) ** p
-    return float((np.dot(w, dev) * f.step / length) ** (1.0 / p))
-
-
-def _centred_sums(f: PeriodicSamples):
-    """Mean-centred values with their window-sum structures, cached on f."""
-    if not hasattr(f, "_centred"):
-        from .funcrep import _CircleSums
-        centred = f.values - f.values.mean()
-        f._centred = (centred, _CircleSums(centred),
-                      _CircleSums(np.abs(centred) ** 2))
-    return f._centred
+        sq = _window_means(np.abs(centred) ** 2, starts, cells, 0).real
+        return float(np.sqrt(max(sq[0] - abs(mean[0]) ** 2, 0.0)))
+    window = centred[(start + np.arange(ncells + 1)) % f.n]
+    return float(_direct_osc(window[None, :], mean, p)[0])
 
 
 def bloch_term(f: TaylorFunction, w: complex) -> float:
@@ -339,32 +336,6 @@ def compose_mobius(f: TaylorFunction, a: complex, lam: complex = 1.0) -> TaylorF
 # ---------------------------------------------------------------------------
 # rectangular oscillation
 # ---------------------------------------------------------------------------
-
-def _window_means(values: np.ndarray, starts: np.ndarray, ncells: np.ndarray,
-                  axis: int) -> np.ndarray:
-    """Trapezoid means of `values` over the periodic arcs [starts, starts +
-    ncells] along `axis`, one per arc, with the arc axis first.
-
-    Prefix sums are formed only at the arcs' end nodes: one reduceat gives
-    the sums between consecutive nodes, their running total the prefix.  With
-    q_k = prefix(node_k) + v[node_k] / 2 an arc's trapezoid sum is
-    q[end] - q[start], plus the row total when the arc wraps past node 0.
-    """
-    n = values.shape[axis]
-    count = starts.size
-    starts = starts % n
-    nodes, at = np.unique(np.concatenate([[0], starts, (starts + ncells) % n]),
-                          return_inverse=True)
-    segments = np.moveaxis(np.add.reduceat(values, nodes, axis=axis), axis, 0)
-    q = np.empty(segments.shape, dtype=segments.dtype)
-    q[0] = 0
-    np.cumsum(segments[:-1], axis=0, out=q[1:])
-    total = q[-1] + segments[-1]
-    q += np.moveaxis(np.take(values, nodes, axis=axis), axis, 0) / 2
-    sums = q[at[count + 1:]] - q[at[1:count + 1]]
-    sums[starts + ncells >= n] += total
-    return sums / ncells.reshape((-1,) + (1,) * (sums.ndim - 1))
-
 
 class TorusOscillator:
     """Shared machinery for rectangular oscillations of one torus function."""
@@ -484,6 +455,7 @@ def _build_bmo(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     remoteness = np.array([a[1] * TWO_PI / n for a in arcs])
     p = desc.p
     starts = np.array([a[0] for a in arcs], dtype=np.int64)
+    ncells = np.array([a[1] for a in arcs], dtype=np.int64)
     spacing = n // mids
     levels = [(i * mids, n >> k) for i, k in enumerate(range(kmin, kmax + 1))]
     lead = (n >> kmin) // 2       # the longest arcs start this far before 0
@@ -491,23 +463,20 @@ def _build_bmo(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     def eval_all(f: PeriodicSamples) -> np.ndarray:
         if not isinstance(f, PeriodicSamples) or f.n != n:
             raise ConfigError("function does not match the family's circle grid")
+        centred = f.values - f.values.mean()
+        mean = _window_means(centred, starts, ncells, 0)
+        if p == 2.0:
+            msq = _window_means(np.abs(centred) ** 2, starts, ncells, 0).real
+            return np.sqrt(np.maximum(msq - np.abs(mean) ** 2, 0.0))
         out = np.empty(len(arcs))
-        centred, sums, sums2 = _centred_sums(f)
-        if p != 2.0:
-            # node j sits at j + lead, so every arc is one contiguous run
-            wrapped = np.concatenate([centred[n - lead:], centred, centred[:lead]])
+        # node j sits at j + lead, so every arc is one contiguous run
+        wrapped = np.concatenate([centred[n - lead:], centred, centred[:lead]])
         for off, nc in levels:
             sel = slice(off, off + mids)
-            length = nc * f.step
-            mean = sums.window(starts[sel], nc) / length
-            if p == 2.0:
-                msq = sums2.window(starts[sel], nc).real / length
-                out[sel] = np.sqrt(np.maximum(msq - np.abs(mean) ** 2, 0.0))
-            else:
-                # one level's arcs start `spacing` nodes apart: strided windows
-                first = lead - nc // 2
-                windows = sliding_window_view(wrapped[first:], nc + 1)[::spacing][:mids]
-                out[sel] = _direct_osc(windows, mean, p)
+            # one level's arcs start `spacing` nodes apart: strided windows
+            first = lead - nc // 2
+            windows = sliding_window_view(wrapped[first:], nc + 1)[::spacing][:mids]
+            out[sel] = _direct_osc(windows, mean[sel], p)
         return out
 
     scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
@@ -520,16 +489,18 @@ def _direct_osc(windows: np.ndarray, means: np.ndarray, p: float,
                 chunk: int = 1 << 16) -> np.ndarray:
     """Direct trapezoid p-oscillation of each row of `windows` (the ncells + 1
     nodes of one arc, usually a strided view) about its mean, reduced a
-    bounded number of elements at a time."""
+    bounded number of elements at a time.  The trapezoid weights are applied
+    as a row sum minus half the two end nodes, not as a matrix product, which
+    would hand the memory-bound reduction to a multi-threaded BLAS."""
     count, width = windows.shape
-    w = np.ones(width)
-    w[0] = w[-1] = 0.5
     out = np.empty(count)
     rows = max(1, chunk // width)
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
-        dev = np.abs(windows[lo:hi] - means[lo:hi, None]) ** p
-        out[lo:hi] = (dev @ w) / (width - 1)
+        dev = np.abs(windows[lo:hi] - means[lo:hi, None])
+        if p != 1.0:
+            dev **= p
+        out[lo:hi] = (dev.sum(axis=1) - 0.5 * (dev[:, 0] + dev[:, -1])) / (width - 1)
     return out ** (1.0 / p)
 
 
@@ -567,8 +538,13 @@ def _disc_nodes(radii: np.ndarray, n_ang: int, param_cls):
     rest = radii[radii > 0]
     pts.append((rest[:, None] * np.exp(1j * angles)[None, :]).ravel())
     w = np.concatenate(pts)
-    params = [param_cls(complex(z)) for z in w]
-    return w, params
+    return w, _node_params(w, param_cls)
+
+
+def _node_params(w: np.ndarray, param_cls) -> "_LazyParams":
+    """Lazy view: entry k is param_cls(w[k]) with w[k] as a Python complex."""
+    nodes = w.tolist()
+    return _LazyParams(w.size, lambda k: param_cls(nodes[k]))
 
 
 def _build_qk(desc: SpaceDescriptor) -> OperatorFamilyGrid:
@@ -688,7 +664,7 @@ def _build_weighted(desc: SpaceDescriptor) -> OperatorFamilyGrid:
         x = np.linspace(v.domain["x0"], v.domain["x1"], m + 2)[1:-1]
         y = np.linspace(v.domain["y0"], v.domain["y1"], m + 2)[1:-1]
         z = (x[:, None] + 1j * y[None, :]).ravel()
-        params = [WeightedParam(complex(zz)) for zz in z]
+        params = _node_params(z, WeightedParam)
     vv = v(z)
     if np.any(vv <= 0):
         raise ConfigError("weight must be strictly positive on the grid")
@@ -735,6 +711,9 @@ class _LazyParams:
 
     def __getitem__(self, k):
         return self._make(range(self._size)[k])
+
+    def __iter__(self):
+        return map(self._make, range(self._size))
 
 
 def _build_lip(desc: SpaceDescriptor) -> OperatorFamilyGrid:

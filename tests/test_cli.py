@@ -230,6 +230,16 @@ def _with(base, **changes):
     ("check", _with(QK_INVARIANCE, **{"phi.lambda": [1.0]})),
     ("check", _with(LIP_SMOOTH_CHECK, space={
         "space": "lip", "domain": {"lo": "a", "hi": [1], "step": 0.1}})),
+    ("norm", {"space": {"space": "bmo_circle"},
+              "function": {"kind": "samples", "values": "x"}}),
+    ("norm", {"space": {"space": "bmo_circle", "resolution": {"n_samples": -8}},
+              "function": {"kind": "builtin", "name": "step_half"}}),
+    ("norm", _with(RECT_NORM, space={"space": "rect_bmo",
+                                     "resolution": {"n_samples": -8}})),
+    ("norm", {"space": {"space": "lip", "resolution": {"pair_cap": -1}},
+              "function": {"kind": "builtin", "name": "linear"}}),
+    ("norm", {"space": {"space": "weighted", "resolution": {"uniform_radii": -3}},
+              "function": {"kind": "builtin", "name": "cauchy_kernel"}}),
 ], ids=["lip-dilation", "pad-factor-negative", "t0-text", "t0-nan", "slack-text",
         "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
         "ladder-number", "family-text", "output-text", "space-number",
@@ -237,7 +247,8 @@ def _with(base, **changes):
         "p-text", "angles-text", "rect-midpoints-text", "rect-midpoints-zero",
         "extra-radii-text", "degree-text", "n-coeffs-text", "exponent-text",
         "report-number", "report-empty", "phi-a-text", "phi-lambda-short",
-        "domain-text"])
+        "domain-text", "samples-text", "bmo-n-samples-negative",
+        "rect-n-samples-negative", "pair-cap-negative", "uniform-radii-negative"])
 def test_bad_config_exit_code(tmp_path, command, payload):
     # run as a process, so an uncaught exception shows as a traceback on stderr
     cfg = write_config(tmp_path, "bad.json", payload)

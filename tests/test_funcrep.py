@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillometer.errors import ConfigError, NumericalError
 from oscillometer.funcrep import (Arc, BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
-                                  TaylorFunction, TorusSamples, arc_average,
-                                  disk_quadrature, eval_deriv, mobius_apply,
-                                  snap_arc, x_norm)
-from oscillometer.builtins import log_singular, step_half_values
+                                  TaylorFunction, TorusSamples, _window_means,
+                                  arc_average, disk_quadrature, eval_deriv,
+                                  mobius_apply, snap_arc, x_norm)
+from oscillometer.builtins import lacunary, log_singular, step_half_values
+
+EPS = np.finfo(float).eps
 
 
 def direct_arc_average(values, start, ncells):
@@ -78,6 +81,29 @@ class TestArcAverage:
         with pytest.raises(ConfigError, match="under-resolved"):
             arc_average(f, Arc(0.0, 2 * np.pi / 64))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([8, 16, 64, 256]), st.integers(0, 2 ** 32 - 1),
+           st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), st.data())
+    def test_window_means_match_direct(self, n, seed, offset, data):
+        # any start, 2..n cells: full circles and arcs wrapping past node 0
+        rng = np.random.default_rng(seed)
+        values = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+                  + complex(*offset))
+        arcs = data.draw(st.lists(st.tuples(st.integers(-2 * n, 2 * n),
+                                            st.integers(2, n)),
+                                  min_size=1, max_size=8))
+        starts, ncells = (np.array(c, dtype=np.int64) for c in zip(*arcs))
+        got = _window_means(values, starts, ncells, 0)
+        want = [direct_arc_average(values, s, c) for s, c in arcs]
+        # a prefix sum of at most n terms with components below V = max|v| is
+        # off by at most n^2 u V per component (u = eps / 2); a mean takes two
+        # of them plus the row total when it wraps, over ncells >= 2 cells.
+        # The oracle's direct sum over ncells + 1 nodes adds (ncells + 1) u V.
+        # With the complex modulus (sqrt 2): below (3 n^2 / ncells + 2
+        # (ncells + 1)) eps V.
+        tol = (3.0 * n * n / ncells + 2.0 * (ncells + 1)) * EPS * np.abs(values).max()
+        assert np.all(np.abs(got - np.array(want)) <= tol)
+
     def test_full_circle_arcs_identified(self):
         a = Arc(1.0, 2 * np.pi)
         b = Arc(2.0, 2 * np.pi)
@@ -140,6 +166,27 @@ class TestTaylorFunction:
         scale = 0.5 + np.abs(p.coeffs).sum() + np.abs(q.coeffs).sum()
         assert np.max(np.abs(d.value(z) - (p.value(z) - q.value(z)))) <= 1e-14 * scale
         assert np.max(np.abs(d.deriv(z) - (p.deriv(z) - q.deriv(z)))) <= 1e-14 * 12 * scale
+
+    def test_lacunary_closed_forms_match_horner(self):
+        # repeated squaring against Horner on the coefficients (degree
+        # N = 1024).  z^(2^j) after j complex squarings is off by at most
+        # (2^j - 1) sqrt(5) u relatively, u = eps / 2, the product of the lower
+        # powers in the derivative by at most 2^j sqrt(5) u; Horner adds about
+        # (1 + sqrt(5)) N u, and summation (j + 1) u, all relative to the
+        # majorants sum |a_k| |z|^k and sum k |a_k| |z|^(k-1): below 8 N eps.
+        f = lacunary(10)
+        horner = TaylorFunction.polynomial(f.coeffs)
+        rng = np.random.default_rng(3)
+        z = (0.999 * np.sqrt(rng.uniform(size=2000))
+             * np.exp(2j * np.pi * rng.uniform(size=2000)))
+        z = np.concatenate([z, 0.999 * np.exp(2j * np.pi * np.arange(256) / 256)])
+        powers = 2 ** np.arange(11)
+        r = np.abs(z)[:, None]
+        value_major = (r ** powers).sum(axis=1)
+        deriv_major = (powers * r ** (powers - 1)).sum(axis=1)
+        tol = 8 * 1024 * EPS
+        assert np.all(np.abs(f.value(z) - horner.value(z)) <= tol * value_major)
+        assert np.all(np.abs(f.deriv(z) - horner.deriv(z)) <= tol * deriv_major)
 
     def test_scaling(self):
         f = log_singular()

@@ -288,6 +288,57 @@ class TestBuildFamily:
         with pytest.raises(IndexError):
             fam.params[len(fam)]
 
+    @pytest.mark.parametrize("case", ["bloch", "qk", "disc", "annulus", "box"])
+    def test_node_params_match_node_array(self, case):
+        from oscillometer.spaces import (BlochParam, QkParam, WeightedParam,
+                                         _disc_radii)
+
+        def disc(radii, n_ang):
+            ring = np.exp(1j * (2 * np.pi * np.arange(n_ang) / n_ang))
+            centre = [0j] if radii[0] == 0.0 else []
+            return np.concatenate([np.array(centre, dtype=complex),
+                                   (radii[radii > 0][:, None] * ring).ravel()])
+
+        res = {"uniform_radii": 8, "shells": 7, "angles": 16, "box_nodes": 64}
+        domains = {"disc": {"kind": "disc"},
+                   "annulus": {"kind": "annulus", "r0": 0.25, "r1": 0.75},
+                   "box": {"kind": "box", "x0": -0.5, "x1": 0.5,
+                           "y0": -0.25, "y1": 0.5}}
+        if case == "bloch":
+            desc, cls = SpaceDescriptor("bloch", resolution=res), BlochParam
+            w = disc(_disc_radii(8, 7), 16)
+        elif case == "qk":
+            desc, cls = SpaceDescriptor("qk", resolution=QK_LIGHT_RES), QkParam
+            w = disc(_disc_radii(0, 7, 2, extra=(0.0, 0.5)), 16)
+        else:
+            dom = domains[case]
+            if case == "annulus":
+                # the shells sit mid-annulus, so the uniform fill makes the levels
+                res["uniform_radii"] = 64
+            desc = SpaceDescriptor("weighted", resolution=res, weight=weight_from_config(
+                {"name": "one_minus_r2", "domain": dom}))
+            cls = WeightedParam
+            if case == "disc":
+                w = disc(_disc_radii(8, 7), 16)
+            elif case == "annulus":
+                offs = _disc_radii(64, 7) * 0.25
+                w = disc(np.unique(np.concatenate([0.25 + offs[offs > 0],
+                                                   0.75 - offs[offs > 0], [0.5]])), 16)
+            else:
+                x = np.linspace(-0.5, 0.5, 66)[1:-1]
+                y = np.linspace(-0.25, 0.5, 66)[1:-1]
+                w = (x[:, None] + 1j * y[None, :]).ravel()
+        fam = build_family(desc)
+        want = [cls(complex(z)) for z in w]
+        assert len(fam) == len(want)
+        got = [fam.params[k] for k in range(len(fam))]
+        assert got == want
+        assert all(type(param[0]) is complex for param in got)
+        assert [fam.params[-k] for k in range(1, len(fam) + 1)] == want[::-1]
+        assert list(fam.params) == want
+        with pytest.raises(IndexError):
+            fam.params[len(fam)]
+
     def test_wrong_representation_rejected(self):
         fam = build_family(SpaceDescriptor("bloch"))
         with pytest.raises(ConfigError):
