@@ -7,8 +7,7 @@ contraction comparisons.  Dilations and Cesaro-damped partial sums act on
 Taylor coefficients.  The Hoelder smoother extends the function off its box
 by composing it with the projection onto the box (edge clamping on the grid,
 which keeps the Hoelder constant exactly), convolves with a truncated
-heavy-tailed kernel of unit discrete mass, applies a smooth cutoff and
-restricts back to the box.
+heavy-tailed kernel of unit discrete mass and restricts back to the box.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ import numpy as np
 from .distance import certification_threshold
 from .errors import ConfigError, config_block, config_number
 from .family import limsup_estimate, seminorm_sup, tail_profile
-from .funcrep import (BoxDomain, EuclideanSamples, PeriodicSamples,
-                      TaylorFunction, TorusSamples, x_norm)
-from .spaces import SpaceDescriptor, build_family, lip_pair_indices, weighted_x_norm
+from .funcrep import (EuclideanSamples, PeriodicSamples, TaylorFunction,
+                      TorusSamples, x_norm)
+from .spaces import SpaceDescriptor, build_family, weighted_x_norm
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +91,6 @@ def fejer_taylor(f: TaylorFunction, n: int) -> TaylorFunction:
 # Hoelder smoothing on box grids
 # ---------------------------------------------------------------------------
 
-def lip_const(f: EuclideanSamples, cap: int = 1_000_000) -> float:
-    """Grid Hoelder constant from the stratified pair set."""
-    ia, ib, dist = lip_pair_indices(f.domain, cap)
-    flat = f.values.ravel()
-    return float(np.max(np.abs(flat[ia] - flat[ib]) / dist ** f.alpha))
-
-
 def _extend_by_projection(f: EuclideanSamples, pad: int) -> np.ndarray:
     """f composed with the projection onto the box, sampled on the grid padded
     by pad nodes per side.  Clamping grid indices is the Euclidean projection
@@ -134,24 +126,9 @@ def _fft_convolve_same(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return conv[sel]
 
 
-def _smooth_cutoff(dom: BoxDomain, pad: int) -> np.ndarray:
-    """C^2 bump: 1 on the original box, 0 at the padded boundary."""
-    ramps = []
-    for d in range(dom.ndim):
-        n = dom.shape[d]
-        u = np.zeros(n + 2 * pad)
-        u[:pad] = np.arange(pad, 0, -1) / pad
-        u[pad + n:] = np.arange(1, pad + 1) / pad
-        s = 1.0 - u
-        ramps.append(s * s * (3.0 - 2.0 * s))
-    if dom.ndim == 1:
-        return ramps[0]
-    return ramps[0][:, None] * ramps[1][None, :]
-
-
 def lip_smooth(f: EuclideanSamples, t: float, *,
                pad_factor: float = 4.0) -> EuclideanSamples:
-    """Mollified approximant: extend, convolve at scale t, cut off, restrict.
+    """Mollified approximant: extend, convolve at scale t, restrict.
 
     Refused for alpha = 1 and for kernels finer than the grid step.
     """
@@ -175,9 +152,9 @@ def lip_smooth_with_info(f: EuclideanSamples, t: float, *,
     ext = _extend_by_projection(f, pad)
     kernel, outside = _poisson_kernel_nd(dom.ndim, t, dom.step, pad)
     smoothed = _fft_convolve_same(ext, kernel)
-    smoothed = smoothed * _smooth_cutoff(dom, pad)
     sel = tuple(slice(pad, pad + s) for s in dom.shape)
-    return EuclideanSamples(dom, smoothed[sel], f.alpha), outside
+    # copied out, so a ladder member does not pin the whole FFT buffer
+    return EuclideanSamples(dom, smoothed[sel].copy(), f.alpha), outside
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def taylor_builtin(name: str, **params) -> TaylorFunction:
     if name == "monomial":
         return monomial(config_number(params, "degree", 1, int))
     if name == "poly":
-        return TaylorFunction.polynomial(_complex_list(params["coeffs"]))
+        return TaylorFunction.polynomial(_complex_list(params.get("coeffs")))
     if name == "log_singular":
         return log_singular(config_number(params, "n_coeffs", 4096, int))
     if name == "cauchy_kernel":
@@ -197,7 +197,7 @@ def make_function(cfg: dict, desc: SpaceDescriptor):
     """
     kind = cfg.get("kind", "builtin")
     if kind == "taylor":
-        return taylor_builtin("poly", coeffs=cfg["coeffs"])
+        return taylor_builtin("poly", coeffs=cfg.get("coeffs"))
     if kind == "samples":
         raw = cfg.get("values")
         try:

@@ -218,9 +218,6 @@ def main(argv=None) -> int:
     except (NumericalError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except KeyError as exc:
-        print(f"configuration error: missing key {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -122,8 +122,9 @@ def _window_means(values: np.ndarray, starts: np.ndarray, ncells: np.ndarray,
     return sums / ncells.reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
-def snap_arc(samples: PeriodicSamples, arc: Arc) -> tuple[int, int]:
-    """Snap arc endpoints to the nearest grid nodes.
+def snap_arc(samples: PeriodicSamples | TorusSamples, arc: Arc) -> tuple[int, int]:
+    """Snap arc endpoints to the nearest nodes of the circle grid (of either
+    axis, for torus samples, whose two axes share n and step).
 
     Returns (start_node, ncells).  Arcs spanning fewer than 2 cells after
     snapping are rejected.

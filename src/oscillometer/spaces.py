@@ -86,6 +86,11 @@ def kernel_from_config(cfg) -> KKernel:
     raise ConfigError(f"unknown kernel '{name}'")
 
 
+# the (lower, upper) bound pairs each weighted domain kind reads
+_DOMAIN_BOUNDS = {"disc": (), "annulus": (("r0", "r1"),),
+                  "box": (("x0", "x1"), ("y0", "y1"))}
+
+
 class WeightV:
     """Strictly positive continuous weight on a planar domain.
 
@@ -97,9 +102,14 @@ class WeightV:
         self.eval_fn = eval_fn
         self.name = name
         kind = domain.get("kind", "disc")
-        if kind not in ("disc", "annulus", "box"):
+        if kind not in _DOMAIN_BOUNDS:
             raise ConfigError(f"unsupported weighted domain '{kind}'")
         self.domain = dict(domain, kind=kind)
+        for lo, hi in _DOMAIN_BOUNDS[kind]:
+            a, b = config_number(domain, lo, None), config_number(domain, hi, None)
+            if not a < b:
+                raise ConfigError(f"{kind} domain needs {lo} < {hi}, got {a} and {b}")
+            self.domain.update({lo: a, hi: b})
 
     def __call__(self, z):
         return np.asarray(self.eval_fn(np.asarray(z, dtype=complex)), dtype=float)
@@ -337,55 +347,32 @@ def compose_mobius(f: TaylorFunction, a: complex, lam: complex = 1.0) -> TaylorF
 # rectangular oscillation
 # ---------------------------------------------------------------------------
 
-class TorusOscillator:
-    """Shared machinery for rectangular oscillations of one torus function."""
+def _rect_values(F: TorusSamples, arcs_i, arcs_j) -> np.ndarray:
+    """Rectangular oscillations of F over each (start, ncells) arc pair
+    I in arcs_i (zeta) x J in arcs_j (lambda), J-major order.
 
-    def __init__(self, F: TorusSamples):
-        self.n = F.n
-        self.h = F.step
-        # the oscillation is exactly invariant under adding any g(zeta) +
-        # h(lambda); two-way centring removes that component up front, which
-        # conditions the moment cancellation on the oscillation scale and
-        # makes one-variable inputs vanish identically
-        vals = F.values
-        rowm = vals.mean(axis=1, keepdims=True)
-        colm = vals.mean(axis=0, keepdims=True)
-        self.centred = (vals - rowm) - (colm - colm.mean())
-
-    def pair(self, I: Arc, J: Arc) -> float:
-        """Oscillation for a single arc pair."""
-        sI, nI = _snap_torus_arc(self, I)
-        sJ, nJ = _snap_torus_arc(self, J)
-        return float(self.family_values([(sI, nI)], [(sJ, nJ)])[0])
-
-    def family_values(self, arcs_i, arcs_j) -> np.ndarray:
-        """Oscillations over the product family, J-major order.
-
-        Every pair at once from four moments of I x J means:
-        q^2 = E|F|^2 - E_I |F_J|^2 - E_J |F_I|^2 + |F_IxJ|^2, where
-        F_J(zeta) and F_I(lambda) are the one-variable means.
-        """
-        si, ni = (np.array(c, dtype=np.int64) for c in zip(*arcs_i))
-        sj, nj = (np.array(c, dtype=np.int64) for c in zip(*arcs_j))
-        F = self.centred
-        A = _window_means(F, sj, nj, axis=1)                  # F_J per zeta
-        U = _window_means(np.abs(F) ** 2, sj, nj, axis=1)     # J-mean of |F|^2
-        B = _window_means(F, si, ni, axis=0)                  # F_I per lambda
-        c = _window_means(A, si, ni, axis=1)                  # F_IxJ
-        m_sq = _window_means(U, si, ni, axis=1)               # E_{IxJ} |F|^2
-        e_a = _window_means(np.abs(A) ** 2, si, ni, axis=1)   # E_I |F_J|^2
-        e_b = _window_means(np.abs(B) ** 2, sj, nj, axis=1)   # E_J |F_I|^2
-        q2 = m_sq.T - e_a.T - e_b + np.abs(c.T) ** 2
-        return np.sqrt(np.maximum(q2, 0.0)).ravel()
-
-
-def _snap_torus_arc(osc: TorusOscillator, arc: Arc) -> tuple[int, int]:
-    h = osc.h
-    start = int(np.rint((arc.midpoint - arc.length / 2.0) / h))
-    ncells = min(int(np.rint(arc.length / h)), osc.n)
-    if ncells < 2:
-        raise ConfigError("arc under-resolved")
-    return start % osc.n, ncells
+    Two-way centring first removes any g(zeta) + h(lambda), to which the
+    oscillation is exactly invariant: the moment cancellation is then
+    conditioned on the oscillation scale, and one-variable inputs vanish
+    identically.  Every pair comes from four moments of I x J means:
+    q^2 = E|F|^2 - E_I |F_J|^2 - E_J |F_I|^2 + |F_IxJ|^2, where F_J(zeta)
+    and F_I(lambda) are the one-variable means.
+    """
+    vals = F.values
+    rowm = vals.mean(axis=1, keepdims=True)
+    colm = vals.mean(axis=0, keepdims=True)
+    F = (vals - rowm) - (colm - colm.mean())
+    si, ni = (np.array(c, dtype=np.int64) for c in zip(*arcs_i))
+    sj, nj = (np.array(c, dtype=np.int64) for c in zip(*arcs_j))
+    A = _window_means(F, sj, nj, axis=1)                  # F_J per zeta
+    U = _window_means(np.abs(F) ** 2, sj, nj, axis=1)     # J-mean of |F|^2
+    B = _window_means(F, si, ni, axis=0)                  # F_I per lambda
+    c = _window_means(A, si, ni, axis=1)                  # F_IxJ
+    m_sq = _window_means(U, si, ni, axis=1)               # E_{IxJ} |F|^2
+    e_a = _window_means(np.abs(A) ** 2, si, ni, axis=1)   # E_I |F_J|^2
+    e_b = _window_means(np.abs(B) ** 2, sj, nj, axis=1)   # E_J |F_I|^2
+    q2 = m_sq.T - e_a.T - e_b + np.abs(c.T) ** 2
+    return np.sqrt(np.maximum(q2, 0.0)).ravel()
 
 
 def rect_oscillation(F: TorusSamples, I: Arc, J: Arc) -> float:
@@ -394,10 +381,9 @@ def rect_oscillation(F: TorusSamples, I: Arc, J: Arc) -> float:
     The squared value is the I x J mean of |F - F_J(zeta) - F_I(lambda) +
     F_{IxJ}|^2, i.e. the displayed supremum quantity; it vanishes identically
     on F(zeta, lambda) = g(zeta) + h(lambda), so this is a seminorm with that
-    kernel.  For sweeps over many arc pairs build one TorusOscillator and
-    reuse it; this convenience wrapper rebuilds the prefix sums per call.
+    kernel.  A one-pair call of the family kernel, which re-centres F.
     """
-    return TorusOscillator(F).pair(I, J)
+    return float(_rect_values(F, [snap_arc(F, I)], [snap_arc(F, J)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +641,11 @@ def _build_weighted(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     elif kind == "annulus":
         r0, r1 = v.domain["r0"], v.domain["r1"]
         gap = (r1 - r0) / 2.0
-        offs = _disc_radii(res["uniform_radii"], res["shells"]) * gap
-        radii = np.unique(np.concatenate([r0 + offs[offs > 0], r1 - offs[offs > 0],
-                                          [r0 + gap]]))
+        # disc radius r maps to the offset (1 - r) gap from each circle: the
+        # dyadic shells sit gap 2^-k from the boundary, the centre at the midline
+        offs = (1.0 - _disc_radii(res["uniform_radii"], res["shells"])) * gap
+        offs = offs[offs < gap]
+        radii = np.unique(np.concatenate([r0 + offs, r1 - offs, [r0 + gap]]))
         z, params = _disc_nodes(radii, res["angles"], WeightedParam)
     else:
         m = res["box_nodes"]
@@ -740,63 +728,43 @@ def _build_lip(desc: SpaceDescriptor) -> OperatorFamilyGrid:
 
 
 def _grid_coords(dom: BoxDomain) -> np.ndarray:
-    axes = dom.axes()
-    if dom.ndim == 1:
-        return axes[0][:, None]
-    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.stack([xx.ravel(), yy.ravel()], axis=1)
+    """Node coordinates, one row per node in C (flat-index) order."""
+    return np.stack([g.ravel() for g in np.meshgrid(*dom.axes(), indexing="ij")],
+                    axis=1)
 
 
 def _strata_pairs(dom: BoxDomain, cap: int):
     """Dyadic-offset pair strata with per-stratum striding under the cap.
 
-    Every stratum keeps the pairs anchored at the node nearest the origin so
-    cusp-type extremal quotients survive subsampling.
+    Offsets are 2^j times each axis, then the diagonal (in 1-D the same
+    direction), kept while they fit inside the grid.  A stratum pairs every
+    stride-th node x, in C order over the nodes with x + off on the grid,
+    with x + off.  Every stratum keeps the pairs anchored at the node
+    nearest the origin so cusp-type extremal quotients survive subsampling.
     """
-    shape = dom.shape
-    if dom.ndim == 1:
-        n = shape[0]
-        offsets = [(1 << j,) for j in range(int(math.log2(n - 1)) + 1)]
-    else:
-        top = int(math.log2(max(shape) - 1)) + 1
-        offsets = []
-        for j in range(top):
-            d = 1 << j
-            offsets.extend([(d, 0), (0, d), (d, d)])
-        offsets = [o for o in offsets
-                   if o[0] < shape[0] and o[1] < shape[1]]
+    shape = np.array(dom.shape)
+    units = dict.fromkeys([*map(tuple, np.eye(dom.ndim, dtype=np.int64)),
+                           (1,) * dom.ndim])
+    top = int(math.log2(shape.max() - 1)) + 1
+    offsets = [off for off in ((1 << j) * np.array(u) for j in range(top) for u in units)
+               if np.all(off < shape)]
     budget = max(1, cap // len(offsets))
     coords = _grid_coords(dom)
-    anchor = int(np.argmin(np.linalg.norm(coords, axis=1)))
+    anchor = np.array(np.unravel_index(np.argmin(np.linalg.norm(coords, axis=1)),
+                                       dom.shape))
     ia_all, ib_all = [], []
-    strides = np.empty(0)
     for off in offsets:
-        if dom.ndim == 1:
-            counts = shape[0] - off[0]
-            base = np.arange(counts, dtype=np.int64)
-            stride = max(1, int(math.ceil(counts / budget)))
-            sel = base[::stride]
-            extra = np.array([anchor, anchor - off[0]], dtype=np.int64)
-            extra = extra[(extra >= 0) & (extra < counts)]
-            sel = np.unique(np.concatenate([sel, extra]))
-            ia_all.append(sel)
-            ib_all.append(sel + off[0])
-        else:
-            nx = shape[0] - off[0]
-            ny = shape[1] - off[1]
-            gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-            base = (gx * shape[1] + gy).ravel()
-            stride = max(1, int(math.ceil(base.size / budget)))
-            sel = base[::stride]
-            a_row, a_col = divmod(anchor, shape[1])
-            extras = []
-            for (r, c) in [(a_row, a_col), (a_row - off[0], a_col - off[1])]:
-                if 0 <= r < nx and 0 <= c < ny:
-                    extras.append(r * shape[1] + c)
-            if extras:
-                sel = np.unique(np.concatenate([sel, np.array(extras, dtype=np.int64)]))
-            ia_all.append(sel.astype(np.int64))
-            ib_all.append(sel.astype(np.int64) + off[0] * shape[1] + off[1])
+        sub = tuple(shape - off)
+        count = math.prod(sub)
+        stride = max(1, int(math.ceil(count / budget)))
+        picked = np.unravel_index(np.arange(0, count, stride, dtype=np.int64), sub)
+        extras = np.array([anchor, anchor - off])
+        extras = extras[np.all((extras >= 0) & (extras < sub), axis=1)]
+        sel = np.unique(np.concatenate([
+            np.ravel_multi_index(picked, dom.shape),
+            np.ravel_multi_index(tuple(extras.T), dom.shape)]))
+        ia_all.append(sel)
+        ib_all.append(sel + np.ravel_multi_index(tuple(off), dom.shape))
     return np.concatenate(ia_all), np.concatenate(ib_all)
 
 
@@ -817,7 +785,7 @@ def _build_rect(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     def eval_all(F: TorusSamples) -> np.ndarray:
         if not isinstance(F, TorusSamples) or F.n != n:
             raise ConfigError("function does not match the family's torus grid")
-        return TorusOscillator(F).family_values(snapped, snapped)
+        return _rect_values(F, snapped, snapped)
 
     scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
     return OperatorFamilyGrid("rect_bmo", params, remoteness, eval_all,

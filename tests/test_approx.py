@@ -3,11 +3,10 @@ import pytest
 
 from oscillometer.approx import (ApproxFamily, assumption_check, dilate,
                                  dilation_family, family_from_config,
-                                 fejer_family, fejer_taylor, lip_const,
-                                 lip_smooth, lip_smooth_family,
-                                 lip_smooth_with_info, poisson_circle,
-                                 poisson_family, poisson_torus2,
-                                 _extend_by_projection)
+                                 fejer_family, fejer_taylor, lip_smooth,
+                                 lip_smooth_family, lip_smooth_with_info,
+                                 poisson_circle, poisson_family,
+                                 poisson_torus2, _extend_by_projection)
 from oscillometer.builtins import (box_builtin, circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
                                    torus_builtin)
@@ -16,7 +15,14 @@ from oscillometer.family import seminorm_sup
 from oscillometer.funcrep import (BoxDomain, EuclideanSamples,
                                   PeriodicSamples, TaylorFunction,
                                   TorusSamples)
-from oscillometer.spaces import SpaceDescriptor, build_family
+from oscillometer.spaces import SpaceDescriptor, build_family, lip_pair_indices
+
+
+def lip_const(f: EuclideanSamples, cap: int = 1_000_000) -> float:
+    """Grid Hoelder constant of f over the lip family's pair set."""
+    ia, ib, dist = lip_pair_indices(f.domain, cap)
+    flat = f.values.ravel()
+    return float(np.max(np.abs(flat[ia] - flat[ib]) / dist ** f.alpha))
 
 
 class TestPoissonCircle:

@@ -180,6 +180,10 @@ QK_INVARIANCE = {"space": QK_LIGHT,
                  "function": {"kind": "builtin", "name": "monomial", "degree": 2},
                  "task": "invariance-check",
                  "phi": {"a": [0.3, 0.2], "lambda": [1.0, 0.0]}}
+WEIGHTED_ANNULUS = {"space": {"space": "weighted", "weight": {
+                        "name": "one_minus_r2",
+                        "domain": {"kind": "annulus", "r0": 0.25, "r1": 0.75}}},
+                    "function": {"kind": "builtin", "name": "cauchy_kernel"}}
 RECT_NORM = {"space": {"space": "rect_bmo"},
              "function": {"kind": "builtin", "name": "step_tensor"}}
 
@@ -240,6 +244,14 @@ def _with(base, **changes):
               "function": {"kind": "builtin", "name": "linear"}}),
     ("norm", {"space": {"space": "weighted", "resolution": {"uniform_radii": -3}},
               "function": {"kind": "builtin", "name": "cauchy_kernel"}}),
+    ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.domain.r0": "x"})),
+    ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.domain": {
+        "kind": "annulus", "r0": 0.25}})),
+    ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.domain": {
+        "kind": "box", "x0": -0.5, "x1": 0.5, "y0": -0.5}})),
+    ("norm", _with(BLOCH_NORM, function={"kind": "taylor"})),
+    ("norm", _with(BLOCH_NORM, function={"kind": "builtin", "name": "poly"})),
+    ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.domain.r0": 0.9})),
 ], ids=["lip-dilation", "pad-factor-negative", "t0-text", "t0-nan", "slack-text",
         "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
         "ladder-number", "family-text", "output-text", "space-number",
@@ -248,7 +260,9 @@ def _with(base, **changes):
         "extra-radii-text", "degree-text", "n-coeffs-text", "exponent-text",
         "report-number", "report-empty", "phi-a-text", "phi-lambda-short",
         "domain-text", "samples-text", "bmo-n-samples-negative",
-        "rect-n-samples-negative", "pair-cap-negative", "uniform-radii-negative"])
+        "rect-n-samples-negative", "pair-cap-negative", "uniform-radii-negative",
+        "annulus-r0-text", "annulus-no-r1", "box-no-y1", "taylor-no-coeffs",
+        "poly-no-coeffs", "annulus-reversed"])
 def test_bad_config_exit_code(tmp_path, command, payload):
     # run as a process, so an uncaught exception shows as a traceback on stderr
     cfg = write_config(tmp_path, "bad.json", payload)

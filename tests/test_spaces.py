@@ -6,11 +6,12 @@ from oscillometer.errors import ConfigError
 from oscillometer.funcrep import (Arc, BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
                                   TaylorFunction, TorusSamples, snap_arc)
-from oscillometer.spaces import (RectParam, SpaceDescriptor, TorusOscillator,
-                                 bloch_term, bmo_oscillation, build_family,
-                                 compose_mobius, kernel_from_config,
-                                 lip_quotient, qk_local, rect_oscillation,
-                                 weight_from_config, weighted_term)
+from oscillometer.spaces import (RectParam, SpaceDescriptor, _rect_values,
+                                 _strata_pairs, bloch_term, bmo_oscillation,
+                                 build_family, compose_mobius,
+                                 kernel_from_config, lip_quotient, qk_local,
+                                 rect_oscillation, weight_from_config,
+                                 weighted_term)
 from oscillometer.family import seminorm_sup
 from oscillometer.builtins import (circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
@@ -46,6 +47,52 @@ def direct_rect_square(values, arc_i, arc_j):
     block = values[np.ix_(ii, jj)]
     dev = block - (block @ wj)[:, None] - (wi @ block)[None, :] + wi @ block @ wj
     return wi @ np.abs(dev) ** 2 @ wj
+
+
+def direct_strata(shape, lo, step, cap):
+    """Independent oracle for the capped lip pair strata, from the
+    definition: offsets 2^j along each axis, then the diagonal, that fit in
+    the grid; for each, every stride-th source x in C order with x + off on
+    the grid (stride = ceil(sources / (cap // offsets))), plus the pairs
+    (anchor, anchor + off) and (anchor - off, anchor) that fit, anchor being
+    the first node nearest the origin; sources sorted and unique."""
+    ndim = len(shape)
+    units = [tuple(int(i == k) for i in range(ndim)) for k in range(ndim)]
+    if ndim > 1:
+        units.append((1,) * ndim)
+    top = int(np.log2(max(shape) - 1)) + 1
+    offsets = [tuple(2 ** j * u for u in unit) for j in range(top) for unit in units]
+    offsets = [off for off in offsets if all(o < n for o, n in zip(off, shape))]
+    budget = max(1, cap // len(offsets))
+    nodes = list(np.ndindex(*shape))
+    anchor = min(nodes, key=lambda x: np.hypot.reduce(np.add(lo, np.multiply(step, x))))
+
+    def on_grid(x):
+        return all(0 <= c < n for c, n in zip(x, shape))
+
+    ia, ib = [], []
+    for off in offsets:
+        sources = [x for x in nodes if on_grid(np.add(x, off))]
+        picked = set(sources[::-(-len(sources) // budget)])
+        picked.update(tuple(x) for x in (anchor, np.subtract(anchor, off))
+                      if on_grid(x) and on_grid(np.add(x, off)))
+        for x in sorted(picked):
+            ia.append(np.ravel_multi_index(x, shape))
+            ib.append(np.ravel_multi_index(tuple(np.add(x, off)), shape))
+    return np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64)
+
+
+@st.composite
+def strata_grids(draw):
+    """A 1-D or 2-D box grid of 2..40 nodes per axis (any aspect, so some
+    offsets outrun the shorter axis), its corner anywhere on a quarter-step
+    lattice around the origin, and a pair cap from 1 to 4000."""
+    ndim = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.lists(st.integers(2, 40), min_size=ndim, max_size=ndim)))
+    step = 0.25
+    lo = [step * draw(st.integers(-50, 10)) for _ in shape]
+    hi = [a + step * (n - 1) for a, n in zip(lo, shape)]
+    return BoxDomain(lo, hi, step), draw(st.integers(1, 4000))
 
 
 @st.composite
@@ -312,18 +359,16 @@ class TestBuildFamily:
             w = disc(_disc_radii(0, 7, 2, extra=(0.0, 0.5)), 16)
         else:
             dom = domains[case]
-            if case == "annulus":
-                # the shells sit mid-annulus, so the uniform fill makes the levels
-                res["uniform_radii"] = 64
             desc = SpaceDescriptor("weighted", resolution=res, weight=weight_from_config(
                 {"name": "one_minus_r2", "domain": dom}))
             cls = WeightedParam
             if case == "disc":
                 w = disc(_disc_radii(8, 7), 16)
             elif case == "annulus":
-                offs = _disc_radii(64, 7) * 0.25
-                w = disc(np.unique(np.concatenate([0.25 + offs[offs > 0],
-                                                   0.75 - offs[offs > 0], [0.5]])), 16)
+                offs = (1.0 - _disc_radii(8, 7)) * 0.25
+                offs = offs[offs < 0.25]
+                w = disc(np.unique(np.concatenate([0.25 + offs, 0.75 - offs,
+                                                   [0.5]])), 16)
             else:
                 x = np.linspace(-0.5, 0.5, 66)[1:-1]
                 y = np.linspace(-0.25, 0.5, 66)[1:-1]
@@ -338,6 +383,25 @@ class TestBuildFamily:
         assert list(fam.params) == want
         with pytest.raises(IndexError):
             fam.params[len(fam)]
+
+    def test_annulus_shells_reach_both_circles(self):
+        # a light grid (8 uniform radii, 7 shells) on the annulus 1/4 < |z| <
+        # 3/4: the dyadic shells sit gap 2^-k inside each circle, so the
+        # remoteness reaches gap 2^-7 on both sides and the ladder has 8 levels
+        r0, r1, gap = 0.25, 0.75, 0.25
+        desc = SpaceDescriptor("weighted", resolution={
+            "uniform_radii": 8, "shells": 7, "angles": 16},
+            weight=weight_from_config({"name": "one_minus_r2", "domain": {
+                "kind": "annulus", "r0": r0, "r1": r1}}))
+        fam = build_family(desc)
+        radii = np.abs(np.array([param.z for param in fam.params]))
+        for k in range(1, 8):
+            for circle in (r0 + gap * 2.0 ** -k, r1 - gap * 2.0 ** -k):
+                assert np.any(np.abs(radii - circle) <= 1e-15)
+        assert len(fam.default_scales) == 8
+        finest = fam.remoteness == fam.remoteness.min()
+        assert fam.remoteness.min() == pytest.approx(gap * 2.0 ** -7, rel=1e-12)
+        assert radii[finest].min() < 0.5 < radii[finest].max()
 
     def test_wrong_representation_rejected(self):
         fam = build_family(SpaceDescriptor("bloch"))
@@ -406,7 +470,7 @@ class TestFamilyKernels:
     def test_rect_entries_match_direct_sum(self, case):
         values, arcs_i, arcs_j = case
         n = values.shape[0]
-        got = TorusOscillator(TorusSamples(values)).family_values(arcs_i, arcs_j)
+        got = _rect_values(TorusSamples(values), arcs_i, arcs_j)
         want = [direct_rect_square(values, i, j) for j in arcs_j for i in arcs_i]
         # every moment is a window mean: a difference of prefix sums of at most
         # n terms, each at most 16 max|F|^2 after two-way centring, over
@@ -415,6 +479,18 @@ class TestFamilyKernels:
         # the moment form's absolute error blows up under the root near 0.
         tol = 64 * n * n * EPS * np.abs(values).max() ** 2
         assert np.all(np.abs(got ** 2 - np.array(want)) <= tol)
+
+
+class TestStrataPairsProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(strata_grids())
+    def test_matches_definition(self, case):
+        dom, cap = case
+        ia, ib = _strata_pairs(dom, cap)
+        want_a, want_b = direct_strata(dom.shape, dom.lo, dom.step, cap)
+        assert ia.dtype == ib.dtype == np.int64
+        assert np.array_equal(ia, want_a)
+        assert np.array_equal(ib, want_b)
 
 
 class TestHomogeneity:
