@@ -3,8 +3,9 @@ verifies the norm-controlled approximation property on a concrete family.
 
 Poisson smoothing on the circle and torus is applied as an exact DFT
 multiplier (r^|k| per mode), which removes quadrature error from the
-contraction comparisons.  Dilations and Cesaro-damped partial sums act on
-Taylor coefficients.  The Hoelder smoother extends the function off its box
+contraction comparisons; a ladder takes one forward transform, real for real
+samples, and one inverse per member.  Dilations and Cesaro-damped partial
+sums act on Taylor coefficients.  The Hoelder smoother extends the function off its box
 by composing it with the projection onto the box (edge clamping on the grid,
 which keeps the Hoelder constant exactly), convolves with a truncated
 heavy-tailed kernel of unit discrete mass and restricts back to the box.
@@ -29,22 +30,35 @@ from .spaces import SpaceDescriptor, build_family, weighted_x_norm
 # circle / torus smoothing
 # ---------------------------------------------------------------------------
 
+def _poisson_members(f, rs) -> list:
+    """Poisson smoothing of circle or torus samples at each radius in rs: the
+    multiplier r^(|k_1| + ... + |k_d|) applied to one forward transform, one
+    inverse per radius.  Real samples take the real transform, so their
+    members come out exactly real."""
+    for r in rs:
+        if not (0.0 <= r < 1.0):
+            raise ConfigError(f"smoothing radius must lie in [0, 1), got {r}")
+    real = not np.iscomplexobj(f.values)
+    forward, inverse = ((np.fft.rfftn, np.fft.irfftn) if real
+                        else (np.fft.fftn, np.fft.ifftn))
+    shape = f.values.shape
+    axes = tuple(range(len(shape)))
+    freqs = [np.abs(np.fft.fftfreq(n, d=1.0 / n)) for n in shape]
+    if real:
+        freqs[-1] = np.fft.rfftfreq(shape[-1], d=1.0 / shape[-1])
+    k = sum(np.ix_(*freqs))
+    spectrum = forward(f.values, axes=axes)
+    return [type(f)(inverse(spectrum * r ** k, shape, axes=axes)) for r in rs]
+
+
 def poisson_circle(f: PeriodicSamples, r: float) -> PeriodicSamples:
     """Convolution with the radius-r Poisson kernel as a Fourier multiplier."""
-    if not (0.0 <= r < 1.0):
-        raise ConfigError(f"smoothing radius must lie in [0, 1), got {r}")
-    k = np.abs(np.fft.fftfreq(f.n, d=1.0 / f.n))
-    smoothed = np.fft.ifft(np.fft.fft(f.values) * r ** k)
-    return PeriodicSamples(smoothed)
+    return _poisson_members(f, [r])[0]
 
 
 def poisson_torus2(F: TorusSamples, r: float) -> TorusSamples:
     """Double Poisson smoothing on the torus: multiplier r^(|j|+|k|)."""
-    if not (0.0 <= r < 1.0):
-        raise ConfigError(f"smoothing radius must lie in [0, 1), got {r}")
-    k = np.abs(np.fft.fftfreq(F.n, d=1.0 / F.n))
-    mult = r ** (k[:, None] + k[None, :])
-    return TorusSamples(np.fft.ifft2(np.fft.fft2(F.values) * mult))
+    return _poisson_members(F, [r])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +193,12 @@ class ApproxFamily:
 
 def poisson_family(f: PeriodicSamples, levels: int = 8) -> ApproxFamily:
     rs = [1.0 - 2.0 ** -m for m in range(1, levels + 1)]
-    return ApproxFamily("poisson_circle", rs, [poisson_circle(f, r) for r in rs])
+    return ApproxFamily("poisson_circle", rs, _poisson_members(f, rs))
 
 
 def poisson_torus_family(F: TorusSamples, levels: int = 8) -> ApproxFamily:
     rs = [1.0 - 2.0 ** -m for m in range(1, levels + 1)]
-    return ApproxFamily("poisson_torus", rs, [poisson_torus2(F, r) for r in rs])
+    return ApproxFamily("poisson_torus", rs, _poisson_members(F, rs))
 
 
 def dilation_family(f: TaylorFunction, levels: int = 8) -> ApproxFamily:

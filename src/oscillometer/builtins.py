@@ -27,13 +27,13 @@ def step_half_values(n: int) -> np.ndarray:
     vals = np.where(theta < np.pi, 1.0, 0.0)
     vals[0] = 0.5
     vals[n // 2] = 0.5
-    return vals.astype(complex)
+    return vals
 
 
 def triangle_values(n: int) -> np.ndarray:
     """Distance to the angle pi: a 1-Lipschitz hat with corners at 0 and pi."""
     theta = TWO_PI * np.arange(n) / n
-    return np.abs(theta - np.pi).astype(complex)
+    return np.abs(theta - np.pi)
 
 
 def circle_builtin(name: str, n: int, **params) -> PeriodicSamples:
@@ -44,7 +44,7 @@ def circle_builtin(name: str, n: int, **params) -> PeriodicSamples:
     if name == "cosine":
         freq = config_number(params, "freq", 1, int)
         theta = TWO_PI * np.arange(n) / n
-        return PeriodicSamples(np.cos(freq * theta).astype(complex))
+        return PeriodicSamples(np.cos(freq * theta))
     raise ConfigError(f"unknown circle builtin '{name}'")
 
 

@@ -27,21 +27,35 @@ def _is_pow2(n: int) -> bool:
 # circle samples and arcs
 # ---------------------------------------------------------------------------
 
+def _held_samples(values) -> np.ndarray:
+    """The storage rule for circle and torus samples: a read-only float64
+    array when every imaginary part is exactly 0, else complex128.  The
+    kernels are dtype-generic; real storage halves their memory traffic and
+    makes |d| an absolute value instead of a hypot."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and values.imag.any():
+        values = np.asarray(values, dtype=complex)
+    else:
+        values = np.ascontiguousarray(values.real, dtype=float)
+    values.setflags(write=False)
+    return values
+
+
 class PeriodicSamples:
-    """Complex samples of a function on the uniform circle grid theta_j = 2*pi*j/N.
+    """Samples of a function on the uniform circle grid theta_j = 2*pi*j/N,
+    held by `_held_samples` (float64 when exactly real, else complex128).
 
     N must be a power of two, at least 8.  Instances are immutable; arithmetic
     returns new objects.
     """
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=complex)
+        values = _held_samples(values)
         if values.ndim != 1:
             raise ConfigError("PeriodicSamples expects a 1-d array")
         n = values.shape[0]
         if n < 8 or not _is_pow2(n):
             raise ConfigError(f"grid size must be a power of two >= 8, got {n}")
-        values.setflags(write=False)
         self.values = values
         self.n = n
         self.step = TWO_PI / n
@@ -153,16 +167,16 @@ def arc_average(f: PeriodicSamples, arc: Arc) -> complex:
 # ---------------------------------------------------------------------------
 
 class TorusSamples:
-    """Complex samples on the uniform N x N grid of the 2-torus."""
+    """Samples on the uniform N x N grid of the 2-torus, held by
+    `_held_samples` (float64 when exactly real, else complex128)."""
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=complex)
+        values = _held_samples(values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ConfigError("TorusSamples expects a square 2-d array")
         n = values.shape[0]
         if n < 8 or not _is_pow2(n):
             raise ConfigError(f"grid size must be a power of two >= 8, got {n}")
-        values.setflags(write=False)
         self.values = values
         self.n = n
         self.step = TWO_PI / n

@@ -110,6 +110,8 @@ class WeightV:
             if not a < b:
                 raise ConfigError(f"{kind} domain needs {lo} < {hi}, got {a} and {b}")
             self.domain.update({lo: a, hi: b})
+        if kind == "annulus" and self.domain["r0"] < 0:
+            raise ConfigError(f"annulus domain needs r0 >= 0, got {self.domain['r0']}")
 
     def __call__(self, z):
         return np.asarray(self.eval_fn(np.asarray(z, dtype=complex)), dtype=float)

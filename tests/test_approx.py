@@ -6,7 +6,8 @@ from oscillometer.approx import (ApproxFamily, assumption_check, dilate,
                                  fejer_family, fejer_taylor, lip_smooth,
                                  lip_smooth_family, lip_smooth_with_info,
                                  poisson_circle, poisson_family,
-                                 poisson_torus2, _extend_by_projection)
+                                 poisson_torus2, poisson_torus_family,
+                                 _extend_by_projection)
 from oscillometer.builtins import (box_builtin, circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
                                    torus_builtin)
@@ -16,6 +17,8 @@ from oscillometer.funcrep import (BoxDomain, EuclideanSamples,
                                   PeriodicSamples, TaylorFunction,
                                   TorusSamples)
 from oscillometer.spaces import SpaceDescriptor, build_family, lip_pair_indices
+
+EPS = np.finfo(float).eps
 
 
 def lip_const(f: EuclideanSamples, cap: int = 1_000_000) -> float:
@@ -72,6 +75,44 @@ class TestPoissonTorus:
         gs = poisson_circle(PeriodicSamples(g), 0.6).values
         hs = poisson_circle(PeriodicSamples(h), 0.6).values
         assert np.allclose(left, np.outer(gs, hs), atol=1e-12)
+
+
+@pytest.mark.parametrize("make,ladder,one", [
+    (lambda: circle_builtin("step_half", 131072), poisson_family, poisson_circle),
+    (lambda: torus_builtin("triangle_tensor", 64), poisson_torus_family,
+     poisson_torus2),
+], ids=["circle", "torus"])
+class TestPoissonLadder:
+    def test_members_are_one_radius_calls(self, make, ladder, one):
+        f = make()
+        rng = np.random.default_rng(2)
+        z = type(f)(f.values + 1j * rng.normal(size=f.values.shape))
+        for g, dtype in ((f, np.float64), (z, np.complex128)):
+            fam = ladder(g, 13)
+            for r, member in zip(fam.parameters, fam.members):
+                assert member.values.dtype == dtype
+                assert np.array_equal(member.values, one(g, r).values)
+
+    def test_real_members_match_complex_transform(self, make, ladder, one):
+        # Each side is a forward FFT, the multiplier r^|k| and an inverse FFT.
+        # A radix-2 FFT of size 2^L is within L * 6 eps of the exact transform
+        # in the 2-norm (Higham, Accuracy and Stability of Numerical
+        # Algorithms, Thm 24.2), the multiplier within 2 eps per mode, and the
+        # exact smoothing is a contraction: each side is within
+        # (12 L + 3) eps ||v||_2 of the exact members, in the 2-norm and so
+        # in the max-norm.
+        f = make()
+        v = f.values
+        assert v.dtype == np.float64
+        axes = tuple(range(v.ndim))
+        k = sum(np.ix_(*[np.abs(np.fft.fftfreq(n, d=1.0 / n)) for n in v.shape]))
+        spectrum = np.fft.fftn(v.astype(complex), axes=axes)
+        tol = 2 * (12 * np.log2(v.size) + 3) * EPS * np.linalg.norm(v)
+        fam = ladder(f, 13)
+        for r, member in zip(fam.parameters, fam.members):
+            assert member.values.dtype == np.float64
+            old = np.fft.ifftn(spectrum * r ** k, axes=axes)
+            assert np.abs(member.values - old).max() <= tol
 
 
 class TestDilate:

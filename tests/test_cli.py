@@ -252,6 +252,7 @@ def _with(base, **changes):
     ("norm", _with(BLOCH_NORM, function={"kind": "taylor"})),
     ("norm", _with(BLOCH_NORM, function={"kind": "builtin", "name": "poly"})),
     ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.domain.r0": 0.9})),
+    ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.domain.r0": -0.5})),
 ], ids=["lip-dilation", "pad-factor-negative", "t0-text", "t0-nan", "slack-text",
         "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
         "ladder-number", "family-text", "output-text", "space-number",
@@ -262,7 +263,7 @@ def _with(base, **changes):
         "domain-text", "samples-text", "bmo-n-samples-negative",
         "rect-n-samples-negative", "pair-cap-negative", "uniform-radii-negative",
         "annulus-r0-text", "annulus-no-r1", "box-no-y1", "taylor-no-coeffs",
-        "poly-no-coeffs", "annulus-reversed"])
+        "poly-no-coeffs", "annulus-reversed", "annulus-r0-negative"])
 def test_bad_config_exit_code(tmp_path, command, payload):
     # run as a process, so an uncaught exception shows as a traceback on stderr
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -42,6 +42,26 @@ class TestPeriodicSamples:
         assert np.allclose(g.values, f.values)
 
 
+@pytest.mark.parametrize("cls,shape", [(PeriodicSamples, (16,)),
+                                       (TorusSamples, (16, 16))],
+                         ids=["circle", "torus"])
+def test_storage_rule(cls, shape):
+    rng = np.random.default_rng(4)
+    re = rng.normal(size=shape)
+    f = cls(re + 0j)        # complex, every imaginary part exactly 0
+    assert f.values.dtype == np.float64 and not f.values.flags.writeable
+    assert np.array_equal(f.values, re)
+    assert cls(re).values.dtype == np.float64
+    z = re + 0j
+    z.flat[5] += 1e-300j    # one nonzero imaginary part
+    assert cls(z).values.dtype == np.complex128
+    assert np.array_equal(cls(z).values, z)
+    g = cls(rng.normal(size=shape))
+    assert (f * 2.0).values.dtype == np.float64
+    assert (f - g).values.dtype == np.float64
+    assert (f * 1j).values.dtype == np.complex128
+
+
 class TestArcAverage:
     def test_constant(self):
         f = PeriodicSamples(np.full(64, 3.5 + 1j))

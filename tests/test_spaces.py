@@ -97,12 +97,14 @@ def strata_grids(draw):
 
 @st.composite
 def torus_arc_pairs(draw):
-    """A torus sample grid with a large constant offset, and I- and J-arcs of
-    any start and 2..N cells (full circles and wrapping arcs included)."""
+    """A real or complex torus sample grid with a large constant offset, and
+    I- and J-arcs of any start and 2..N cells (full circles and wrapping arcs
+    included)."""
     n = draw(st.sampled_from([8, 16, 32, 64]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    offset = complex(*draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))))
-    values = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)) + offset
+    values = rng.uniform(-1, 1, (n, n)) + draw(st.floats(-1e3, 1e3))
+    if not draw(st.booleans()):
+        values = values + 1j * (rng.uniform(-1, 1, (n, n)) + draw(st.floats(-1e3, 1e3)))
     arcs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(2, n)),
                     min_size=1, max_size=5)
     return values, draw(arcs), draw(arcs)
@@ -442,14 +444,17 @@ class TestFamilyKernels:
             tol = (16 * degree + n_nodes) * EPS * c_abs ** 2 * mass
             assert abs(val ** 2 - want) <= tol
 
-    @pytest.mark.parametrize("mids", [64, "all"])
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-    def test_bmo_entries_match_direct_oscillation(self, p, mids):
+    @pytest.mark.parametrize("p,mids,real", [
+        pytest.param(p, mids, real, id=f"{p}-{mids}" + ("-real" if real else ""))
+        for real in (False, True) for p in (1.0, 1.5, 2.0) for mids in (64, "all")])
+    def test_bmo_entries_match_direct_oscillation(self, p, mids, real):
         n = 1024
         fam = build_family(SpaceDescriptor("bmo_circle", p=p, resolution={
             "n_samples": n, "midpoints": mids, "min_len_exp": 2, "max_len_exp": 7}))
         rng = np.random.default_rng(9)
-        f = PeriodicSamples(rng.normal(size=n) + 1j * rng.normal(size=n) + 0.5)
+        values = rng.normal(size=n) + (0 if real else 1j * rng.normal(size=n)) + 0.5
+        f = PeriodicSamples(values)
+        assert f.values.dtype == (np.float64 if real else np.complex128)
         scale = 2.0 * np.abs(f.values).max()    # bounds |f| and |f - mean f|
         vals = fam.evaluate_all(f)
         for val, param in zip(vals, fam.params):
@@ -470,7 +475,9 @@ class TestFamilyKernels:
     def test_rect_entries_match_direct_sum(self, case):
         values, arcs_i, arcs_j = case
         n = values.shape[0]
-        got = _rect_values(TorusSamples(values), arcs_i, arcs_j)
+        F = TorusSamples(values)
+        assert F.values.dtype == values.dtype    # real input stays float64
+        got = _rect_values(F, arcs_i, arcs_j)
         want = [direct_rect_square(values, i, j) for j in arcs_j for i in arcs_i]
         # every moment is a window mean: a difference of prefix sums of at most
         # n terms, each at most 16 max|F|^2 after two-way centring, over
