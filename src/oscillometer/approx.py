@@ -167,8 +167,7 @@ def lip_smooth_with_info(f: EuclideanSamples, t: float, *,
     kernel, outside = _poisson_kernel_nd(dom.ndim, t, dom.step, pad)
     smoothed = _fft_convolve_same(ext, kernel)
     sel = tuple(slice(pad, pad + s) for s in dom.shape)
-    # copied out, so a ladder member does not pin the whole FFT buffer
-    return EuclideanSamples(dom, smoothed[sel].copy(), f.alpha), outside
+    return EuclideanSamples(dom, smoothed[sel], f.alpha), outside
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +239,7 @@ _FAMILY_KINDS = {
 def family_from_config(cfg: dict, f) -> ApproxFamily:
     """{"kind": ..., "ladder": {"levels": 8, ...}} -> generated family."""
     kind = cfg.get("kind")
-    if kind not in _FAMILY_KINDS:
+    if not isinstance(kind, str) or kind not in _FAMILY_KINDS:
         raise ConfigError(f"unknown approximation family '{kind}'")
     make, representation = _FAMILY_KINDS[kind]
     if not isinstance(f, representation):

@@ -142,7 +142,7 @@ def torus_builtin(name: str, n: int, **params) -> TorusSamples:
         return TorusSamples(np.outer(g, g))
     if name == "one_variable":
         g = circle_builtin(params.get("profile", "step_half"), n).values
-        return TorusSamples(np.broadcast_to(g[:, None], (n, n)).copy())
+        return TorusSamples(np.broadcast_to(g[:, None], (n, n)))
     if name == "additive":
         g = circle_builtin(params.get("profile", "step_half"), n).values
         return TorusSamples(g[:, None] + g[None, :])
@@ -167,7 +167,7 @@ def box_builtin(name: str, domain: BoxDomain, alpha: float,
         return EuclideanSamples(domain, radius ** expo, alpha)
     if name == "linear":
         vals = coords[0] if domain.ndim == 1 else xx
-        return EuclideanSamples(domain, vals.copy(), alpha)
+        return EuclideanSamples(domain, vals, alpha)
     if name == "square":
         vals = coords[0] ** 2 if domain.ndim == 1 else xx ** 2
         return EuclideanSamples(domain, vals, alpha)
@@ -220,6 +220,8 @@ def make_function(cfg: dict, desc: SpaceDescriptor):
     if kind != "builtin":
         raise ConfigError(f"unknown function kind '{kind}'")
     name = cfg.get("name")
+    if not isinstance(name, str):
+        raise ConfigError(f"builtin 'name' must be a string, got {name!r}")
     params = {k: v for k, v in cfg.items() if k not in ("kind", "name")}
     if desc.tag == "bmo_circle":
         if name not in _CIRCLE_NAMES:

@@ -32,8 +32,7 @@ def certification_threshold(f_norm: float) -> float:
 
 
 def distance_estimate(desc: SpaceDescriptor, f,
-                      grid: Optional[OperatorFamilyGrid] = None,
-                      scales=None):
+                      grid: Optional[OperatorFamilyGrid] = None):
     """Tail-limit estimate of the distance from f to the vanishing subspace.
 
     Returns (estimate, uncertainty, profile).
@@ -41,7 +40,7 @@ def distance_estimate(desc: SpaceDescriptor, f,
     if grid is None:
         grid = build_family(desc)
     values = grid.evaluate_all(f)
-    profile = tail_profile(grid, f, scales=scales, values=values)
+    profile = tail_profile(grid, f, values=values)
     estimate, uncertainty = limsup_estimate(profile)
     return estimate, uncertainty, profile
 

@@ -5,7 +5,8 @@ remoteness scale rho > 0 that shrinks exactly when the parameter escapes every
 compact set.  The seminorm is the exact maximum of the per-entry evaluations
 over the grid; the tail profile restricts that maximum to entries with
 rho <= t for a shrinking dyadic ladder of scales t, and its last level is the
-reported limit estimate.
+reported limit estimate.  Each grid fixes its ladder when it is built, and
+with it the level at which every entry enters the profile.
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ class OperatorFamilyGrid:
 
     entries are exposed as parallel arrays: `params[i]` describes entry i,
     `remoteness[i]` is its scale, and `evaluate_all(f)` returns the vector of
-    per-entry values ||L_i f||.
+    per-entry values ||L_i f||.  `default_scales` is the grid's dyadic tail
+    ladder (by default from the largest remoteness down to the smallest),
+    validated and frozen here.
     """
 
     def __init__(self, space_tag: str, params: Sequence, remoteness,
@@ -96,8 +99,18 @@ class OperatorFamilyGrid:
         if default_scales is None:
             default_scales = dyadic_scales(float(remoteness.max()),
                                            float(remoteness.min()))
-        self.default_scales = np.asarray(default_scales, dtype=float)
-        self._levels = None   # (ladder, finest_levels) of the ladder last profiled
+        scales = np.array(default_scales, dtype=float)
+        if scales.ndim != 1 or scales.size == 0 or np.any(scales <= 0):
+            raise ConfigError("scale ladder must be a positive vector")
+        if np.any(np.abs(scales[1:] / scales[:-1] - 0.5) > 1e-9):
+            raise ConfigError("scale ladder must be dyadic (each level half the last)")
+        scales.setflags(write=False)
+        self.default_scales = scales
+        # per entry, 1 + the finest level k with remoteness <= scales[k]
+        # (1 + 1e-12), 0 if none: the level it enters the tail profile at
+        ascending = (scales * (1 + 1e-12))[::-1]
+        levels = scales.size - np.searchsorted(ascending, remoteness, side="left")
+        self._entry_levels = levels.astype(np.min_scalar_type(scales.size))
 
     def __len__(self) -> int:
         return len(self.params)
@@ -111,17 +124,6 @@ class OperatorFamilyGrid:
         if np.any(vals < 0):
             raise NumericalError("family evaluation produced negative values")
         return vals
-
-    def finest_levels(self, scales: np.ndarray) -> np.ndarray:
-        """Per entry, 1 + the finest level k with remoteness <= scales[k]
-        (1 + 1e-12), 0 if none; kept for the ladder last asked for."""
-        cached = self._levels
-        if cached is None or not np.array_equal(cached[0], scales):
-            ascending = (scales * (1 + 1e-12))[::-1]
-            levels = scales.size - np.searchsorted(ascending, self.remoteness, side="left")
-            cached = self._levels = (scales.copy(),
-                                     levels.astype(np.min_scalar_type(scales.size)))
-        return cached[1]
 
 
 def dyadic_scales(t0: float, t_min: float, max_levels: int = 24) -> np.ndarray:
@@ -212,20 +214,13 @@ def seminorm_sup(fam: OperatorFamilyGrid, f,
     return SeminormReport(float(vals[idx]), fam.params[idx], len(fam))
 
 
-def tail_profile(fam: OperatorFamilyGrid, f, scales=None,
+def tail_profile(fam: OperatorFamilyGrid, f,
                  values: Optional[np.ndarray] = None) -> TailProfile:
-    """Tail suprema of the family evaluations over the declining scale ladder."""
-    if scales is None:
-        scales = fam.default_scales
-    scales = np.asarray(scales, dtype=float)
-    if scales.ndim != 1 or scales.size == 0 or np.any(scales <= 0):
-        raise ConfigError("scale ladder must be a positive vector")
-    ratios = scales[1:] / scales[:-1]
-    if np.any(np.abs(ratios - 0.5) > 1e-9):
-        raise ConfigError("scale ladder must be dyadic (each level half the last)")
+    """Tail suprema of the family evaluations over the grid's dyadic ladder."""
     vals = fam.evaluate_all(f) if values is None else values
+    scales = fam.default_scales
     maxima = np.full(scales.size + 1, -np.inf)
-    np.maximum.at(maxima, fam.finest_levels(scales), vals)
+    np.maximum.at(maxima, fam._entry_levels, vals)
     # an entry counts at its finest level and every coarser one: a running
     # max from the finest level outward (max is order-free, so exact)
     sups = np.maximum.accumulate(maxima[:0:-1])[::-1]

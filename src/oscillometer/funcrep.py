@@ -5,6 +5,11 @@ ambient norms, polar quadrature) everything else is built from.
 
 Grids are uniform with power-of-two size so trapezoid sums double as exact
 spectral quadrature and DFT smoothing stays alias-free for band-limited data.
+
+Sample objects and TaylorFunction own what they hold (`_owned`): their arrays
+are read-only and share no writable memory with the caller, and one object's
+arrays pass to the next without a copy.  Circle, torus and box samples share
+one implementation of their linear arithmetic (`_Samples`).
 """
 
 from __future__ import annotations
@@ -24,35 +29,72 @@ def _is_pow2(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# circle samples and arcs
+# circle and torus samples, arcs
 # ---------------------------------------------------------------------------
 
+def _owned(values, dtype) -> np.ndarray:
+    """The ownership rule for every array a sample object or TaylorFunction
+    holds: a C-contiguous `dtype` array that owns its data and is already
+    read-only is adopted as it is; anything else is copied and frozen.  So no
+    holder shares writable memory with its caller, none makes the caller's
+    array read-only, and values passed from one holder to the next are not
+    copied again."""
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and values.flags.c_contiguous
+            and not values.flags.writeable):
+        values = np.array(values, dtype=dtype, order="C")
+        values.setflags(write=False)
+    return values
+
+
 def _held_samples(values) -> np.ndarray:
-    """The storage rule for circle and torus samples: a read-only float64
-    array when every imaginary part is exactly 0, else complex128.  The
+    """The storage rule for circle and torus samples: float64 when every
+    imaginary part is exactly 0, else complex128, held by `_owned`.  The
     kernels are dtype-generic; real storage halves their memory traffic and
     makes |d| an absolute value instead of a hypot."""
     values = np.asarray(values)
     if np.iscomplexobj(values) and values.imag.any():
-        values = np.asarray(values, dtype=complex)
-    else:
-        values = np.ascontiguousarray(values.real, dtype=float)
-    values.setflags(write=False)
-    return values
+        return _owned(values, complex)
+    return _owned(values.real, float)
 
 
-class PeriodicSamples:
-    """Samples of a function on the uniform circle grid theta_j = 2*pi*j/N,
-    held by `_held_samples` (float64 when exactly real, else complex128).
+class _Samples:
+    """Held sample `values` and the linear arithmetic every sample class
+    shares.  Instances are immutable: each result is a new object of the same
+    class on the same grid, built by `_like`."""
 
-    N must be a power of two, at least 8.  Instances are immutable; arithmetic
-    returns new objects.
-    """
+    def _like(self, values) -> "_Samples":
+        return type(self)(values)
+
+    def scaled(self, c) -> "_Samples":
+        return self._like(self.values * c)
+
+    def __mul__(self, c) -> "_Samples":
+        return self.scaled(c)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "_Samples") -> "_Samples":
+        return self._like(self.values + self._same_grid(other).values)
+
+    def __sub__(self, other: "_Samples") -> "_Samples":
+        return self._like(self.values - self._same_grid(other).values)
+
+    def _same_grid(self, other) -> "_Samples":
+        if not isinstance(other, type(self)) or other.values.shape != self.values.shape:
+            raise ConfigError("samples live on different grids")
+        return other
+
+
+class _PeriodicGrid(_Samples):
+    """Samples on the uniform grid theta_j = 2*pi*j/N of every axis of the
+    `ndim`-torus (N a power of two, at least 8), held by `_held_samples`."""
 
     def __init__(self, values):
         values = _held_samples(values)
-        if values.ndim != 1:
-            raise ConfigError("PeriodicSamples expects a 1-d array")
+        if values.ndim != self.ndim or len(set(values.shape)) != 1:
+            raise ConfigError(f"{type(self).__name__} expects a "
+                              f"{'square ' if self.ndim > 1 else ''}{self.ndim}-d array")
         n = values.shape[0]
         if n < 8 or not _is_pow2(n):
             raise ConfigError(f"grid size must be a power of two >= 8, got {n}")
@@ -60,32 +102,17 @@ class PeriodicSamples:
         self.n = n
         self.step = TWO_PI / n
 
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.arange(self.n) * self.step
 
-    def mean(self) -> complex:
-        return complex(self.values.mean())
+class PeriodicSamples(_PeriodicGrid):
+    """Samples of a function on the uniform circle grid theta_j = 2*pi*j/N."""
 
-    def scaled(self, c) -> "PeriodicSamples":
-        return PeriodicSamples(self.values * c)
+    ndim = 1
 
-    def __mul__(self, c) -> "PeriodicSamples":
-        return self.scaled(c)
 
-    __rmul__ = __mul__
+class TorusSamples(_PeriodicGrid):
+    """Samples on the uniform N x N grid of the 2-torus."""
 
-    def __add__(self, other: "PeriodicSamples") -> "PeriodicSamples":
-        self._check_same_grid(other)
-        return PeriodicSamples(self.values + other.values)
-
-    def __sub__(self, other: "PeriodicSamples") -> "PeriodicSamples":
-        self._check_same_grid(other)
-        return PeriodicSamples(self.values - other.values)
-
-    def _check_same_grid(self, other) -> None:
-        if not isinstance(other, PeriodicSamples) or other.n != self.n:
-            raise ConfigError("circle samples live on different grids")
+    ndim = 2
 
 
 @dataclass(frozen=True)
@@ -163,44 +190,6 @@ def arc_average(f: PeriodicSamples, arc: Arc) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# torus samples
-# ---------------------------------------------------------------------------
-
-class TorusSamples:
-    """Samples on the uniform N x N grid of the 2-torus, held by
-    `_held_samples` (float64 when exactly real, else complex128)."""
-
-    def __init__(self, values):
-        values = _held_samples(values)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ConfigError("TorusSamples expects a square 2-d array")
-        n = values.shape[0]
-        if n < 8 or not _is_pow2(n):
-            raise ConfigError(f"grid size must be a power of two >= 8, got {n}")
-        self.values = values
-        self.n = n
-        self.step = TWO_PI / n
-
-    def scaled(self, c) -> "TorusSamples":
-        return TorusSamples(self.values * c)
-
-    def __mul__(self, c) -> "TorusSamples":
-        return self.scaled(c)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "TorusSamples") -> "TorusSamples":
-        if not isinstance(other, TorusSamples) or other.n != self.n:
-            raise ConfigError("torus samples live on different grids")
-        return TorusSamples(self.values - other.values)
-
-    def __add__(self, other: "TorusSamples") -> "TorusSamples":
-        if not isinstance(other, TorusSamples) or other.n != self.n:
-            raise ConfigError("torus samples live on different grids")
-        return TorusSamples(self.values + other.values)
-
-
-# ---------------------------------------------------------------------------
 # truncated power series on the unit disc
 # ---------------------------------------------------------------------------
 
@@ -239,10 +228,9 @@ class TaylorFunction:
         if coeffs is None and (value_fn is None or deriv_fn is None):
             raise ConfigError("TaylorFunction needs coefficients or closed forms")
         if coeffs is not None:
-            coeffs = np.asarray(coeffs, dtype=complex)
+            coeffs = _owned(coeffs, complex)
             if coeffs.ndim != 1:
                 raise ConfigError("coefficients must be a 1-d array")
-            coeffs.setflags(write=False)
         self.coeffs = coeffs
         self.value_fn = value_fn
         self.deriv_fn = deriv_fn
@@ -380,39 +368,26 @@ class BoxDomain:
         return float(np.linalg.norm(self.hi - self.lo))
 
 
-class EuclideanSamples:
-    """Real samples of a function over a BoxDomain grid, tagged with the
-    Hoelder exponent they are meant to be measured against."""
+class EuclideanSamples(_Samples):
+    """Real samples of a function over a BoxDomain grid, held by `_owned`,
+    tagged with the Hoelder exponent they are meant to be measured against."""
 
     def __init__(self, domain: BoxDomain, values, alpha: float):
-        values = np.asarray(values, dtype=float)
+        values = _owned(values, float)
         if values.shape != domain.shape:
             raise ConfigError(
                 f"values of shape {values.shape} do not match grid {domain.shape}")
         if not (0.0 < alpha <= 1.0):
             raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-        values.setflags(write=False)
         self.domain = domain
         self.values = values
         self.alpha = float(alpha)
 
+    def _like(self, values) -> "EuclideanSamples":
+        return EuclideanSamples(self.domain, values, self.alpha)
+
     def scaled(self, c) -> "EuclideanSamples":
-        return EuclideanSamples(self.domain, self.values * float(c), self.alpha)
-
-    def __mul__(self, c) -> "EuclideanSamples":
-        return self.scaled(c)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "EuclideanSamples") -> "EuclideanSamples":
-        if not isinstance(other, EuclideanSamples) or other.domain.shape != self.domain.shape:
-            raise ConfigError("samples live on different grids")
-        return EuclideanSamples(self.domain, self.values - other.values, self.alpha)
-
-    def __add__(self, other: "EuclideanSamples") -> "EuclideanSamples":
-        if not isinstance(other, EuclideanSamples) or other.domain.shape != self.domain.shape:
-            raise ConfigError("samples live on different grids")
-        return EuclideanSamples(self.domain, self.values + other.values, self.alpha)
+        return self._like(self.values * float(c))
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +463,9 @@ def disk_quadrature(g: Callable, rule: QuadratureRule = QuadratureRule()) -> flo
 # ambient-space norms
 # ---------------------------------------------------------------------------
 
-def _l2_circle(f: PeriodicSamples) -> float:
+def _l2_periodic(f: PeriodicSamples | TorusSamples) -> float:
     centred = f.values - f.values.mean()
-    return float(np.sqrt(np.sum(np.abs(centred) ** 2) * f.step))
-
-
-def _l2_torus(f: TorusSamples) -> float:
-    centred = f.values - f.values.mean()
-    return float(np.sqrt(np.sum(np.abs(centred) ** 2) * f.step ** 2))
+    return float(np.sqrt(np.sum(np.abs(centred) ** 2) * f.step ** f.ndim))
 
 
 def _bergman(f: TaylorFunction) -> float:
@@ -524,14 +494,12 @@ def x_norm(space_tag: str, f) -> float:
     grid (a recorded proxy for the ambient Sobolev norm).
     """
     try:
-        if space_tag == "bmo_circle":
-            return _l2_circle(f)
+        if space_tag in ("bmo_circle", "rect_bmo"):
+            return _l2_periodic(f)
         if space_tag == "bloch":
             return _bergman(f)
         if space_tag == "qk":
             return _hardy(f)
-        if space_tag == "rect_bmo":
-            return _l2_torus(f)
         if space_tag == "lip":
             return _sup_box(f)
     except AttributeError:

@@ -102,7 +102,7 @@ class WeightV:
         self.eval_fn = eval_fn
         self.name = name
         kind = domain.get("kind", "disc")
-        if kind not in _DOMAIN_BOUNDS:
+        if not isinstance(kind, str) or kind not in _DOMAIN_BOUNDS:
             raise ConfigError(f"unsupported weighted domain '{kind}'")
         self.domain = dict(domain, kind=kind)
         for lo, hi in _DOMAIN_BOUNDS[kind]:
@@ -198,13 +198,10 @@ class SpaceDescriptor:
     weight: Optional[WeightV] = None
     lip_domain: Optional[BoxDomain] = None
     resolution: dict = field(default_factory=dict)
-    allowance_rel: Optional[float] = None
 
     def __post_init__(self):
         if self.tag not in SPACE_TAGS:
             raise ConfigError(f"unknown space '{self.tag}'")
-        if self.allowance_rel is None:
-            self.allowance_rel = _DEFAULT_ALLOWANCE[self.tag]
         if self.tag == "bmo_circle" and not self.p >= 1.0:
             raise ConfigError(f"oscillation exponent p must be >= 1, got {self.p}")
         if self.tag == "lip":
@@ -469,7 +466,7 @@ def _build_bmo(desc: SpaceDescriptor) -> OperatorFamilyGrid:
 
     scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
     return OperatorFamilyGrid("bmo_circle", params, remoteness, eval_all,
-                              allowance_rel=desc.allowance_rel,
+                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 
 
@@ -516,7 +513,7 @@ def _build_bloch(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     shells = res["shells"]
     scales = 2.0 ** -np.arange(0, shells + 1, dtype=float)
     return OperatorFamilyGrid("bloch", params, remoteness, eval_all,
-                              allowance_rel=desc.allowance_rel,
+                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 
 
@@ -594,7 +591,7 @@ def _build_qk(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     shell_to = res["shell_to"]
     scales = 2.0 ** -np.arange(0, shell_to + 1, dtype=float)
     return OperatorFamilyGrid("qk", params, remoteness, eval_all,
-                              allowance_rel=desc.allowance_rel,
+                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 
 
@@ -669,7 +666,7 @@ def _build_weighted(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     t0 = float(remoteness.max())
     scales = dyadic_scales(t0, max(float(remoteness.min()), t0 * 2.0 ** -shells))
     return OperatorFamilyGrid("weighted", params, remoteness, eval_all,
-                              allowance_rel=desc.allowance_rel,
+                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 
 
@@ -725,7 +722,7 @@ def _build_lip(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     t0 = float(dist.max())
     scales = dyadic_scales(t0, float(dist.min()))
     return OperatorFamilyGrid("lip", params, dist, eval_all,
-                              allowance_rel=desc.allowance_rel,
+                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 
 
@@ -791,7 +788,7 @@ def _build_rect(desc: SpaceDescriptor) -> OperatorFamilyGrid:
 
     scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
     return OperatorFamilyGrid("rect_bmo", params, remoteness, eval_all,
-                              allowance_rel=desc.allowance_rel,
+                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 
 

@@ -1,10 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillometer.cli import main
 
@@ -253,6 +258,11 @@ def _with(base, **changes):
     ("norm", _with(BLOCH_NORM, function={"kind": "builtin", "name": "poly"})),
     ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.domain.r0": 0.9})),
     ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.domain.r0": -0.5})),
+    ("norm", _with(BLOCH_NORM, **{"function.name": [1]})),
+    ("norm", _with(BLOCH_NORM, **{"function.name": {}})),
+    ("distance", _with(BLOCH_DISTANCE, approximants={"kind": [1]})),
+    ("check", _with(LIP_SMOOTH_CHECK, family={"kind": {}})),
+    ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.domain.kind": [1]})),
 ], ids=["lip-dilation", "pad-factor-negative", "t0-text", "t0-nan", "slack-text",
         "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
         "ladder-number", "family-text", "output-text", "space-number",
@@ -263,7 +273,9 @@ def _with(base, **changes):
         "domain-text", "samples-text", "bmo-n-samples-negative",
         "rect-n-samples-negative", "pair-cap-negative", "uniform-radii-negative",
         "annulus-r0-text", "annulus-no-r1", "box-no-y1", "taylor-no-coeffs",
-        "poly-no-coeffs", "annulus-reversed", "annulus-r0-negative"])
+        "poly-no-coeffs", "annulus-reversed", "annulus-r0-negative",
+        "name-list", "name-object", "approximants-kind-list", "family-kind-object",
+        "domain-kind-list"])
 def test_bad_config_exit_code(tmp_path, command, payload):
     # run as a process, so an uncaught exception shows as a traceback on stderr
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -279,3 +291,102 @@ def test_bad_config_exit_code(tmp_path, command, payload):
     assert "Traceback" not in proc.stderr
     assert "configuration error" in proc.stderr
     assert list(out.iterdir()) == []
+
+
+# cheap jobs of every command and space, the base of the exit-code property
+LIP_DEFAULTS = {"space": {"space": "lip"},
+                "function": {"kind": "builtin", "name": "holder_cusp"}}
+SMALL_BMO = {"space": "bmo_circle", "p": 1,
+             "resolution": {"n_samples": 1024, "midpoints": 32,
+                            "min_len_exp": 1, "max_len_exp": 7}}
+SMALL_RECT = {"space": "rect_bmo",
+              "resolution": {"n_samples": 128, "midpoints": 16,
+                             "min_len_exp": 1, "max_len_exp": 6}}
+CONTRACT_BASES = [
+    ("norm", LIP_DEFAULTS),
+    ("distance", {"space": SMALL_BMO,
+                  "function": {"kind": "builtin", "name": "step_half"}}),
+    ("distance", {"space": SMALL_BMO,
+                  "function": {"kind": "samples",
+                               "values": [[(j % 5) / 4, 0.5] for j in range(1024)]},
+                  "approximants": {"kind": "poisson_circle", "ladder": {"levels": 4}}}),
+    ("distance", BLOCH_DISTANCE),
+    ("norm", _with(WEIGHTED_ANNULUS, **{"space.resolution": {
+        "uniform_radii": 16, "shells": 8, "angles": 64, "box_nodes": 16}})),
+    ("norm", {"space": QK_LIGHT, "function": {"kind": "taylor",
+                                              "coeffs": [[1, 0], [0, 0.5], [0.25, -0.5]]}}),
+    ("distance", {"space": SMALL_RECT,
+                  "function": {"kind": "builtin", "name": "one_variable",
+                               "profile": "triangle"}}),
+    ("check", {"space": SMALL_BMO, "function": {"kind": "builtin", "name": "triangle"},
+               "task": "assumption-check",
+               "family": {"kind": "poisson_circle", "ladder": {"levels": 4}}}),
+    ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder": {"levels": 3, "t0": 0.1}})),
+    ("check", dict(QK_INVARIANCE, tolerance=0.02)),
+]
+MUTANTS = [None, "x", -1, 0, 1, 2.5, float("nan"), float("inf"), [], {}, True,
+           [1], {"a": 1}]
+_DELETE = object()
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every value that is not itself an object or a list."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else None)
+    if items is None:
+        return [path]
+    return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A base job with 1-2 leaves deleted or replaced from a fixed set of
+    values.  No value is huge: a count of 10**30 would make a ladder or a
+    grid allocate without end."""
+    command, base = draw(st.sampled_from(CONTRACT_BASES))
+    payload = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = _leaf_paths(payload)
+        if not paths:
+            break
+        *parents, last = draw(st.sampled_from(paths))
+        block = payload
+        for key in parents:
+            block = block[key]
+        value = draw(st.sampled_from([_DELETE] + MUTANTS))
+        if value is _DELETE:
+            del block[last]
+        else:
+            block[last] = copy.deepcopy(value)
+    return command, payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_configs())
+def test_exit_code_contract(job):
+    # exit 0 success, 2 configuration, 3 numerical, 4 failed check: never a
+    # traceback, no output on 2 or 3, reports that parse on 0 or 4
+    command, payload = job
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        out = os.path.join(tmp, "out")
+        os.mkdir(out)
+        with open(cfg, "w") as fh:
+            json.dump(payload, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg, "--out", out])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        written = sorted(os.listdir(out))
+        if code in (2, 3):
+            assert written == []
+        else:
+            assert "report.json" in written
+            for name in written:
+                with open(os.path.join(out, name)) as fh:
+                    text = fh.read()
+                if name.endswith(".csv"):
+                    assert text.splitlines()[0] == "scale,tail_sup"
+                else:
+                    json.loads(text)

@@ -70,15 +70,31 @@ class TestTailProfile:
         assert np.all(np.diff(sups) <= 0.0)
 
     def test_empty_levels_marked(self, bloch_grid):
-        scales = 2.0 ** -np.arange(0, 16, dtype=float)  # deeper than the grid
-        prof = tail_profile(bloch_grid, taylor_builtin("monomial", degree=1),
-                            scales=scales)
+        deep = OperatorFamilyGrid(
+            "bloch", bloch_grid.params, bloch_grid.remoteness, bloch_grid.evaluate_all,
+            default_scales=2.0 ** -np.arange(0, 16, dtype=float))  # deeper than the grid
+        prof = tail_profile(deep, taylor_builtin("monomial", degree=1))
         assert np.isnan(prof.tail_sups[-1])
 
     def test_requires_dyadic_scales(self, bloch_grid):
         with pytest.raises(ConfigError, match="dyadic"):
-            tail_profile(bloch_grid, taylor_builtin("monomial", degree=1),
-                         scales=np.array([1.0, 0.4]))
+            OperatorFamilyGrid("bloch", bloch_grid.params, bloch_grid.remoteness,
+                               bloch_grid.evaluate_all, default_scales=[1.0, 0.4])
+
+    @pytest.mark.parametrize("scales", [[], [1.0, 0.5, -0.25]])
+    def test_requires_positive_scales(self, bloch_grid, scales):
+        with pytest.raises(ConfigError, match="positive"):
+            OperatorFamilyGrid("bloch", bloch_grid.params, bloch_grid.remoteness,
+                               bloch_grid.evaluate_all, default_scales=scales)
+
+    def test_grid_holds_its_own_ladder(self, bloch_grid):
+        ladder = 2.0 ** -np.arange(0, 14, dtype=float)
+        grid = OperatorFamilyGrid("bloch", bloch_grid.params, bloch_grid.remoteness,
+                                  bloch_grid.evaluate_all, default_scales=ladder)
+        ladder[:] = 1.0
+        assert not grid.default_scales.flags.writeable
+        prof = tail_profile(grid, taylor_builtin("monomial", degree=1))
+        assert np.array_equal(prof.scales, 2.0 ** -np.arange(0, 14, dtype=float))
 
     def test_csv_round_trip(self, bloch_grid):
         prof = tail_profile(bloch_grid, taylor_builtin("monomial", degree=1))
@@ -108,11 +124,12 @@ class TestTailProfileProperty:
     @given(remoteness_and_ladders())
     def test_levels_are_direct_maxima(self, case):
         rho, vals, ladders = case
-        fam = OperatorFamilyGrid("x", list(range(rho.size)), rho, lambda f: vals)
-        # alternating ladders on one grid: a stale level index would show
-        for scales in ladders + ladders:
+        # two grids on one remoteness vector, one per ladder
+        grids = [OperatorFamilyGrid("x", list(range(rho.size)), rho, lambda f: vals,
+                                    default_scales=scales) for scales in ladders]
+        for fam, scales in zip(grids + grids, ladders + ladders):
             for values in (vals, vals[::-1].copy()):
-                got = tail_profile(fam, None, scales=scales, values=values).tail_sups
+                got = tail_profile(fam, None, values=values).tail_sups
                 want = [values[rho <= t * (1 + 1e-12)].max()
                         if np.any(rho <= t * (1 + 1e-12)) else np.nan for t in scales]
                 assert np.array_equal(got, want, equal_nan=True)

@@ -62,6 +62,46 @@ def test_storage_rule(cls, shape):
     assert (f * 1j).values.dtype == np.complex128
 
 
+_BOX = BoxDomain([0.0, 0.0], [1.0, 1.0], 1.0 / 15)
+_HOLDERS = {
+    "circle": (lambda v: PeriodicSamples(v).values, (16,), (float, complex)),
+    "torus": (lambda v: TorusSamples(v).values, (16, 16), (float, complex)),
+    "box": (lambda v: EuclideanSamples(_BOX, v, 0.5).values, (16, 16), (float,)),
+    "taylor": (lambda v: TaylorFunction(v).coeffs, (16,), (float, complex)),
+}
+
+
+@pytest.mark.parametrize("holder", sorted(_HOLDERS))
+@pytest.mark.parametrize("view", [False, True], ids=["owned", "view"])
+def test_holders_never_alias_the_caller(holder, view):
+    make, shape, dtypes = _HOLDERS[holder]
+    rng = np.random.default_rng(9)
+    for dtype in dtypes:
+        base = rng.normal(size=shape).astype(dtype)
+        if dtype is complex:
+            base += 1j * rng.normal(size=shape)
+        given = base[:] if view else base
+        before = given.copy()
+        held = make(given)
+        assert not np.shares_memory(held, base)
+        assert base.flags.writeable and given.flags.writeable
+        assert not held.flags.writeable
+        base[...] = 5.0
+        assert np.array_equal(held, before)
+
+
+@pytest.mark.parametrize("holder", sorted(_HOLDERS))
+def test_holders_adopt_read_only_owned_arrays(holder):
+    make, shape, _ = _HOLDERS[holder]
+    # in the dtype each holder stores: complex coefficients, real samples
+    scale = 1 + 1j if holder == "taylor" else 1.0
+    frozen = np.random.default_rng(10).normal(size=shape) * scale
+    frozen.setflags(write=False)
+    assert make(frozen) is frozen
+    # a read-only view is still copied: its base may be written elsewhere
+    assert make(frozen[:]) is not frozen
+
+
 class TestArcAverage:
     def test_constant(self):
         f = PeriodicSamples(np.full(64, 3.5 + 1j))

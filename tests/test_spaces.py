@@ -12,7 +12,7 @@ from oscillometer.spaces import (RectParam, SpaceDescriptor, _rect_values,
                                  kernel_from_config, lip_quotient, qk_local,
                                  rect_oscillation, weight_from_config,
                                  weighted_term)
-from oscillometer.family import seminorm_sup
+from oscillometer.family import seminorm_sup, tail_profile
 from oscillometer.builtins import (circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
                                    torus_builtin)
@@ -546,6 +546,76 @@ class TestHomogeneity:
         a = 0.2 + 0.1j
         assert qk_local(f * 3.0, a, K) == pytest.approx(9 * qk_local(f, a, K),
                                                         rel=1e-12)
+
+
+_SMALL_DISC = {"uniform_radii": 16, "shells": 8, "angles": 64}
+_SMALL_SPACES = {
+    **{f"bmo_p{p}": SpaceDescriptor("bmo_circle", p=p, resolution={
+        "n_samples": 1024, "midpoints": 32, "min_len_exp": 1, "max_len_exp": 7})
+       for p in (1.0, 1.5, 2.0)},
+    "bloch": SpaceDescriptor("bloch", resolution=_SMALL_DISC),
+    "weighted": SpaceDescriptor("weighted", resolution=dict(_SMALL_DISC, box_nodes=16)),
+    "qk": SpaceDescriptor("qk", resolution={
+        "shell_from": 2, "shell_to": 7, "extra_radii": (0.5,),
+        "angles": 16, "quad_nr": 16, "quad_ntheta": 32}),
+    "lip_1d": SpaceDescriptor("lip", alpha=0.5,
+                              lip_domain=BoxDomain([-1.0], [1.0], 0.02)),
+    "lip_2d": SpaceDescriptor("lip", alpha=0.5,
+                              lip_domain=BoxDomain([-1.0, -1.0], [1.0, 1.0], 0.0625)),
+    "rect_bmo": SpaceDescriptor("rect_bmo", resolution={
+        "n_samples": 128, "midpoints": 16, "min_len_exp": 1, "max_len_exp": 6}),
+}
+
+
+@pytest.fixture(scope="module")
+def small_grids():
+    return {key: (desc, build_family(desc)) for key, desc in _SMALL_SPACES.items()}
+
+
+def _random_input(desc, kind: str, rng):
+    """Real or complex samples, a random Taylor polynomial or log_singular,
+    in the representation the descriptor's space takes."""
+    if desc.tag in ("bloch", "qk", "weighted"):
+        if kind == "log_singular":
+            return log_singular()
+        degree = int(rng.integers(1, 13))
+        return TaylorFunction.polynomial(rng.normal(size=degree)
+                                         + 1j * rng.normal(size=degree))
+    if desc.tag == "lip":
+        return EuclideanSamples(desc.lip_domain,
+                                rng.normal(size=desc.lip_domain.shape), desc.alpha)
+    n = desc.resolution["n_samples"]
+    shape = (n,) if desc.tag == "bmo_circle" else (n, n)
+    values = rng.normal(size=shape)
+    if kind == "complex":
+        values = values + 1j * rng.normal(size=shape)
+    return (PeriodicSamples if desc.tag == "bmo_circle" else TorusSamples)(values)
+
+
+class TestHomogeneityProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_SMALL_SPACES)),
+           st.sampled_from(["real", "complex", "log_singular"]),
+           st.integers(-8, 8), st.sampled_from([1.0, -1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_power_of_two_scaling(self, small_grids, key, kind, k, sign, seed):
+        # c = +-2^k scales every entry by |c| with no rounding, through the
+        # shared sample arithmetic and the Taylor closed forms alike.  For
+        # p = 1.5 the terms pass through pow, which rounds 2^(1.5 k) |d|^1.5
+        # afresh: a few ulps per term and per root, kept below 1e-13 of the
+        # largest entry (a sum of non-negative terms keeps its relative error)
+        desc, grid = small_grids[key]
+        f = _random_input(desc, kind, np.random.default_rng(seed))
+        c = sign * 2.0 ** k
+        values, scaled = grid.evaluate_all(f), grid.evaluate_all(f * c)
+        if desc.tag == "bmo_circle" and desc.p not in (1.0, 2.0):
+            assert np.all(np.abs(scaled - abs(c) * values)
+                          <= 1e-13 * abs(c) * values.max())
+        else:
+            assert np.array_equal(scaled, abs(c) * values)
+        for vals in (values, scaled):
+            _, sups = tail_profile(grid, None, values=vals).nonempty()
+            assert np.all(np.diff(sups) <= 0)
 
 
 class TestMobiusInvariance:
