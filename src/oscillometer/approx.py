@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distance import certification_threshold
-from .errors import ConfigError, config_block, config_number
+from .errors import (COUNT_CAP, EXPONENT_CAP, ConfigError, config_block,
+                     config_number)
 from .family import limsup_estimate, seminorm_sup, tail_profile
 from .funcrep import (EuclideanSamples, PeriodicSamples, TaylorFunction,
                       TorusSamples, x_norm)
@@ -159,10 +160,12 @@ def lip_smooth_with_info(f: EuclideanSamples, t: float, *,
         raise ConfigError(f"kernel scale must be positive, got {t}")
     if t < f.domain.step:
         raise ConfigError("kernel under-resolved")
-    if not 0.0 <= pad_factor < math.inf:
-        raise ConfigError(f"pad factor must be finite and >= 0, got {pad_factor}")
     dom = f.domain
-    pad = int(math.ceil(pad_factor * dom.diameter / dom.step))
+    pad = pad_factor * dom.diameter / dom.step
+    if not 0.0 <= pad <= COUNT_CAP:
+        raise ConfigError(f"pad factor must be >= 0 and pad at most {COUNT_CAP} "
+                          f"nodes, got {pad_factor}")
+    pad = int(math.ceil(pad))
     ext = _extend_by_projection(f, pad)
     kernel, outside = _poisson_kernel_nd(dom.ndim, t, dom.step, pad)
     smoothed = _fft_convolve_same(ext, kernel)
@@ -246,10 +249,10 @@ def family_from_config(cfg: dict, f) -> ApproxFamily:
         raise ConfigError(f"family '{kind}' needs {representation.__name__} "
                           f"input, got {type(f).__name__}")
     ladder = config_block(cfg, "ladder")
-    casts = {"levels": int}
+    casts = {"levels": (int, EXPONENT_CAP)}
     if kind == "lip_smooth":
-        casts.update(t0=float, pad_factor=float)
-    kwargs = {key: config_number(ladder, key, None, cast)
+        casts.update(t0=(float,), pad_factor=(float,))
+    kwargs = {key: config_number(ladder, key, None, *cast)
               for key, cast in casts.items() if key in ladder}
     return make(f, **kwargs)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, config_number
+from .errors import COUNT_CAP, TOP_EXP_CAP, ConfigError, config_number
 from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
                       TaylorFunction, TorusSamples)
 from .spaces import SpaceDescriptor
@@ -72,6 +72,8 @@ def lacunary(top_exp: int = 10) -> TaylorFunction:
 
     The closed forms run by repeated squaring: z^(2^j) is the square of the
     last power, and z^(2^j - 1) the product of all the lower ones."""
+    if top_exp < 0:
+        raise ConfigError("lacunary top_exp must be >= 0")
     powers = 2 ** np.arange(top_exp + 1)
     coeffs = np.zeros(int(powers[-1]), dtype=complex)
     coeffs[powers - 1] = 1.0
@@ -117,15 +119,15 @@ def _complex_list(raw) -> np.ndarray:
 
 def taylor_builtin(name: str, **params) -> TaylorFunction:
     if name == "monomial":
-        return monomial(config_number(params, "degree", 1, int))
+        return monomial(config_number(params, "degree", 1, int, COUNT_CAP))
     if name == "poly":
         return TaylorFunction.polynomial(_complex_list(params.get("coeffs")))
     if name == "log_singular":
-        return log_singular(config_number(params, "n_coeffs", 4096, int))
+        return log_singular(config_number(params, "n_coeffs", 4096, int, COUNT_CAP))
     if name == "cauchy_kernel":
-        return cauchy_kernel(config_number(params, "n_coeffs", 4096, int))
+        return cauchy_kernel(config_number(params, "n_coeffs", 4096, int, COUNT_CAP))
     if name == "lacunary":
-        return lacunary(config_number(params, "top_exp", 10, int))
+        return lacunary(config_number(params, "top_exp", 10, int, TOP_EXP_CAP))
     raise ConfigError(f"unknown analytic builtin '{name}'")
 
 

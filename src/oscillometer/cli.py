@@ -4,7 +4,7 @@ reports.
     oscillometer <norm|distance|check> --config path.json [--out dir] [--seed n]
 
 Exit codes: 0 success, 2 configuration error, 4 failed check (a tail estimate
-exceeding a certified upper bound signals an implementation bug, never a
+breaking the grid triangle inequality signals an implementation bug, never a
 mathematical possibility), 3 numerical failure.  Reports are JSON with sorted
 keys, tail profiles additionally CSV; all writes go through a temp file and an
 atomic rename so failures never leave partial output.
@@ -69,7 +69,7 @@ class RunConfig:
         self.approximants_cfg = config_block(raw, "approximants")
         self.phi_cfg = config_block(raw, "phi")
         self.tolerance = config_number(raw, "tolerance", 0.02)
-        self.slack = config_number(raw, "slack", 1e-3)
+        self.slack = config_number(raw, "slack", 1e-3)   # assumption-check only
         self.x_tol_rel = config_number(raw, "x_tol_rel", 1e-2)
         output = config_block(raw, "output")
         self.report_path = _output_path(out_dir, output, "report", "report.json")
@@ -126,7 +126,7 @@ def cmd_distance(cfg: RunConfig) -> int:
         fam = approx.family_from_config(cfg.approximants_cfg, f)
         ids = [f"{fam.kind}[{p}]" for p in fam.parameters]
         report = dist_mod.sandwich_check(cfg.desc, f, fam.members, ids=ids,
-                                         slack=cfg.slack, grid=grid)
+                                         grid=grid)
         payload = report.to_dict()
         profile = report.tail_profile
         ok = report.sandwich_ok

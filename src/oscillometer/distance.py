@@ -2,11 +2,11 @@
 
 The estimator reports the tail-limit of the family evaluations as
 (estimate, uncertainty) and never claims equality with the true distance:
-grid suprema are one-sided.  The companion check confronts the estimate with
-approximant upper bounds ||f - g|| over candidates g certified to have small
-tails themselves; the tail limit can never exceed such an upper bound beyond
-the reported uncertainty (plus a small comparison slack), so a violation
-signals an implementation bug, not a mathematical possibility.
+grid suprema are one-sided.  The companion check holds the estimate to the
+grid's triangle inequality est(f) <= ||f - g|| + est(g) for candidates g
+certified to have small tails themselves, whose ||f - g|| bound the distance
+from above.  The inequality holds on any grid of seminorm entries, so a
+violation signals an implementation bug, not a mathematical possibility.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .errors import ConfigError
 from .family import (OperatorFamilyGrid, TailProfile, limsup_estimate,
                      seminorm_sup, tail_profile)
 from .spaces import SpaceDescriptor, build_family
-
-SANDWICH_SLACK = 1e-3
 
 
 def certification_threshold(f_norm: float) -> float:
@@ -37,8 +35,7 @@ def distance_estimate(desc: SpaceDescriptor, f,
 
     Returns (estimate, uncertainty, profile).
     """
-    if grid is None:
-        grid = build_family(desc)
+    grid = grid if grid is not None else build_family(desc)
     values = grid.evaluate_all(f)
     profile = tail_profile(grid, f, values=values)
     estimate, uncertainty = limsup_estimate(profile)
@@ -57,7 +54,6 @@ class DistanceReport:
     sandwich_ok: bool
     seminorm: float
     rejected: list = field(default_factory=list)
-    slack: float = SANDWICH_SLACK
 
     def to_dict(self) -> dict:
         return {
@@ -70,22 +66,24 @@ class DistanceReport:
             "seminorm": self.seminorm,
             "rejected": [{"id": i, "tail": t, "threshold": thr}
                          for i, t, thr in self.rejected],
-            "slack": self.slack,
         }
 
 
-def sandwich_check(desc: SpaceDescriptor, f, approximants,
-                   ids=None, slack: float = SANDWICH_SLACK,
+def sandwich_check(desc: SpaceDescriptor, f, approximants, ids=None,
                    grid: Optional[OperatorFamilyGrid] = None) -> DistanceReport:
-    """Verify the one-sided bound: tail estimate <= ||f - g|| + uncertainty + slack
-    for every approximant g whose own tail certifies it as vanishing.
+    """Check est(f) <= ||f - g|| + est(g) + rounding for every approximant g
+    whose own tail certifies it as vanishing; best_upper, the least such
+    ||f - g||, bounds the true distance, and rejected g give no bound.
 
-    Approximants failing certification are rejected with a diagnostic; they
-    would not support the bound.  best_upper is an upper bound for the true
-    distance and can never fall below estimate - uncertainty - slack.
+    Entries are seminorms and both estimates are maxima over the same tail
+    entries, so the inequality holds on any grid; only a non-subadditive
+    evaluator breaks it.  rounding = sqrt(eps) (||f|| + ||f - g|| + ||g||),
+    sqrt(eps) = 2**-26: product sums read an entry to a few eps of its terms;
+    the moment kernels (bmo at p = 2, rect, qk's Gram form) take
+    sqrt(max(m2 - |m1|**2, 0)), which an error e in the difference moves by
+    up to sqrt(e): about sqrt(eps) of the function's scale (its seminorm).
     """
-    if grid is None:
-        grid = build_family(desc)
+    grid = grid if grid is not None else build_family(desc)
     values = grid.evaluate_all(f)
     profile = tail_profile(grid, f, values=values)
     estimate, uncertainty = limsup_estimate(profile)
@@ -96,16 +94,17 @@ def sandwich_check(desc: SpaceDescriptor, f, approximants,
     if len(ids) != len(approximants):
         raise ConfigError("approximant ids and list lengths differ")
     upper_bounds, rejected = [], []
+    ok = True
     for gid, g in sorted(zip(ids, approximants), key=lambda t: str(t[0])):
         g_values = grid.evaluate_all(g)
-        g_profile = tail_profile(grid, g, values=g_values)
-        g_est, _ = limsup_estimate(g_profile)
+        g_est, _ = limsup_estimate(tail_profile(grid, g, values=g_values))
         if g_est > threshold:
             rejected.append((gid, g_est, threshold))
             continue
         diff_norm = float(np.max(grid.evaluate_all(f - g)))
         upper_bounds.append((gid, diff_norm))
-    ok = all(estimate <= ub + uncertainty + slack for _, ub in upper_bounds)
+        rounding = 2.0 ** -26 * (f_norm + diff_norm + float(np.max(g_values)))
+        ok = ok and estimate <= diff_norm + g_est + rounding
     best = min((ub for _, ub in upper_bounds), default=None)
     return DistanceReport(
         limsup_estimate=estimate,
@@ -113,8 +112,7 @@ def sandwich_check(desc: SpaceDescriptor, f, approximants,
         tail_profile=profile,
         upper_bounds=upper_bounds,
         best_upper=best,
-        sandwich_ok=bool(ok),
+        sandwich_ok=ok,
         seminorm=f_norm,
         rejected=rejected,
-        slack=slack,
     )

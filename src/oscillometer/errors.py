@@ -12,17 +12,26 @@ class NumericalError(RuntimeError):
     """Evaluation produced non-finite or otherwise unusable numbers."""
 
 
-def config_number(block: dict, key: str, default, cast=float):
+# the largest integer taken where one sizes an array or a loop, so a huge
+# value is a configuration error before numpy sees it: 2**24 for counts, 53
+# for dyadic exponents and ladder levels (1 - 2**-53 is the last float below
+# 1), 24 for lacunary's top_exp (2**top_exp coefficients)
+COUNT_CAP, EXPONENT_CAP, TOP_EXP_CAP = 2 ** 24, 53, 24
+
+
+def config_number(block: dict, key: str, default, cast=float, cap=math.inf):
     """block[key] (default when absent) converted by cast; a value the cast
-    refuses, or a non-finite one, is a configuration error, not a traceback."""
+    refuses, a non-finite one, or one above cap is a configuration error, not
+    a traceback."""
     value = block.get(key, default)
     try:
         number = cast(value)
-        if math.isfinite(number):
+        if math.isfinite(number) and number <= cap:
             return number
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
+    bound = "" if cap == math.inf else f" at most {cap}"
+    raise ConfigError(f"'{key}' must be a finite number{bound}, got {value!r}")
 
 
 def config_numbers(block: dict, key: str, default=None, size=None) -> list:

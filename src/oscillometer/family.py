@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .funcrep import _owned
 
 
 def thread_budget() -> int:
@@ -72,16 +73,17 @@ class OperatorFamilyGrid:
 
     entries are exposed as parallel arrays: `params[i]` describes entry i,
     `remoteness[i]` is its scale, and `evaluate_all(f)` returns the vector of
-    per-entry values ||L_i f||.  `default_scales` is the grid's dyadic tail
-    ladder (by default from the largest remoteness down to the smallest),
-    validated and frozen here.
+    per-entry values ||L_i f||; `remoteness` is held under the sample
+    objects' ownership rule (`funcrep._owned`).  `default_scales` is the
+    grid's dyadic tail ladder (by default from the largest remoteness down to
+    the smallest), validated and frozen here.
     """
 
     def __init__(self, space_tag: str, params: Sequence, remoteness,
                  eval_all: Callable[[object], np.ndarray],
                  allowance_rel: float = 0.02,
                  default_scales: Optional[np.ndarray] = None):
-        remoteness = np.asarray(remoteness, dtype=float)
+        remoteness = _owned(remoteness, float)
         if remoteness.ndim != 1 or len(params) != remoteness.size:
             raise ConfigError("family parameters and remoteness lengths differ")
         if remoteness.size == 0:
@@ -90,7 +92,6 @@ class OperatorFamilyGrid:
             raise ConfigError("remoteness scales must be positive")
         if dyadic_level_count(remoteness) < 6:
             raise ConfigError("family resolution too coarse: fewer than 6 dyadic levels")
-        remoteness.setflags(write=False)
         self.space_tag = space_tag
         self.params = params if hasattr(params, "__getitem__") else list(params)
         self.remoteness = remoteness

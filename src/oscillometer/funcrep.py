@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import COUNT_CAP, ConfigError, NumericalError
 
 TWO_PI = 2.0 * np.pi
 
@@ -346,6 +346,8 @@ class BoxDomain:
         if step <= 0 or np.any(hi <= lo):
             raise ConfigError("box domain needs hi > lo and step > 0")
         counts = (hi - lo) / step
+        if not np.prod(counts + 1) <= COUNT_CAP:
+            raise ConfigError(f"box grid needs at most {COUNT_CAP} nodes")
         if np.any(np.abs(counts - np.rint(counts)) > 1e-9 * np.maximum(1, counts)):
             raise ConfigError("grid step does not cover the box exactly")
         self.lo = lo

@@ -28,8 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (ConfigError, NumericalError, config_block, config_number,
-                     config_numbers)
+from .errors import (COUNT_CAP, EXPONENT_CAP, ConfigError, NumericalError,
+                     config_block, config_number, config_numbers)
 from .family import OperatorFamilyGrid, dyadic_scales, map_chunks
 from .funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
                       PeriodicSamples, QuadratureRule, TaylorFunction,
@@ -185,6 +185,9 @@ _DEFAULT_RESOLUTION = {
 # every other one is a count that must be positive
 _MAY_BE_ZERO = {"uniform_radii", "min_len_exp", "max_len_exp", "shell_from",
                 "shell_to"}
+# dyadic exponents, refused above EXPONENT_CAP (53); every other resolution
+# value is a count, refused above COUNT_CAP (2**24)
+_EXPONENTS = {"min_len_exp", "max_len_exp", "shell_from", "shell_to", "shells"}
 
 
 @dataclass
@@ -221,7 +224,8 @@ class SpaceDescriptor:
                 value = tuple(config_numbers(self.resolution, key))
             elif default is not None and not (self.tag == "bmo_circle"
                                               and key == "midpoints" and value == "all"):
-                value = config_number(self.resolution, key, None, type(default))
+                cap = EXPONENT_CAP if key in _EXPONENTS else COUNT_CAP
+                value = config_number(self.resolution, key, None, type(default), cap)
                 floor = 0 if key in _MAY_BE_ZERO else 1
                 if value < floor:
                     raise ConfigError(f"resolution '{key}' must be at least "
@@ -398,6 +402,14 @@ RectParam = namedtuple("RectParam", ["mid_zeta", "len_zeta",
                                      "mid_lambda", "len_lambda"])
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """A builder's own fresh array, made read-only so that the grid adopts it
+    under the ownership rule: copying a large remoteness vector and freeing
+    the original shifts the allocator's state and slows later tasks."""
+    values.setflags(write=False)
+    return values
+
+
 def build_family(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     """Discretise the space's operator family per the descriptor's resolution."""
     builder = {
@@ -465,7 +477,7 @@ def _build_bmo(desc: SpaceDescriptor) -> OperatorFamilyGrid:
         return out
 
     scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
-    return OperatorFamilyGrid("bmo_circle", params, remoteness, eval_all,
+    return OperatorFamilyGrid("bmo_circle", params, _frozen(remoteness), eval_all,
                               allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 
@@ -512,7 +524,7 @@ def _build_bloch(desc: SpaceDescriptor) -> OperatorFamilyGrid:
 
     shells = res["shells"]
     scales = 2.0 ** -np.arange(0, shells + 1, dtype=float)
-    return OperatorFamilyGrid("bloch", params, remoteness, eval_all,
+    return OperatorFamilyGrid("bloch", params, _frozen(remoteness), eval_all,
                               allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 
@@ -590,7 +602,7 @@ def _build_qk(desc: SpaceDescriptor) -> OperatorFamilyGrid:
 
     shell_to = res["shell_to"]
     scales = 2.0 ** -np.arange(0, shell_to + 1, dtype=float)
-    return OperatorFamilyGrid("qk", params, remoteness, eval_all,
+    return OperatorFamilyGrid("qk", params, _frozen(remoteness), eval_all,
                               allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 
@@ -665,7 +677,7 @@ def _build_weighted(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     shells = res["shells"]
     t0 = float(remoteness.max())
     scales = dyadic_scales(t0, max(float(remoteness.min()), t0 * 2.0 ** -shells))
-    return OperatorFamilyGrid("weighted", params, remoteness, eval_all,
+    return OperatorFamilyGrid("weighted", params, _frozen(remoteness), eval_all,
                               allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 
@@ -721,7 +733,7 @@ def _build_lip(desc: SpaceDescriptor) -> OperatorFamilyGrid:
 
     t0 = float(dist.max())
     scales = dyadic_scales(t0, float(dist.min()))
-    return OperatorFamilyGrid("lip", params, dist, eval_all,
+    return OperatorFamilyGrid("lip", params, _frozen(dist), eval_all,
                               allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 
@@ -779,7 +791,8 @@ def _build_rect(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     mid_len = [(a[2], a[3]) for a in arcs]
     params = _LazyParams(len(arcs) ** 2, lambda k: RectParam(
         *mid_len[k % len(arcs)], *mid_len[k // len(arcs)]))
-    remoteness = np.minimum.outer(lengths, lengths).ravel()
+    remoteness = np.empty(len(arcs) ** 2)
+    np.minimum.outer(lengths, lengths, out=remoteness.reshape(len(arcs), -1))
 
     def eval_all(F: TorusSamples) -> np.ndarray:
         if not isinstance(F, TorusSamples) or F.n != n:
@@ -787,7 +800,7 @@ def _build_rect(desc: SpaceDescriptor) -> OperatorFamilyGrid:
         return _rect_values(F, snapped, snapped)
 
     scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
-    return OperatorFamilyGrid("rect_bmo", params, remoteness, eval_all,
+    return OperatorFamilyGrid("rect_bmo", params, _frozen(remoteness), eval_all,
                               allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
                               default_scales=scales)
 

@@ -263,6 +263,13 @@ def _with(base, **changes):
     ("distance", _with(BLOCH_DISTANCE, approximants={"kind": [1]})),
     ("check", _with(LIP_SMOOTH_CHECK, family={"kind": {}})),
     ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.domain.kind": [1]})),
+    ("norm", _with(BLOCH_NORM, function={"kind": "builtin", "name": "lacunary",
+                                         "top_exp": -1})),
+    ("norm", _with(BLOCH_NORM, function={"kind": "builtin", "name": "lacunary",
+                                         "top_exp": 10 ** 30})),
+    ("check", _with(LIP_SMOOTH_CHECK, space={
+        "space": "lip", "domain": {"lo": [0], "hi": [1], "step": 1e-300}})),
+    ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.pad_factor": 1e308})),
 ], ids=["lip-dilation", "pad-factor-negative", "t0-text", "t0-nan", "slack-text",
         "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
         "ladder-number", "family-text", "output-text", "space-number",
@@ -275,7 +282,8 @@ def _with(base, **changes):
         "annulus-r0-text", "annulus-no-r1", "box-no-y1", "taylor-no-coeffs",
         "poly-no-coeffs", "annulus-reversed", "annulus-r0-negative",
         "name-list", "name-object", "approximants-kind-list", "family-kind-object",
-        "domain-kind-list"])
+        "domain-kind-list", "top-exp-negative", "top-exp-huge", "box-step-tiny",
+        "pad-factor-huge"])
 def test_bad_config_exit_code(tmp_path, command, payload):
     # run as a process, so an uncaught exception shows as a traceback on stderr
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -325,7 +333,7 @@ CONTRACT_BASES = [
     ("check", dict(QK_INVARIANCE, tolerance=0.02)),
 ]
 MUTANTS = [None, "x", -1, 0, 1, 2.5, float("nan"), float("inf"), [], {}, True,
-           [1], {"a": 1}]
+           [1], {"a": 1}, 10 ** 30, 1e308]
 _DELETE = object()
 
 
@@ -341,8 +349,8 @@ def _leaf_paths(node, path=()):
 @st.composite
 def mutated_configs(draw):
     """A base job with 1-2 leaves deleted or replaced from a fixed set of
-    values.  No value is huge: a count of 10**30 would make a ladder or a
-    grid allocate without end."""
+    values, huge ones included: a count, exponent or ladder length of 10**30
+    or 1e308 is refused against its cap before anything is allocated."""
     command, base = draw(st.sampled_from(CONTRACT_BASES))
     payload = json.loads(json.dumps(base))
     for _ in range(draw(st.integers(1, 2))):

@@ -9,6 +9,7 @@ from oscillometer.funcrep import (Arc, BoxDomain, EuclideanSamples,
                                   arc_average, disk_quadrature, eval_deriv,
                                   mobius_apply, snap_arc, x_norm)
 from oscillometer.builtins import lacunary, log_singular, step_half_values
+from oscillometer.family import OperatorFamilyGrid
 
 EPS = np.finfo(float).eps
 
@@ -68,7 +69,15 @@ _HOLDERS = {
     "torus": (lambda v: TorusSamples(v).values, (16, 16), (float, complex)),
     "box": (lambda v: EuclideanSamples(_BOX, v, 0.5).values, (16, 16), (float,)),
     "taylor": (lambda v: TaylorFunction(v).coeffs, (16,), (float, complex)),
+    "grid": (lambda v: OperatorFamilyGrid("x", range(v.size), v, None).remoteness,
+             (16,), (float,)),
 }
+
+
+def _positive(rng, shape):
+    """Distinct powers of two: data every holder takes, the grid's remoteness
+    (positive, over at least 6 dyadic levels) included."""
+    return 2.0 ** -rng.permutation(int(np.prod(shape))).reshape(shape)
 
 
 @pytest.mark.parametrize("holder", sorted(_HOLDERS))
@@ -77,7 +86,7 @@ def test_holders_never_alias_the_caller(holder, view):
     make, shape, dtypes = _HOLDERS[holder]
     rng = np.random.default_rng(9)
     for dtype in dtypes:
-        base = rng.normal(size=shape).astype(dtype)
+        base = _positive(rng, shape).astype(dtype)
         if dtype is complex:
             base += 1j * rng.normal(size=shape)
         given = base[:] if view else base
@@ -95,7 +104,7 @@ def test_holders_adopt_read_only_owned_arrays(holder):
     make, shape, _ = _HOLDERS[holder]
     # in the dtype each holder stores: complex coefficients, real samples
     scale = 1 + 1j if holder == "taylor" else 1.0
-    frozen = np.random.default_rng(10).normal(size=shape) * scale
+    frozen = _positive(np.random.default_rng(10), shape) * scale
     frozen.setflags(write=False)
     assert make(frozen) is frozen
     # a read-only view is still copied: its base may be written elsewhere
