@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distance import certification_threshold
-from .errors import (COUNT_CAP, EXPONENT_CAP, ConfigError, config_block,
-                     config_number)
+from .errors import (COUNT_CAP, EXPONENT_CAP, LENGTH_CAP, ConfigError,
+                     config_block, config_number)
 from .family import limsup_estimate, seminorm_sup, tail_profile
 from .funcrep import (EuclideanSamples, PeriodicSamples, TaylorFunction,
                       TorusSamples, x_norm)
@@ -251,7 +251,7 @@ def family_from_config(cfg: dict, f) -> ApproxFamily:
     ladder = config_block(cfg, "ladder")
     casts = {"levels": (int, EXPONENT_CAP)}
     if kind == "lip_smooth":
-        casts.update(t0=(float,), pad_factor=(float,))
+        casts.update(t0=(float, LENGTH_CAP), pad_factor=(float,))
     kwargs = {key: config_number(ladder, key, None, *cast)
               for key, cast in casts.items() if key in ladder}
     return make(f, **kwargs)

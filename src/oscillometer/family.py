@@ -16,7 +16,7 @@ import io
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -71,35 +71,30 @@ def dyadic_level_count(remoteness: np.ndarray) -> int:
 class OperatorFamilyGrid:
     """Sampled operator family for one space.
 
-    entries are exposed as parallel arrays: `params[i]` describes entry i,
-    `remoteness[i]` is its scale, and `evaluate_all(f)` returns the vector of
-    per-entry values ||L_i f||; `remoteness` is held under the sample
-    objects' ownership rule (`funcrep._owned`).  `default_scales` is the
-    grid's dyadic tail ladder (by default from the largest remoteness down to
-    the smallest), validated and frozen here.
+    entries are exposed as parallel arrays: `describe(idx)` returns the
+    parameters of entries idx as an `np.recarray`, `remoteness[i]` is entry
+    i's scale, and `evaluate_all(f)` returns the vector of per-entry values
+    ||L_i f||; `remoteness` is held under the sample objects' ownership rule
+    (`funcrep._owned`).  `default_scales` is the grid's dyadic tail ladder,
+    validated and frozen here.
     """
 
-    def __init__(self, space_tag: str, params: Sequence, remoteness,
+    def __init__(self, space_tag: str,
+                 describe: Callable[[np.ndarray], np.recarray], remoteness,
                  eval_all: Callable[[object], np.ndarray],
-                 allowance_rel: float = 0.02,
-                 default_scales: Optional[np.ndarray] = None):
+                 allowance_rel: float, default_scales):
         remoteness = _owned(remoteness, float)
-        if remoteness.ndim != 1 or len(params) != remoteness.size:
-            raise ConfigError("family parameters and remoteness lengths differ")
-        if remoteness.size == 0:
-            raise ConfigError("empty family grid")
+        if remoteness.ndim != 1 or remoteness.size == 0:
+            raise ConfigError("empty family grid: remoteness must be a non-empty vector")
         if np.any(remoteness <= 0):
             raise ConfigError("remoteness scales must be positive")
         if dyadic_level_count(remoteness) < 6:
             raise ConfigError("family resolution too coarse: fewer than 6 dyadic levels")
         self.space_tag = space_tag
-        self.params = params if hasattr(params, "__getitem__") else list(params)
+        self.describe = describe
         self.remoteness = remoteness
         self._eval_all = eval_all
         self.allowance_rel = float(allowance_rel)
-        if default_scales is None:
-            default_scales = dyadic_scales(float(remoteness.max()),
-                                           float(remoteness.min()))
         scales = np.array(default_scales, dtype=float)
         if scales.ndim != 1 or scales.size == 0 or np.any(scales <= 0):
             raise ConfigError("scale ladder must be a positive vector")
@@ -114,7 +109,12 @@ class OperatorFamilyGrid:
         self._entry_levels = levels.astype(np.min_scalar_type(scales.size))
 
     def __len__(self) -> int:
-        return len(self.params)
+        return self.remoteness.size
+
+    @property
+    def params(self) -> list:
+        """Every entry's parameters as plain tuples, in entry order."""
+        return self.describe(np.arange(len(self))).tolist()
 
     def evaluate_all(self, f) -> np.ndarray:
         vals = np.asarray(self._eval_all(f), dtype=float)
@@ -137,10 +137,11 @@ def dyadic_scales(t0: float, t_min: float, max_levels: int = 24) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeminormReport:
-    """Exact grid supremum with the first parameter attaining it."""
+    """Exact grid supremum with the first parameter attaining it (the
+    witness, one `np.record`)."""
 
     value: float
-    argmax_param: object
+    argmax_param: np.record
     grid_size: int
 
     def to_dict(self) -> dict:
@@ -148,20 +149,12 @@ class SeminormReport:
                 "grid_size": self.grid_size}
 
 
-def _param_dict(param) -> object:
-    if hasattr(param, "_asdict"):
-        return {k: _jsonable(v) for k, v in param._asdict().items()}
-    return _jsonable(param)
-
-
-def _jsonable(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    return v
+def _param_dict(param: np.record) -> dict:
+    """The witness's fields as JSON values: complex numbers as [re, im] and
+    subarray fields as lists."""
+    fields = {name: param[name].tolist() for name in param.dtype.names}
+    return {name: [v.real, v.imag] if isinstance(v, complex) else v
+            for name, v in fields.items()}
 
 
 class TailProfile:
@@ -212,7 +205,8 @@ def seminorm_sup(fam: OperatorFamilyGrid, f,
         raise ConfigError("empty family grid")
     vals = fam.evaluate_all(f) if values is None else values
     idx = int(np.argmax(vals))
-    return SeminormReport(float(vals[idx]), fam.params[idx], len(fam))
+    return SeminormReport(float(vals[idx]), fam.describe(np.array([idx]))[0],
+                          len(fam))
 
 
 def tail_profile(fam: OperatorFamilyGrid, f,

@@ -345,9 +345,11 @@ class BoxDomain:
             raise ConfigError("box domain must be 1- or 2-dimensional")
         if step <= 0 or np.any(hi <= lo):
             raise ConfigError("box domain needs hi > lo and step > 0")
-        counts = (hi - lo) / step
-        if not np.prod(counts + 1) <= COUNT_CAP:
+        # each axis is bounded before the quotient is taken, so none overflows
+        if not (np.all((hi - lo) / COUNT_CAP <= step)
+                and np.prod((hi - lo) / step + 1) <= COUNT_CAP):
             raise ConfigError(f"box grid needs at most {COUNT_CAP} nodes")
+        counts = (hi - lo) / step
         if np.any(np.abs(counts - np.rint(counts)) > 1e-9 * np.maximum(1, counts)):
             raise ConfigError("grid step does not cover the box exactly")
         self.lo = lo

@@ -21,15 +21,15 @@ rely on.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (COUNT_CAP, EXPONENT_CAP, ConfigError, NumericalError,
-                     config_block, config_number, config_numbers)
+from .errors import (COUNT_CAP, EXPONENT_CAP, LENGTH_CAP, ConfigError,
+                     NumericalError, config_block, config_number,
+                     config_numbers)
 from .family import OperatorFamilyGrid, dyadic_scales, map_chunks
 from .funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
                       PeriodicSamples, QuadratureRule, TaylorFunction,
@@ -106,7 +106,8 @@ class WeightV:
             raise ConfigError(f"unsupported weighted domain '{kind}'")
         self.domain = dict(domain, kind=kind)
         for lo, hi in _DOMAIN_BOUNDS[kind]:
-            a, b = config_number(domain, lo, None), config_number(domain, hi, None)
+            a, b = (config_number(domain, key, None, float, LENGTH_CAP)
+                    for key in (lo, hi))
             if not a < b:
                 raise ConfigError(f"{kind} domain needs {lo} < {hi}, got {a} and {b}")
             self.domain.update({lo: a, hi: b})
@@ -188,6 +189,9 @@ _MAY_BE_ZERO = {"uniform_radii", "min_len_exp", "max_len_exp", "shell_from",
 # dyadic exponents, refused above EXPONENT_CAP (53); every other resolution
 # value is a count, refused above COUNT_CAP (2**24)
 _EXPONENTS = {"min_len_exp", "max_len_exp", "shell_from", "shell_to", "shells"}
+# a torus input holds n_samples**2 values and is sampled before any grid is
+# built, so its side is capped where it is read
+_TORUS_SIDE_CAP = math.isqrt(COUNT_CAP)
 
 
 @dataclass
@@ -225,6 +229,8 @@ class SpaceDescriptor:
             elif default is not None and not (self.tag == "bmo_circle"
                                               and key == "midpoints" and value == "all"):
                 cap = EXPONENT_CAP if key in _EXPONENTS else COUNT_CAP
+                if (self.tag, key) == ("rect_bmo", "n_samples"):
+                    cap = _TORUS_SIDE_CAP
                 value = config_number(self.resolution, key, None, type(default), cap)
                 floor = 0 if key in _MAY_BE_ZERO else 1
                 if value < floor:
@@ -249,9 +255,10 @@ class SpaceDescriptor:
             kwargs["weight"] = weight_from_config(config_block(cfg, "weight"))
         if tag == "lip" and "domain" in cfg:
             d = config_block(cfg, "domain")
-            kwargs["lip_domain"] = BoxDomain(config_numbers(d, "lo"),
-                                             config_numbers(d, "hi"),
-                                             config_number(d, "step", None))
+            kwargs["lip_domain"] = BoxDomain(
+                config_numbers(d, "lo", cap=LENGTH_CAP),
+                config_numbers(d, "hi", cap=LENGTH_CAP),
+                config_number(d, "step", None, float, LENGTH_CAP))
         return cls(**kwargs)
 
 
@@ -350,9 +357,11 @@ def compose_mobius(f: TaylorFunction, a: complex, lam: complex = 1.0) -> TaylorF
 # rectangular oscillation
 # ---------------------------------------------------------------------------
 
-def _rect_values(F: TorusSamples, arcs_i, arcs_j) -> np.ndarray:
-    """Rectangular oscillations of F over each (start, ncells) arc pair
-    I in arcs_i (zeta) x J in arcs_j (lambda), J-major order.
+def _rect_values(F: TorusSamples, si: np.ndarray, ni: np.ndarray,
+                 sj: np.ndarray, nj: np.ndarray) -> np.ndarray:
+    """Rectangular oscillations of F over each arc pair I x J, with I of start
+    si and ni cells (zeta) and J of start sj and nj cells (lambda), J-major
+    order.
 
     Two-way centring first removes any g(zeta) + h(lambda), to which the
     oscillation is exactly invariant: the moment cancellation is then
@@ -365,8 +374,6 @@ def _rect_values(F: TorusSamples, arcs_i, arcs_j) -> np.ndarray:
     rowm = vals.mean(axis=1, keepdims=True)
     colm = vals.mean(axis=0, keepdims=True)
     F = (vals - rowm) - (colm - colm.mean())
-    si, ni = (np.array(c, dtype=np.int64) for c in zip(*arcs_i))
-    sj, nj = (np.array(c, dtype=np.int64) for c in zip(*arcs_j))
     A = _window_means(F, sj, nj, axis=1)                  # F_J per zeta
     U = _window_means(np.abs(F) ** 2, sj, nj, axis=1)     # J-mean of |F|^2
     B = _window_means(F, si, ni, axis=0)                  # F_I per lambda
@@ -386,28 +393,27 @@ def rect_oscillation(F: TorusSamples, I: Arc, J: Arc) -> float:
     on F(zeta, lambda) = g(zeta) + h(lambda), so this is a seminorm with that
     kernel.  A one-pair call of the family kernel, which re-centres F.
     """
-    return float(_rect_values(F, [snap_arc(F, I)], [snap_arc(F, J)])[0])
+    si, ni, sj, nj = np.array([snap_arc(F, I) + snap_arc(F, J)]).T
+    return float(_rect_values(F, si, ni, sj, nj)[0])
 
 
 # ---------------------------------------------------------------------------
 # family builders
 # ---------------------------------------------------------------------------
 
-BmoParam = namedtuple("BmoParam", ["midpoint", "length"])
-BlochParam = namedtuple("BlochParam", ["w"])
-QkParam = namedtuple("QkParam", ["a"])
-WeightedParam = namedtuple("WeightedParam", ["z"])
-LipParam = namedtuple("LipParam", ["x", "y"])
-RectParam = namedtuple("RectParam", ["mid_zeta", "len_zeta",
-                                     "mid_lambda", "len_lambda"])
+def _records(**columns: np.ndarray) -> np.recarray:
+    """One record per row of the columns, fields in keyword order.  A (k, d)
+    column becomes a (d,)-subarray field: without the explicit dtype,
+    np.rec.fromarrays would build a (k, d) array of records instead."""
+    dtype = [(name, col.dtype, col.shape[1:]) for name, col in columns.items()]
+    return np.rec.fromarrays(list(columns.values()), dtype=dtype)
 
 
-def _frozen(values: np.ndarray) -> np.ndarray:
-    """A builder's own fresh array, made read-only so that the grid adopts it
-    under the ownership rule: copying a large remoteness vector and freeing
-    the original shifts the allocator's state and slows later tasks."""
-    values.setflags(write=False)
-    return values
+def _check_size(count: int, what: str) -> None:
+    """Refuse an array of more than COUNT_CAP entries before it is allocated;
+    `what` names the resolution values the count is computed from."""
+    if count > COUNT_CAP:
+        raise ConfigError(f"{what} gives {count} entries, more than {COUNT_CAP}")
 
 
 def build_family(desc: SpaceDescriptor) -> OperatorFamilyGrid:
@@ -420,42 +426,47 @@ def build_family(desc: SpaceDescriptor) -> OperatorFamilyGrid:
         "lip": _build_lip,
         "rect_bmo": _build_rect,
     }[desc.tag]
-    return builder(desc)
+    describe, remoteness, eval_all, scales = builder(desc)
+    # the builder's own fresh array, made read-only so that the grid adopts it
+    # under the ownership rule: copying a large remoteness vector and freeing
+    # the original shifts the allocator's state and slows later tasks
+    remoteness.setflags(write=False)
+    return OperatorFamilyGrid(desc.tag, describe, remoteness, eval_all,
+                              _DEFAULT_ALLOWANCE[desc.tag], scales)
 
 
 def _arc_layout(n: int, midpoints: int, kmin: int, kmax: int):
-    """Midpoint nodes x dyadic lengths, snapped exactly to the grid."""
+    """Midpoint nodes x dyadic lengths, snapped exactly to the grid: the
+    (start, ncells, midpoint, length) arrays, level by level."""
     if kmax - kmin + 1 < 6:
         raise ConfigError("family resolution too coarse: fewer than 6 dyadic levels")
     if midpoints < 1 or n % midpoints != 0:
         raise ConfigError("midpoint count must be a positive divisor of the grid size")
     if n * 2 ** -(kmax + 1) < 1:
         raise ConfigError(f"finest arcs under-resolved on a grid of {n}")
+    levels = np.arange(kmin, kmax + 1)
+    _check_size(midpoints * levels.size, "'midpoints' x 'min_len_exp'..'max_len_exp'")
     mids = np.arange(midpoints) * (n // midpoints)
-    arcs = []
-    for k in range(kmin, kmax + 1):
-        ncells = n >> k
-        half = ncells // 2
-        for m in mids:
-            arcs.append((int(m - half) % n, ncells, float(m * TWO_PI / n),
-                         TWO_PI * 2.0 ** -k))
-    return arcs
+    ncells = np.repeat(n >> levels, midpoints)
+    starts = (np.tile(mids, levels.size) - ncells // 2) % n
+    midpoint = np.tile(mids * TWO_PI / n, levels.size)
+    length = np.repeat(TWO_PI * 2.0 ** -levels.astype(float), midpoints)
+    return starts, ncells, midpoint, length
 
 
-def _build_bmo(desc: SpaceDescriptor) -> OperatorFamilyGrid:
+def _build_bmo(desc: SpaceDescriptor):
     res = desc.resolution
     n = res["n_samples"]
     mids = n if res["midpoints"] == "all" else res["midpoints"]
     kmin, kmax = res["min_len_exp"], res["max_len_exp"]
-    arcs = _arc_layout(n, mids, kmin, kmax)
-    params = [BmoParam(a[2], a[3]) for a in arcs]
-    remoteness = np.array([a[1] * TWO_PI / n for a in arcs])
+    starts, ncells, midpoint, length = _arc_layout(n, mids, kmin, kmax)
     p = desc.p
-    starts = np.array([a[0] for a in arcs], dtype=np.int64)
-    ncells = np.array([a[1] for a in arcs], dtype=np.int64)
     spacing = n // mids
     levels = [(i * mids, n >> k) for i, k in enumerate(range(kmin, kmax + 1))]
     lead = (n >> kmin) // 2       # the longest arcs start this far before 0
+
+    def describe(idx: np.ndarray) -> np.recarray:
+        return _records(midpoint=midpoint[idx], length=length[idx])
 
     def eval_all(f: PeriodicSamples) -> np.ndarray:
         if not isinstance(f, PeriodicSamples) or f.n != n:
@@ -465,7 +476,7 @@ def _build_bmo(desc: SpaceDescriptor) -> OperatorFamilyGrid:
         if p == 2.0:
             msq = _window_means(np.abs(centred) ** 2, starts, ncells, 0).real
             return np.sqrt(np.maximum(msq - np.abs(mean) ** 2, 0.0))
-        out = np.empty(len(arcs))
+        out = np.empty(ncells.size)
         # node j sits at j + lead, so every arc is one contiguous run
         wrapped = np.concatenate([centred[n - lead:], centred, centred[:lead]])
         for off, nc in levels:
@@ -477,9 +488,7 @@ def _build_bmo(desc: SpaceDescriptor) -> OperatorFamilyGrid:
         return out
 
     scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
-    return OperatorFamilyGrid("bmo_circle", params, _frozen(remoteness), eval_all,
-                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
-                              default_scales=scales)
+    return describe, ncells * TWO_PI / n, eval_all, scales
 
 
 def _direct_osc(windows: np.ndarray, means: np.ndarray, p: float,
@@ -510,41 +519,33 @@ def _disc_radii(uniform: int, shells: int, shell_from: int = 1,
     return np.array(sorted(radii))
 
 
-def _build_bloch(desc: SpaceDescriptor) -> OperatorFamilyGrid:
+_DISC_KEYS = "'uniform_radii' and 'shells' radii x 'angles'"
+
+
+def _build_bloch(desc: SpaceDescriptor):
     res = desc.resolution
     radii = _disc_radii(res["uniform_radii"], res["shells"])
-    n_ang = res["angles"]
-    w, params = _disc_nodes(radii, n_ang, BlochParam)
-    remoteness = 1.0 - np.abs(w)
+    w = _disc_nodes(radii, res["angles"], _DISC_KEYS)
 
     def eval_all(f: TaylorFunction) -> np.ndarray:
         if not isinstance(f, TaylorFunction):
             raise ConfigError("the analytic family needs a TaylorFunction")
         return (1.0 - np.abs(w) ** 2) * np.abs(f.deriv(w))
 
-    shells = res["shells"]
-    scales = 2.0 ** -np.arange(0, shells + 1, dtype=float)
-    return OperatorFamilyGrid("bloch", params, _frozen(remoteness), eval_all,
-                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
-                              default_scales=scales)
+    scales = 2.0 ** -np.arange(0, res["shells"] + 1, dtype=float)
+    return (lambda idx: _records(w=w[idx])), 1.0 - np.abs(w), eval_all, scales
 
 
-def _disc_nodes(radii: np.ndarray, n_ang: int, param_cls):
+def _disc_nodes(radii: np.ndarray, n_ang: int, keys: str) -> np.ndarray:
+    _check_size(radii.size * n_ang, keys)
     angles = TWO_PI * np.arange(n_ang) / n_ang
     pts = [np.array([0.0 + 0.0j])] if radii[0] == 0.0 else []
     rest = radii[radii > 0]
     pts.append((rest[:, None] * np.exp(1j * angles)[None, :]).ravel())
-    w = np.concatenate(pts)
-    return w, _node_params(w, param_cls)
+    return np.concatenate(pts)
 
 
-def _node_params(w: np.ndarray, param_cls) -> "_LazyParams":
-    """Lazy view: entry k is param_cls(w[k]) with w[k] as a Python complex."""
-    nodes = w.tolist()
-    return _LazyParams(w.size, lambda k: param_cls(nodes[k]))
-
-
-def _build_qk(desc: SpaceDescriptor) -> OperatorFamilyGrid:
+def _build_qk(desc: SpaceDescriptor):
     res = desc.resolution
     n_ang = res["angles"]
     rule = QuadratureRule(res["quad_nr"], res["quad_ntheta"])
@@ -552,19 +553,24 @@ def _build_qk(desc: SpaceDescriptor) -> OperatorFamilyGrid:
         raise ConfigError("quadrature angles must be a multiple of the family angles")
     radii = _disc_radii(0, res["shell_to"], res["shell_from"],
                         extra=(0.0,) + tuple(res["extra_radii"]))
-    centres, params = _disc_nodes(radii, n_ang, QkParam)
-    remoteness = 1.0 - np.abs(centres)
+    centres = _disc_nodes(radii, n_ang, "'shell_from'..'shell_to' and "
+                                        "'extra_radii' radii x 'angles'")
+    # the Gauss-Legendre companion matrix; a template of the rule's nodes per
+    # radius, and one shell's rotations of a template at evaluation
+    _check_size(rule.n_r ** 2, "'quad_nr' squared")
+    _check_size(max(radii.size, n_ang) * rule.n_r * rule.n_theta,
+                "radii or 'angles' x 'quad_nr' x 'quad_ntheta'")
     kernel = desc.kernel
 
     # one pulled-back template per radius: with the quadrature's angular grid
     # rotated along arg(a), the nodes for a = rho e^{i beta} are exactly
     # e^{i beta} times the template for rho, with identical weights
+    wn, wts = rule.nodes()
+    k_vals = kernel(np.log(1.0 / np.abs(wn)))
     templates = {}
     for rho in radii:
-        wn, wts = rule.nodes()
         phi, dphi = mobius_apply(rho, 1.0, wn)
-        templates[rho] = (phi, wts * np.abs(dphi) ** 2
-                          * kernel(np.log(1.0 / np.abs(wn))))
+        templates[rho] = (phi, wts * np.abs(dphi) ** 2 * k_vals)
     rows = []          # (radius, rotations, entry offset)
     offset = 0
     angles = np.exp(1j * TWO_PI * np.arange(n_ang) / n_ang)
@@ -600,11 +606,9 @@ def _build_qk(desc: SpaceDescriptor) -> OperatorFamilyGrid:
             raise NumericalError("singular node")
         return np.sqrt(np.maximum(vals, 0.0))
 
-    shell_to = res["shell_to"]
-    scales = 2.0 ** -np.arange(0, shell_to + 1, dtype=float)
-    return OperatorFamilyGrid("qk", params, _frozen(remoteness), eval_all,
-                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
-                              default_scales=scales)
+    scales = 2.0 ** -np.arange(0, res["shell_to"] + 1, dtype=float)
+    return ((lambda idx: _records(a=centres[idx])), 1.0 - np.abs(centres),
+            eval_all, scales)
 
 
 def _gram_deriv_coeffs(f: TaylorFunction, n_ang: int) -> Optional[np.ndarray]:
@@ -642,13 +646,13 @@ def _gram_shell(c: np.ndarray, phi: np.ndarray, jac: np.ndarray,
     return ((u @ gram) * u.conj()).sum(axis=1).real
 
 
-def _build_weighted(desc: SpaceDescriptor) -> OperatorFamilyGrid:
+def _build_weighted(desc: SpaceDescriptor):
     res = desc.resolution
     v = desc.weight
     kind = v.domain["kind"]
     if kind == "disc":
         radii = _disc_radii(res["uniform_radii"], res["shells"])
-        z, params = _disc_nodes(radii, res["angles"], WeightedParam)
+        z = _disc_nodes(radii, res["angles"], _DISC_KEYS)
     elif kind == "annulus":
         r0, r1 = v.domain["r0"], v.domain["r1"]
         gap = (r1 - r0) / 2.0
@@ -657,13 +661,13 @@ def _build_weighted(desc: SpaceDescriptor) -> OperatorFamilyGrid:
         offs = (1.0 - _disc_radii(res["uniform_radii"], res["shells"])) * gap
         offs = offs[offs < gap]
         radii = np.unique(np.concatenate([r0 + offs, r1 - offs, [r0 + gap]]))
-        z, params = _disc_nodes(radii, res["angles"], WeightedParam)
+        z = _disc_nodes(radii, res["angles"], _DISC_KEYS)
     else:
         m = res["box_nodes"]
+        _check_size(m * m, "'box_nodes' squared")
         x = np.linspace(v.domain["x0"], v.domain["x1"], m + 2)[1:-1]
         y = np.linspace(v.domain["y0"], v.domain["y1"], m + 2)[1:-1]
         z = (x[:, None] + 1j * y[None, :]).ravel()
-        params = _node_params(z, WeightedParam)
     vv = v(z)
     if np.any(vv <= 0):
         raise ConfigError("weight must be strictly positive on the grid")
@@ -677,9 +681,7 @@ def _build_weighted(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     shells = res["shells"]
     t0 = float(remoteness.max())
     scales = dyadic_scales(t0, max(float(remoteness.min()), t0 * 2.0 ** -shells))
-    return OperatorFamilyGrid("weighted", params, _frozen(remoteness), eval_all,
-                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
-                              default_scales=scales)
+    return (lambda idx: _records(z=z[idx])), remoteness, eval_all, scales
 
 
 def lip_pair_indices(dom: BoxDomain, cap: int = 1_000_000):
@@ -698,32 +700,14 @@ def lip_pair_indices(dom: BoxDomain, cap: int = 1_000_000):
     return ia, ib, dist
 
 
-class _LazyParams:
-    """Lazy parameter view: entry k is built by make(k) only when indexed."""
-
-    def __init__(self, size: int, make: Callable[[int], tuple]):
-        self._size = size
-        self._make = make
-
-    def __len__(self):
-        return self._size
-
-    def __getitem__(self, k):
-        return self._make(range(self._size)[k])
-
-    def __iter__(self):
-        return map(self._make, range(self._size))
-
-
-def _build_lip(desc: SpaceDescriptor) -> OperatorFamilyGrid:
+def _build_lip(desc: SpaceDescriptor):
     dom = desc.lip_domain
-    alpha = desc.alpha
-    cap = desc.resolution["pair_cap"]
-    ia, ib, dist = lip_pair_indices(dom, cap)
+    ia, ib, dist = lip_pair_indices(dom, desc.resolution["pair_cap"])
     coords = _grid_coords(dom)
-    params = _LazyParams(ia.size, lambda k: LipParam(tuple(coords[ia[k]]),
-                                                     tuple(coords[ib[k]])))
-    denom = dist ** alpha
+    denom = dist ** desc.alpha
+
+    def describe(idx: np.ndarray) -> np.recarray:
+        return _records(x=coords[ia[idx]], y=coords[ib[idx]])
 
     def eval_all(f: EuclideanSamples) -> np.ndarray:
         if not isinstance(f, EuclideanSamples) or f.domain.shape != dom.shape:
@@ -731,11 +715,7 @@ def _build_lip(desc: SpaceDescriptor) -> OperatorFamilyGrid:
         flat = f.values.ravel()
         return np.abs(flat[ia] - flat[ib]) / denom
 
-    t0 = float(dist.max())
-    scales = dyadic_scales(t0, float(dist.min()))
-    return OperatorFamilyGrid("lip", params, _frozen(dist), eval_all,
-                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
-                              default_scales=scales)
+    return describe, dist, eval_all, dyadic_scales(float(dist.max()), float(dist.min()))
 
 
 def _grid_coords(dom: BoxDomain) -> np.ndarray:
@@ -779,30 +759,30 @@ def _strata_pairs(dom: BoxDomain, cap: int):
     return np.concatenate(ia_all), np.concatenate(ib_all)
 
 
-def _build_rect(desc: SpaceDescriptor) -> OperatorFamilyGrid:
+def _build_rect(desc: SpaceDescriptor):
     res = desc.resolution
     n = res["n_samples"]
-    mids = res["midpoints"]
     kmin, kmax = res["min_len_exp"], res["max_len_exp"]
-    arcs = _arc_layout(n, mids, kmin, kmax)
-    snapped = [(a[0], a[1]) for a in arcs]
-    lengths = np.array([a[1] * TWO_PI / n for a in arcs])
-    # entry j * len(arcs) + i pairs I-arc i with J-arc j
-    mid_len = [(a[2], a[3]) for a in arcs]
-    params = _LazyParams(len(arcs) ** 2, lambda k: RectParam(
-        *mid_len[k % len(arcs)], *mid_len[k // len(arcs)]))
-    remoteness = np.empty(len(arcs) ** 2)
-    np.minimum.outer(lengths, lengths, out=remoteness.reshape(len(arcs), -1))
+    starts, ncells, midpoint, length = _arc_layout(n, res["midpoints"], kmin, kmax)
+    count = ncells.size
+    _check_size(count ** 2, "('midpoints' x 'min_len_exp'..'max_len_exp') squared")
+    lengths = ncells * TWO_PI / n
+    remoteness = np.empty(count ** 2)
+    np.minimum.outer(lengths, lengths, out=remoteness.reshape(count, -1))
+
+    def describe(idx: np.ndarray) -> np.recarray:
+        # entry j * count + i pairs I-arc i with J-arc j
+        j, i = np.divmod(idx, count)
+        return _records(mid_zeta=midpoint[i], len_zeta=length[i],
+                        mid_lambda=midpoint[j], len_lambda=length[j])
 
     def eval_all(F: TorusSamples) -> np.ndarray:
         if not isinstance(F, TorusSamples) or F.n != n:
             raise ConfigError("function does not match the family's torus grid")
-        return _rect_values(F, snapped, snapped)
+        return _rect_values(F, starts, ncells, starts, ncells)
 
     scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
-    return OperatorFamilyGrid("rect_bmo", params, _frozen(remoteness), eval_all,
-                              allowance_rel=_DEFAULT_ALLOWANCE[desc.tag],
-                              default_scales=scales)
+    return describe, remoteness, eval_all, scales
 
 
 # ---------------------------------------------------------------------------

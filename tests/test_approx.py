@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillometer.approx import (ApproxFamily, assumption_check, dilate,
                                  dilation_family, family_from_config,
@@ -305,28 +306,53 @@ class TestLadders:
         assert len(fam.members) < 12
 
 
+# coefficients of a random polynomial: each of modulus at most 2, some of
+# them (possibly all) zero
+_COEFFS = st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=29)
+
+
+@pytest.fixture(scope="module")
+def bmo_all_midpoints():
+    # dense midpoints and p = 2: the smoothed arcs stay inside the family,
+    # so the grid comparison inherits the continuum contraction
+    res = {"n_samples": 4096, "midpoints": "all", "min_len_exp": 2,
+           "max_len_exp": 8}
+    return build_family(SpaceDescriptor("bmo_circle", p=2.0, resolution=res))
+
+
+@pytest.fixture(scope="module")
+def qk_light():
+    # the light grid of acceptance criterion 8
+    return build_family(SpaceDescriptor("qk", resolution={
+        "shell_from": 2, "shell_to": 6, "extra_radii": (0.25, 0.5),
+        "angles": 64, "quad_nr": 32, "quad_ntheta": 64}))
+
+
 class TestPoissonContractivity:
-    def test_random_trig_polynomials(self):
-        # dense midpoints and p = 2: the smoothed arcs stay inside the family,
-        # so the grid comparison inherits the continuum contraction
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=_COEFFS)
+    def test_random_trig_polynomials(self, bmo_all_midpoints, coeffs):
         n = 4096
-        res = {"n_samples": n, "midpoints": "all", "min_len_exp": 2,
-               "max_len_exp": 8}
-        desc = SpaceDescriptor("bmo_circle", p=2.0, resolution=res)
-        grid = build_family(desc)
-        rng = np.random.default_rng(11)
         theta = 2 * np.pi * np.arange(n) / n
-        for _ in range(20):
-            deg = int(rng.integers(1, 30))
-            vals = np.zeros(n, dtype=complex)
-            for k in range(1, deg + 1):
-                c = rng.normal() + 1j * rng.normal()
-                vals += c * np.exp(1j * k * theta)
-            f = PeriodicSamples(vals)
-            base = seminorm_sup(grid, f).value
-            for r in (0.5, 0.9, 0.99):
-                val = seminorm_sup(grid, poisson_circle(f, r)).value
-                assert val <= base * (1 + 1e-3)
+        vals = np.zeros(n, dtype=complex)
+        for k, c in enumerate(coeffs, start=1):
+            vals += c * np.exp(1j * k * theta)
+        f = PeriodicSamples(vals)
+        base = seminorm_sup(bmo_all_midpoints, f).value
+        for r in (0.5, 0.9, 0.99):
+            val = seminorm_sup(bmo_all_midpoints, poisson_circle(f, r)).value
+            assert val <= base * (1 + 1e-3)
+
+
+class TestFejerContractivity:
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=_COEFFS.map(lambda c: c[:12]))
+    def test_random_polynomials(self, qk_light, coeffs):
+        f = TaylorFunction.polynomial(coeffs)
+        base = seminorm_sup(qk_light, f).value
+        for n in (2, 4, 8):
+            val = seminorm_sup(qk_light, fejer_taylor(f, n)).value
+            assert val <= base * (1 + 1e-3)
 
 
 class TestDilationLittleness:

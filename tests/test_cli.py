@@ -270,6 +270,19 @@ def _with(base, **changes):
     ("check", _with(LIP_SMOOTH_CHECK, space={
         "space": "lip", "domain": {"lo": [0], "hi": [1], "step": 1e-300}})),
     ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.pad_factor": 1e308})),
+    # grid sizes of 1 TiB and more: refused before anything is allocated
+    ("norm", _with(RECT_NORM, **{"space.resolution": {"n_samples": 2 ** 24}})),
+    ("norm", _with(BLOCH_NORM, **{"space.resolution.uniform_radii": 4096,
+                                  "space.resolution.angles": 2 ** 24})),
+    ("norm", _with(WEIGHTED_ANNULUS, **{
+        "space.weight.domain": {"kind": "box", "x0": -0.5, "x1": 0.5,
+                                "y0": -0.5, "y1": 0.5},
+        "space.resolution": {"box_nodes": 2 ** 24}})),
+    ("check", _with(QK_INVARIANCE, **{"space.resolution.quad_nr": 2 ** 22})),
+    # float ladder and domain values whose kernels or node counts overflow
+    ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.t0": 1e308})),
+    ("check", _with(LIP_SMOOTH_CHECK, space={
+        "space": "lip", "domain": {"lo": [0], "hi": [1e308], "step": 0.1}})),
 ], ids=["lip-dilation", "pad-factor-negative", "t0-text", "t0-nan", "slack-text",
         "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
         "ladder-number", "family-text", "output-text", "space-number",
@@ -283,17 +296,20 @@ def _with(base, **changes):
         "poly-no-coeffs", "annulus-reversed", "annulus-r0-negative",
         "name-list", "name-object", "approximants-kind-list", "family-kind-object",
         "domain-kind-list", "top-exp-negative", "top-exp-huge", "box-step-tiny",
-        "pad-factor-huge"])
+        "pad-factor-huge", "torus-side-huge", "disc-nodes-huge", "box-nodes-huge",
+        "quad-nr-huge", "t0-huge", "hi-huge"])
 def test_bad_config_exit_code(tmp_path, command, payload):
-    # run as a process, so an uncaught exception shows as a traceback on stderr
+    # run as a process, so an uncaught exception shows as a traceback on
+    # stderr; with warnings raised as errors, so a numpy warning on the way to
+    # the refusal does too
     cfg = write_config(tmp_path, "bad.json", payload)
     out = tmp_path / "out"
     out.mkdir()
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "oscillometer.cli", command,
-                           "--config", cfg, "--out", str(out)],
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "oscillometer.cli",
+                           command, "--config", cfg, "--out", str(out)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

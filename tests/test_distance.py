@@ -191,7 +191,7 @@ def _square_one_fine_entry(grid, f):
         values[index] **= 2
         return values
 
-    return OperatorFamilyGrid(grid.space_tag, grid.params, grid.remoteness,
+    return OperatorFamilyGrid(grid.space_tag, grid.describe, grid.remoteness,
                               eval_all, grid.allowance_rel, grid.default_scales)
 
 

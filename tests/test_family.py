@@ -13,6 +13,11 @@ from oscillometer.spaces import SpaceDescriptor, build_family
 from oscillometer.builtins import log_singular, step_half_values, taylor_builtin
 
 
+def by_index(idx):
+    """The describe of a synthetic grid: one record holding each index."""
+    return np.rec.fromarrays([idx], names="k")
+
+
 @pytest.fixture(scope="module")
 def bloch_grid():
     return build_family(SpaceDescriptor("bloch"))
@@ -43,7 +48,8 @@ class TestSeminormSup:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
-            OperatorFamilyGrid("x", [], np.array([]), lambda f: np.array([]))
+            OperatorFamilyGrid("x", by_index, np.array([]), lambda f: np.array([]),
+                               0.02, [1.0])
 
 
 class TestTailProfile:
@@ -71,26 +77,26 @@ class TestTailProfile:
 
     def test_empty_levels_marked(self, bloch_grid):
         deep = OperatorFamilyGrid(
-            "bloch", bloch_grid.params, bloch_grid.remoteness, bloch_grid.evaluate_all,
-            default_scales=2.0 ** -np.arange(0, 16, dtype=float))  # deeper than the grid
+            "bloch", bloch_grid.describe, bloch_grid.remoteness, bloch_grid.evaluate_all,
+            0.02, 2.0 ** -np.arange(0, 16, dtype=float))  # deeper than the grid
         prof = tail_profile(deep, taylor_builtin("monomial", degree=1))
         assert np.isnan(prof.tail_sups[-1])
 
     def test_requires_dyadic_scales(self, bloch_grid):
         with pytest.raises(ConfigError, match="dyadic"):
-            OperatorFamilyGrid("bloch", bloch_grid.params, bloch_grid.remoteness,
-                               bloch_grid.evaluate_all, default_scales=[1.0, 0.4])
+            OperatorFamilyGrid("bloch", bloch_grid.describe, bloch_grid.remoteness,
+                               bloch_grid.evaluate_all, 0.02, [1.0, 0.4])
 
     @pytest.mark.parametrize("scales", [[], [1.0, 0.5, -0.25]])
     def test_requires_positive_scales(self, bloch_grid, scales):
         with pytest.raises(ConfigError, match="positive"):
-            OperatorFamilyGrid("bloch", bloch_grid.params, bloch_grid.remoteness,
-                               bloch_grid.evaluate_all, default_scales=scales)
+            OperatorFamilyGrid("bloch", bloch_grid.describe, bloch_grid.remoteness,
+                               bloch_grid.evaluate_all, 0.02, scales)
 
     def test_grid_holds_its_own_ladder(self, bloch_grid):
         ladder = 2.0 ** -np.arange(0, 14, dtype=float)
-        grid = OperatorFamilyGrid("bloch", bloch_grid.params, bloch_grid.remoteness,
-                                  bloch_grid.evaluate_all, default_scales=ladder)
+        grid = OperatorFamilyGrid("bloch", bloch_grid.describe, bloch_grid.remoteness,
+                                  bloch_grid.evaluate_all, 0.02, ladder)
         ladder[:] = 1.0
         assert not grid.default_scales.flags.writeable
         prof = tail_profile(grid, taylor_builtin("monomial", degree=1))
@@ -125,8 +131,8 @@ class TestTailProfileProperty:
     def test_levels_are_direct_maxima(self, case):
         rho, vals, ladders = case
         # two grids on one remoteness vector, one per ladder
-        grids = [OperatorFamilyGrid("x", list(range(rho.size)), rho, lambda f: vals,
-                                    default_scales=scales) for scales in ladders]
+        grids = [OperatorFamilyGrid("x", by_index, rho, lambda f: vals, 0.02, scales)
+                 for scales in ladders]
         for fam, scales in zip(grids + grids, ladders + ladders):
             for values in (vals, vals[::-1].copy()):
                 got = tail_profile(fam, None, values=values).tail_sups
@@ -184,8 +190,8 @@ class TestInvariants:
 
     def test_nonfinite_evaluations_rejected(self):
         fam = OperatorFamilyGrid(
-            "x", list(range(8)), 2.0 ** -np.arange(8, dtype=float),
-            lambda f: np.full(8, np.nan))
+            "x", by_index, 2.0 ** -np.arange(8, dtype=float),
+            lambda f: np.full(8, np.nan), 0.02, dyadic_scales(1.0, 2.0 ** -7))
         with pytest.raises(NumericalError):
             fam.evaluate_all(None)
 

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscillometer.errors import ConfigError
-from oscillometer.funcrep import (Arc, BoxDomain, EuclideanSamples,
+from oscillometer.funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
                                   TaylorFunction, TorusSamples, snap_arc)
-from oscillometer.spaces import (RectParam, SpaceDescriptor, _rect_values,
-                                 _strata_pairs, bloch_term, bmo_oscillation,
-                                 build_family, compose_mobius,
+from oscillometer.spaces import (SpaceDescriptor, _arc_layout, _disc_radii,
+                                 _rect_values, _strata_pairs, bloch_term,
+                                 bmo_oscillation, build_family, compose_mobius,
                                  kernel_from_config, lip_quotient, qk_local,
                                  rect_oscillation, weight_from_config,
                                  weighted_term)
@@ -28,6 +28,35 @@ def direct_oscillation(values, start, ncells, p):
     mean = np.dot(w, window) / ncells
     dev = np.dot(w, np.abs(window - mean) ** p) / ncells
     return dev ** (1.0 / p)
+
+
+def arc_layout_loop(n, midpoints, kmin, kmax):
+    """Oracle for the arc layout: the per-arc loop, one (start, ncells,
+    midpoint, length) tuple per arc, level by level."""
+    mids = np.arange(midpoints) * (n // midpoints)
+    arcs = []
+    for k in range(kmin, kmax + 1):
+        ncells = n >> k
+        half = ncells // 2
+        for m in mids:
+            arcs.append((int(m - half) % n, ncells, float(m * TWO_PI / n),
+                         TWO_PI * 2.0 ** -k))
+    return arcs
+
+
+def bitwise_equal(got, want) -> bool:
+    """Same dtype, shape and bytes: no tolerance and no -0.0 == 0.0."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def disc_nodes(radii, n_ang):
+    """Oracle for the disc grid nodes: the centre if radius 0 is listed, then
+    each positive radius times the uniform ring of n_ang angles."""
+    ring = np.exp(1j * (2 * np.pi * np.arange(n_ang) / n_ang))
+    centre = [0j] if radii[0] == 0.0 else []
+    return np.concatenate([np.array(centre, dtype=complex),
+                           (radii[radii > 0][:, None] * ring).ravel()])
 
 
 def direct_rect_square(values, arc_i, arc_j):
@@ -322,69 +351,69 @@ class TestBuildFamily:
                              np.abs(desc.lip_domain.axes()[0]) ** 0.5, 0.5)
         assert seminorm_sup(fam, f).value == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n,mids,kmin,kmax", [
+        (128, 8, 1, 6), (1024, 1024, 2, 7), (4096, 128, 0, 10), (64, 1, 0, 5)])
+    def test_arc_layout_matches_per_arc_loop(self, n, mids, kmin, kmax):
+        want = arc_layout_loop(n, mids, kmin, kmax)
+        got = _arc_layout(n, mids, kmin, kmax)
+        for col, dtype, column in zip(got, (np.int64, np.int64, float, float),
+                                      zip(*want)):
+            assert bitwise_equal(col, np.array(column, dtype=dtype))
+
     def test_rect_params_match_product_list(self):
-        from oscillometer.spaces import _arc_layout
         fam = build_family(SpaceDescriptor("rect_bmo", resolution={
             "n_samples": 128, "midpoints": 8, "min_len_exp": 1, "max_len_exp": 6}))
-        arcs = [(a[2], a[3]) for a in _arc_layout(128, 8, 1, 6)]
+        arcs = [(a[2], a[3]) for a in arc_layout_loop(128, 8, 1, 6)]
         # J-major: entry j * len(arcs) + i pairs I-arc i with J-arc j
-        want = [RectParam(mi, li, mj, lj) for mj, lj in arcs for mi, li in arcs]
+        want = [(mi, li, mj, lj) for mj, lj in arcs for mi, li in arcs]
         assert len(fam) == len(want) == 48 * 48
-        got = [fam.params[k] for k in range(len(fam))]
-        assert got == want
-        assert all(type(x) is float for param in got for x in param)
-        assert fam.params[-1] == want[-1]
+        got = fam.describe(np.arange(len(fam)))
+        assert got.dtype.names == ("mid_zeta", "len_zeta", "mid_lambda", "len_lambda")
+        for name, column in zip(got.dtype.names, zip(*want)):
+            assert bitwise_equal(got[name], np.array(column, dtype=np.float64))
+        assert fam.describe(np.array([-1]))[0].tolist() == want[-1]
         with pytest.raises(IndexError):
-            fam.params[len(fam)]
+            fam.describe(np.array([len(fam)]))
 
     @pytest.mark.parametrize("case", ["bloch", "qk", "disc", "annulus", "box"])
     def test_node_params_match_node_array(self, case):
-        from oscillometer.spaces import (BlochParam, QkParam, WeightedParam,
-                                         _disc_radii)
-
-        def disc(radii, n_ang):
-            ring = np.exp(1j * (2 * np.pi * np.arange(n_ang) / n_ang))
-            centre = [0j] if radii[0] == 0.0 else []
-            return np.concatenate([np.array(centre, dtype=complex),
-                                   (radii[radii > 0][:, None] * ring).ravel()])
-
         res = {"uniform_radii": 8, "shells": 7, "angles": 16, "box_nodes": 64}
         domains = {"disc": {"kind": "disc"},
                    "annulus": {"kind": "annulus", "r0": 0.25, "r1": 0.75},
                    "box": {"kind": "box", "x0": -0.5, "x1": 0.5,
                            "y0": -0.25, "y1": 0.5}}
         if case == "bloch":
-            desc, cls = SpaceDescriptor("bloch", resolution=res), BlochParam
-            w = disc(_disc_radii(8, 7), 16)
+            desc, field = SpaceDescriptor("bloch", resolution=res), "w"
+            w = disc_nodes(_disc_radii(8, 7), 16)
         elif case == "qk":
-            desc, cls = SpaceDescriptor("qk", resolution=QK_LIGHT_RES), QkParam
-            w = disc(_disc_radii(0, 7, 2, extra=(0.0, 0.5)), 16)
+            desc, field = SpaceDescriptor("qk", resolution=QK_LIGHT_RES), "a"
+            w = disc_nodes(_disc_radii(0, 7, 2, extra=(0.0, 0.5)), 16)
         else:
             dom = domains[case]
             desc = SpaceDescriptor("weighted", resolution=res, weight=weight_from_config(
                 {"name": "one_minus_r2", "domain": dom}))
-            cls = WeightedParam
+            field = "z"
             if case == "disc":
-                w = disc(_disc_radii(8, 7), 16)
+                w = disc_nodes(_disc_radii(8, 7), 16)
             elif case == "annulus":
                 offs = (1.0 - _disc_radii(8, 7)) * 0.25
                 offs = offs[offs < 0.25]
-                w = disc(np.unique(np.concatenate([0.25 + offs, 0.75 - offs,
-                                                   [0.5]])), 16)
+                w = disc_nodes(np.unique(np.concatenate([0.25 + offs, 0.75 - offs,
+                                                         [0.5]])), 16)
             else:
                 x = np.linspace(-0.5, 0.5, 66)[1:-1]
                 y = np.linspace(-0.25, 0.5, 66)[1:-1]
                 w = (x[:, None] + 1j * y[None, :]).ravel()
         fam = build_family(desc)
-        want = [cls(complex(z)) for z in w]
-        assert len(fam) == len(want)
-        got = [fam.params[k] for k in range(len(fam))]
-        assert got == want
-        assert all(type(param[0]) is complex for param in got)
-        assert [fam.params[-k] for k in range(1, len(fam) + 1)] == want[::-1]
-        assert list(fam.params) == want
+        assert len(fam) == w.size
+        got = fam.describe(np.arange(len(fam)))
+        assert got.dtype.names == (field,)
+        assert got[field].dtype == np.complex128
+        assert bitwise_equal(got[field], w)
+        backward = fam.describe(-np.arange(1, len(fam) + 1))
+        assert bitwise_equal(backward[field], w[::-1])
         with pytest.raises(IndexError):
-            fam.params[len(fam)]
+            fam.describe(np.array([len(fam)]))
 
     def test_annulus_shells_reach_both_circles(self):
         # a light grid (8 uniform radii, 7 shells) on the annulus 1/4 < |z| <
@@ -396,7 +425,7 @@ class TestBuildFamily:
             weight=weight_from_config({"name": "one_minus_r2", "domain": {
                 "kind": "annulus", "r0": r0, "r1": r1}}))
         fam = build_family(desc)
-        radii = np.abs(np.array([param.z for param in fam.params]))
+        radii = np.abs(fam.describe(np.arange(len(fam))).z)
         for k in range(1, 8):
             for circle in (r0 + gap * 2.0 ** -k, r1 - gap * 2.0 ** -k):
                 assert np.any(np.abs(radii - circle) <= 1e-15)
@@ -435,7 +464,7 @@ class TestFamilyKernels:
         n_nodes = 16 * 32
         c_abs = np.abs(np.trim_zeros(f.coeffs, "b") * np.arange(1, degree + 1)).sum()
         vals = fam.evaluate_all(f)
-        for val, param in zip(vals, fam.params):
+        for val, param in zip(vals, fam.describe(np.arange(len(fam)))):
             want = qk_local(f, param.a, desc.kernel, rule)
             # sum_n jac_n over the centre's nodes (f' = 1) times the majorant
             # (sum |c_k|)^2 of |f'|^2 bounds every term; Horner or Gram form,
@@ -457,7 +486,7 @@ class TestFamilyKernels:
         assert f.values.dtype == (np.float64 if real else np.complex128)
         scale = 2.0 * np.abs(f.values).max()    # bounds |f| and |f - mean f|
         vals = fam.evaluate_all(f)
-        for val, param in zip(vals, fam.params):
+        for val, param in zip(vals, fam.describe(np.arange(len(fam)))):
             start, ncells = snap_arc(f, Arc(param.midpoint, param.length))
             want = direct_oscillation(f.values, start, ncells, p)
             # window means from prefix sums: two differenced cumsums of up to n
@@ -477,7 +506,7 @@ class TestFamilyKernels:
         n = values.shape[0]
         F = TorusSamples(values)
         assert F.values.dtype == values.dtype    # real input stays float64
-        got = _rect_values(F, arcs_i, arcs_j)
+        got = _rect_values(F, *np.array(arcs_i).T, *np.array(arcs_j).T)
         want = [direct_rect_square(values, i, j) for j in arcs_j for i in arcs_i]
         # every moment is a window mean: a difference of prefix sums of at most
         # n terms, each at most 16 max|F|^2 after two-way centring, over
@@ -570,6 +599,34 @@ _SMALL_SPACES = {
 @pytest.fixture(scope="module")
 def small_grids():
     return {key: (desc, build_family(desc)) for key, desc in _SMALL_SPACES.items()}
+
+
+class TestDescribe:
+    @pytest.mark.parametrize("key", sorted(_SMALL_SPACES))
+    def test_describe_gives_one_record_per_index(self, small_grids, key):
+        desc, fam = small_grids[key]
+        rng = np.random.default_rng(5)
+        for idx in (np.array([], dtype=np.int64), np.array([0]),
+                    rng.integers(0, len(fam), 7), np.arange(len(fam))):
+            got = fam.describe(idx)
+            assert isinstance(got, np.recarray)
+            assert got.shape == (len(idx),)
+            if desc.tag == "lip":
+                # without an explicit dtype this would be a (k, ndim) array
+                # of records, and a witness's JSON would still look right
+                ndim = desc.lip_domain.ndim
+                assert got.x.shape == got.y.shape == (len(idx), ndim)
+                assert got.dtype["x"].shape == (ndim,)
+
+    @pytest.mark.parametrize("key", ["bloch", "qk", "weighted"])
+    def test_params_lead_with_the_node(self, small_grids, key):
+        # the benchmark reads each entry's node as params[k][0]
+        _, fam = small_grids[key]
+        nodes = fam.describe(np.arange(len(fam)))[{"bloch": "w", "qk": "a",
+                                                   "weighted": "z"}[key]]
+        params = fam.params
+        assert all(type(p) is tuple and type(p[0]) is complex for p in params)
+        assert bitwise_equal(np.array([p[0] for p in params]), nodes)
 
 
 def _random_input(desc, kind: str, rng):
