@@ -7,16 +7,13 @@ boxes in R^n.
 from .errors import ConfigError, NumericalError
 from .funcrep import (Arc, BoxDomain, EuclideanSamples, PeriodicSamples,
                       QuadratureRule, TaylorFunction, TorusSamples,
-                      arc_average, disk_quadrature, eval_deriv, mobius_apply,
-                      x_norm)
+                      disk_quadrature, mobius_apply, x_norm)
 from .family import (OperatorFamilyGrid, SeminormReport, TailProfile,
                      dyadic_scales, limsup_estimate, seminorm_sup,
                      tail_profile)
-from .spaces import (KKernel, SpaceDescriptor, WeightV, bloch_term,
-                     bmo_oscillation, build_family, compose_mobius,
-                     kernel_from_config, lip_quotient, qk_local,
-                     rect_oscillation, weight_from_config, weighted_term,
-                     weighted_x_norm)
+from .spaces import (KKernel, SpaceDescriptor, WeightV, bmo_oscillation,
+                     build_family, compose_mobius, kernel_from_config,
+                     qk_local, weight_from_config, weighted_x_norm)
 from .approx import (ApproxFamily, AssumptionReport, assumption_check, dilate,
                      dilation_family, fejer_family, fejer_taylor,
                      lip_smooth, lip_smooth_family, poisson_circle,

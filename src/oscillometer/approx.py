@@ -14,7 +14,7 @@ heavy-tailed kernel of unit discrete mass and restricts back to the box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,13 +184,11 @@ class ApproxFamily:
     kind: str
     parameters: list
     members: list
-    member_info: list = field(default_factory=list)
+    kernel_truncation: float = 0.0     # the largest over the members
 
     def __post_init__(self):
         if not self.members:
             raise ConfigError("approximation family has no members")
-        if not self.member_info:
-            self.member_info = [{} for _ in self.members]
 
 
 def poisson_family(f: PeriodicSamples, levels: int = 8) -> ApproxFamily:
@@ -215,18 +213,18 @@ def fejer_family(f: TaylorFunction, levels: int = 8) -> ApproxFamily:
 
 def lip_smooth_family(f: EuclideanSamples, levels: int = 8, t0: float = 0.1,
                       pad_factor: float = 4.0) -> ApproxFamily:
-    ts, members, infos = [], [], []
+    ts, members, outside = [], [], []
     for m in range(levels):
         t = t0 * 2.0 ** -m
         if t < f.domain.step:
             break
-        g, outside = lip_smooth_with_info(f, t, pad_factor=pad_factor)
+        g, mass = lip_smooth_with_info(f, t, pad_factor=pad_factor)
         ts.append(t)
         members.append(g)
-        infos.append({"kernel_truncation": outside})
+        outside.append(mass)
     if len(ts) < 3:
         raise ConfigError("kernel under-resolved")
-    return ApproxFamily("lip_smooth", ts, members, infos)
+    return ApproxFamily("lip_smooth", ts, members, max(outside))
 
 
 # each ladder with the one input representation it acts on
@@ -304,18 +302,16 @@ class AssumptionReport:
         }
 
 
-def ambient_distance(desc: SpaceDescriptor, f, g) -> float:
-    """||f - g|| in the ambient space backing the descriptor's tag."""
-    diff = f - g
-    if desc.tag == "weighted":
-        return weighted_x_norm(desc, diff)
-    return x_norm(desc.tag, diff)
-
-
 def ambient_norm(desc: SpaceDescriptor, f) -> float:
+    """||f|| in the ambient space backing the descriptor's tag."""
     if desc.tag == "weighted":
         return weighted_x_norm(desc, f)
     return x_norm(desc.tag, f)
+
+
+def ambient_distance(desc: SpaceDescriptor, f, g) -> float:
+    """||f - g|| in the same ambient space."""
+    return ambient_norm(desc, f - g)
 
 
 def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
@@ -326,9 +322,7 @@ def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
         grid = build_family(desc)
     input_norm = float(np.max(grid.evaluate_all(f)))
     threshold = certification_threshold(input_norm)
-    truncation = max((info.get("kernel_truncation", 0.0)
-                      for info in fam.member_info), default=0.0)
-    slack_allowed = slack + truncation
+    slack_allowed = slack + fam.kernel_truncation
     member_norms, member_tails, little_flags, x_distances = [], [], [], []
     for g in fam.members:
         vals = grid.evaluate_all(g)
@@ -360,7 +354,7 @@ def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
         little_threshold=threshold,
         x_reference=x_ref,
         x_tolerance=x_tol,
-        kernel_truncation=truncation,
+        kernel_truncation=fam.kernel_truncation,
         notes=("ambient distances for box grids use the sup-norm proxy"
                if desc.tag == "lip" else ""),
     )

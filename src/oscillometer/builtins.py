@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import COUNT_CAP, TOP_EXP_CAP, ConfigError, config_number
+from .errors import (COUNT_CAP, LENGTH_CAP, TOP_EXP_CAP, ConfigError,
+                     config_number)
 from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
                       TaylorFunction, TorusSamples)
 from .spaces import SpaceDescriptor
@@ -108,13 +109,17 @@ def monomial(degree: int) -> TaylorFunction:
 
 
 def _complex_list(raw) -> np.ndarray:
-    """JSON coefficients (numbers or [re, im] pairs) as a complex array."""
+    """JSON coefficients (numbers or [re, im] pairs) as a complex array, each
+    part finite and of magnitude at most LENGTH_CAP."""
     try:
-        return np.asarray([complex(c[0], c[1]) if isinstance(c, (list, tuple))
-                           else complex(c) for c in raw], dtype=complex)
-    except (TypeError, ValueError, IndexError):
-        raise ConfigError(f"'coeffs' must be a list of numbers or [re, im] "
-                          f"pairs, got {raw!r}")
+        coeffs = np.asarray([complex(c[0], c[1]) if isinstance(c, (list, tuple))
+                             else complex(c) for c in raw], dtype=complex)
+        if np.all(np.abs(coeffs.view(float)) <= LENGTH_CAP):
+            return coeffs
+    except (TypeError, ValueError, IndexError, OverflowError):
+        pass
+    raise ConfigError(f"'coeffs' must be a list of numbers or [re, im] pairs, "
+                      f"each part of magnitude at most {LENGTH_CAP}, got {raw!r}")
 
 
 def taylor_builtin(name: str, **params) -> TaylorFunction:
@@ -166,6 +171,8 @@ def box_builtin(name: str, domain: BoxDomain, alpha: float,
         radius = np.hypot(xx, yy)
     if name == "holder_cusp":
         expo = config_number(params, "exponent", alpha)
+        if not 0.0 < expo <= 1.0:
+            raise ConfigError(f"cusp exponent must lie in (0, 1], got {expo}")
         return EuclideanSamples(domain, radius ** expo, alpha)
     if name == "linear":
         vals = coords[0] if domain.ndim == 1 else xx
@@ -204,11 +211,12 @@ def make_function(cfg: dict, desc: SpaceDescriptor):
         raw = cfg.get("values")
         try:
             values = np.asarray(raw, dtype=float)
-            finite = bool(np.all(np.isfinite(values)))
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
-            raise ConfigError(f"sample 'values' must be finite numbers, got {raw!r}")
+            bounded = bool(np.all(np.abs(values) <= LENGTH_CAP))
+        except (TypeError, ValueError, OverflowError):
+            bounded = False
+        if not bounded:
+            raise ConfigError(f"sample 'values' must be numbers of magnitude at "
+                              f"most {LENGTH_CAP}, got {raw!r}")
         if desc.tag == "lip":
             return EuclideanSamples(desc.lip_domain, values, desc.alpha)
         if desc.tag not in ("bmo_circle", "rect_bmo"):

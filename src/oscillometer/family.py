@@ -62,12 +62,6 @@ def map_chunks(fn: Callable[[int, int], np.ndarray], size: int,
     return out
 
 
-def dyadic_level_count(remoteness: np.ndarray) -> int:
-    """Number of distinct power-of-two bins spanned by the remoteness values."""
-    r = np.asarray(remoteness, dtype=float)
-    return int(np.unique(np.floor(np.log2(r)).astype(int)).size)
-
-
 class OperatorFamilyGrid:
     """Sampled operator family for one space.
 
@@ -86,9 +80,12 @@ class OperatorFamilyGrid:
         remoteness = _owned(remoteness, float)
         if remoteness.ndim != 1 or remoteness.size == 0:
             raise ConfigError("empty family grid: remoteness must be a non-empty vector")
-        if np.any(remoteness <= 0):
-            raise ConfigError("remoteness scales must be positive")
-        if dyadic_level_count(remoteness) < 6:
+        if not np.all((remoteness > 0) & (remoteness < np.inf)):
+            raise ConfigError("remoteness scales must be positive and finite")
+        # remoteness = mant 2^exps with mant in [0.5, 1): exps numbers the
+        # power-of-two bin of each entry, for the coarseness check and the levels
+        mant, exps = np.frexp(remoteness)
+        if np.count_nonzero(np.bincount(exps - exps.min())) < 6:
             raise ConfigError("family resolution too coarse: fewer than 6 dyadic levels")
         self.space_tag = space_tag
         self.describe = describe
@@ -98,14 +95,16 @@ class OperatorFamilyGrid:
         scales = np.array(default_scales, dtype=float)
         if scales.ndim != 1 or scales.size == 0 or np.any(scales <= 0):
             raise ConfigError("scale ladder must be a positive vector")
-        if np.any(np.abs(scales[1:] / scales[:-1] - 0.5) > 1e-9):
+        if np.any(scales[1:] * 2 != scales[:-1]):
             raise ConfigError("scale ladder must be dyadic (each level half the last)")
         scales.setflags(write=False)
         self.default_scales = scales
         # per entry, 1 + the finest level k with remoteness <= scales[k]
-        # (1 + 1e-12), 0 if none: the level it enters the tail profile at
-        ascending = (scales * (1 + 1e-12))[::-1]
-        levels = scales.size - np.searchsorted(ascending, remoteness, side="left")
+        # (1 + 1e-12), 0 if none: the level it enters the tail profile at.
+        # That bound is top_mant 2^(top_exp - k) exactly, so k qualifies iff
+        # exps + k < top_exp, or exps + k == top_exp and mant <= top_mant
+        top_mant, top_exp = np.frexp(scales[0] * (1 + 1e-12))
+        levels = np.clip(top_exp - exps - (mant > top_mant) + 1, 0, scales.size)
         self._entry_levels = levels.astype(np.min_scalar_type(scales.size))
 
     def __len__(self) -> int:

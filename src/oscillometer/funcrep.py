@@ -179,16 +179,6 @@ def snap_arc(samples: PeriodicSamples | TorusSamples, arc: Arc) -> tuple[int, in
     return start % samples.n, ncells
 
 
-def arc_average(f: PeriodicSamples, arc: Arc) -> complex:
-    """Trapezoid approximation of the mean of f over the arc.
-
-    Endpoints snap to grid nodes; the mean is taken over the snapped length so
-    constants average exactly to themselves.
-    """
-    start, ncells = snap_arc(f, arc)
-    return complex(_window_means(f.values, np.array([start]), np.array([ncells]), 0)[0])
-
-
 # ---------------------------------------------------------------------------
 # truncated power series on the unit disc
 # ---------------------------------------------------------------------------
@@ -317,17 +307,6 @@ class TaylorFunction:
                               radius_cap=min(self.radius_cap, other.radius_cap))
 
 
-def eval_deriv(f: TaylorFunction, w) -> complex:
-    """f'(w) inside the open unit disc."""
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise ConfigError("outside unit disc")
-    if not f.has_closed_form and abs(w) > f.radius_cap + 1e-13:
-        raise ConfigError(
-            f"|w| = {abs(w):.6g} beyond trusted radius {f.radius_cap:.6g}")
-    return complex(f.deriv(w))
-
-
 # ---------------------------------------------------------------------------
 # box grids in R^n
 # ---------------------------------------------------------------------------
@@ -361,11 +340,6 @@ class BoxDomain:
     def axes(self) -> list[np.ndarray]:
         return [self.lo[d] + self.step * np.arange(self.shape[d])
                 for d in range(self.ndim)]
-
-    def coords(self, idx) -> np.ndarray:
-        """Coordinates of a grid node given by its integer index (tuple for 2-d)."""
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        return self.lo + self.step * idx
 
     @property
     def diameter(self) -> float:

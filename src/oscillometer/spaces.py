@@ -1,9 +1,9 @@
-"""The six concrete space instantiations: local evaluators and family builders.
+"""The six concrete space instantiations: one family builder per space.
 
-Each space contributes an evaluation ||L f|| for one operator parameter (an
-arc, a disc point, an automorphism centre, a point pair, an arc pair) and a
-builder that samples the parameter set on a grid with a remoteness scale
-rho > 0 shrinking exactly when the parameter escapes to infinity:
+Each builder samples the space's operator parameters (arcs, disc points,
+automorphism centres, point pairs, arc pairs) on a grid with a remoteness
+scale rho > 0 shrinking exactly when the parameter escapes to infinity, and
+returns one vectorised evaluator giving ||L f|| for every entry at once:
 
     bmo_circle   arcs, rho = |I|
     bloch        disc points, rho = 1 - |w|
@@ -15,7 +15,8 @@ rho > 0 shrinking exactly when the parameter escapes to infinity:
 Disc grids mix a uniform radial fill with dyadic boundary shells: the shells
 feed the tail levels while the fill keeps interior maxima resolved.  All
 angular grids are rotation-closed (uniform), which several contraction tests
-rely on.
+rely on.  `bmo_oscillation` and `qk_local` compute one entry on their own, as
+reference values for the family kernels.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ class SpaceDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# local evaluators
+# one-parameter references and the automorphism composition
 # ---------------------------------------------------------------------------
 
 def bmo_oscillation(f: PeriodicSamples, arc: Arc, p: float) -> float:
@@ -286,12 +287,6 @@ def bmo_oscillation(f: PeriodicSamples, arc: Arc, p: float) -> float:
         return float(np.sqrt(max(sq[0] - abs(mean[0]) ** 2, 0.0)))
     window = centred[(start + np.arange(ncells + 1)) % f.n]
     return float(_direct_osc(window[None, :], mean, p)[0])
-
-
-def bloch_term(f: TaylorFunction, w: complex) -> float:
-    """(1 - |w|^2) |f'(w)| for w in the open disc."""
-    from .funcrep import eval_deriv
-    return float((1.0 - abs(w) ** 2) * abs(eval_deriv(f, w)))
 
 
 def qk_local(f: TaylorFunction, a: complex, kernel: KKernel,
@@ -318,29 +313,14 @@ def qk_local(f: TaylorFunction, a: complex, kernel: KKernel,
     return float(np.dot(wts, vals))
 
 
-def weighted_term(f: TaylorFunction, v: WeightV, z: complex) -> float:
-    """v(z) |f(z)|."""
-    return float(v(z) * abs(complex(np.asarray(f.value(z)).item())))
-
-
-def lip_quotient(f: EuclideanSamples, x, y, alpha: float) -> float:
-    """|f(x) - f(y)| / |x - y|^alpha for two distinct grid nodes (by index)."""
-    xi = tuple(np.atleast_1d(np.asarray(x, dtype=np.int64)))
-    yi = tuple(np.atleast_1d(np.asarray(y, dtype=np.int64)))
-    if xi == yi:
-        raise ConfigError("the two nodes must differ")
-    dist = float(np.linalg.norm(f.domain.coords(xi) - f.domain.coords(yi)))
-    return float(abs(f.values[xi] - f.values[yi]) / dist ** alpha)
-
-
 def compose_mobius(f: TaylorFunction, a: complex, lam: complex = 1.0) -> TaylorFunction:
     """g = f o phi - f(phi(0)) for the automorphism phi with centre a.
 
     Closed-form only: g'(z) = f'(phi(z)) phi'(z); used by the invariance check.
+    phi is validated (by `mobius_apply`) before f is evaluated anywhere.
     """
-    a = complex(a)
-    lam = complex(lam)
-    centre_val = complex(np.asarray(f.value(lam * a)).item())
+    phi0, _ = mobius_apply(a, lam, 0.0)
+    centre_val = complex(np.asarray(f.value(phi0)).item())
 
     def value(z):
         phi, _ = mobius_apply(a, lam, z)
@@ -361,7 +341,8 @@ def _rect_values(F: TorusSamples, si: np.ndarray, ni: np.ndarray,
                  sj: np.ndarray, nj: np.ndarray) -> np.ndarray:
     """Rectangular oscillations of F over each arc pair I x J, with I of start
     si and ni cells (zeta) and J of start sj and nj cells (lambda), J-major
-    order.
+    order: the square root of the I x J mean of |F - F_J(zeta) - F_I(lambda)
+    + F_IxJ|^2.
 
     Two-way centring first removes any g(zeta) + h(lambda), to which the
     oscillation is exactly invariant: the moment cancellation is then
@@ -383,18 +364,6 @@ def _rect_values(F: TorusSamples, si: np.ndarray, ni: np.ndarray,
     e_b = _window_means(np.abs(B) ** 2, sj, nj, axis=1)   # E_J |F_I|^2
     q2 = m_sq.T - e_a.T - e_b + np.abs(c.T) ** 2
     return np.sqrt(np.maximum(q2, 0.0)).ravel()
-
-
-def rect_oscillation(F: TorusSamples, I: Arc, J: Arc) -> float:
-    """Rectangular mean oscillation over I x J.
-
-    The squared value is the I x J mean of |F - F_J(zeta) - F_I(lambda) +
-    F_{IxJ}|^2, i.e. the displayed supremum quantity; it vanishes identically
-    on F(zeta, lambda) = g(zeta) + h(lambda), so this is a seminorm with that
-    kernel.  A one-pair call of the family kernel, which re-centres F.
-    """
-    si, ni, sj, nj = np.array([snap_arc(F, I) + snap_arc(F, J)]).T
-    return float(_rect_values(F, si, ni, sj, nj)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,26 @@ def _with(base, **changes):
     ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.t0": 1e308})),
     ("check", _with(LIP_SMOOTH_CHECK, space={
         "space": "lip", "domain": {"lo": [0], "hi": [1e308], "step": 0.1}})),
+    # function data whose evaluation overflows or divides by zero
+    ("norm", _with(BLOCH_NORM, function={"kind": "taylor",
+                                         "coeffs": [[1, float("inf")], [0, 0.5]]})),
+    ("norm", _with(WEIGHTED_ANNULUS, function={"kind": "taylor",
+                                               "coeffs": [1e308, 1e308]})),
+    ("norm", _with(BLOCH_NORM, function={"kind": "taylor", "coeffs": [10 ** 400]})),
+    ("norm", {"space": {"space": "bmo_circle", "p": 1, "resolution": {
+                  "n_samples": 1024, "midpoints": 32, "min_len_exp": 1,
+                  "max_len_exp": 7}},
+              "function": {"kind": "samples",
+                           "values": [[1e308 * (j % 2), 0] for j in range(1024)]}}),
+    ("norm", {"space": {"space": "bmo_circle"},
+              "function": {"kind": "samples", "values": [[10 ** 400, 0]]}}),
+    ("norm", {"space": {"space": "lip"},
+              "function": {"kind": "builtin", "name": "holder_cusp", "exponent": -1}}),
+    ("norm", {"space": {"space": "lip", "domain": {"lo": [-2], "hi": [2], "step": 0.01}},
+              "function": {"kind": "builtin", "name": "holder_cusp",
+                           "exponent": 1e308}}),
+    ("check", _with(QK_INVARIANCE, **{"phi.a": [0.3, 1e308]})),
+    ("check", _with(QK_INVARIANCE, **{"phi.lambda": [1e308, 0]})),
 ], ids=["lip-dilation", "pad-factor-negative", "t0-text", "t0-nan", "slack-text",
         "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
         "ladder-number", "family-text", "output-text", "space-number",
@@ -297,7 +317,10 @@ def _with(base, **changes):
         "name-list", "name-object", "approximants-kind-list", "family-kind-object",
         "domain-kind-list", "top-exp-negative", "top-exp-huge", "box-step-tiny",
         "pad-factor-huge", "torus-side-huge", "disc-nodes-huge", "box-nodes-huge",
-        "quad-nr-huge", "t0-huge", "hi-huge"])
+        "quad-nr-huge", "t0-huge", "hi-huge", "coeffs-inf", "coeffs-huge",
+        "coeffs-int-huge", "samples-huge", "samples-int-huge",
+        "cusp-exponent-negative", "cusp-exponent-huge", "phi-a-huge",
+        "phi-lambda-huge"])
 def test_bad_config_exit_code(tmp_path, command, payload):
     # run as a process, so an uncaught exception shows as a traceback on
     # stderr; with warnings raised as errors, so a numpy warning on the way to

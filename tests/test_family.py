@@ -87,6 +87,14 @@ class TestTailProfile:
             OperatorFamilyGrid("bloch", bloch_grid.describe, bloch_grid.remoteness,
                                bloch_grid.evaluate_all, 0.02, [1.0, 0.4])
 
+    def test_near_dyadic_ladder_refused(self, bloch_grid):
+        # levels come from binary exponents, which needs each level exactly
+        # half the last
+        with pytest.raises(ConfigError, match="dyadic"):
+            OperatorFamilyGrid("bloch", bloch_grid.describe, bloch_grid.remoteness,
+                               bloch_grid.evaluate_all, 0.02,
+                               (0.5 * (1 + 1e-10)) ** np.arange(8.0))
+
     @pytest.mark.parametrize("scales", [[], [1.0, 0.5, -0.25]])
     def test_requires_positive_scales(self, bloch_grid, scales):
         with pytest.raises(ConfigError, match="positive"):
@@ -114,14 +122,19 @@ class TestTailProfile:
 def remoteness_and_ladders(draw):
     """Remoteness with many ties (a few mantissas times powers of two, so it
     spans at least 6 dyadic bins), values, and two dyadic ladders whose tops
-    lie above, inside or below the remoteness range."""
+    lie above, inside or below the remoteness range.  The remoteness also
+    holds every level's bound t (1 + 1e-12) and its two float neighbours, so
+    an off-by-one at a level boundary shows."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     size = draw(st.integers(1, 300))
-    rho = rng.choice([1.0, 1.25, 1.5]) * 2.0 ** -rng.integers(0, 12, size)
-    rho = np.concatenate([2.0 ** -np.arange(6.0), rho])
-    vals = rng.choice([0.0, 0.5, 1.0, 2.0], rho.size) + rng.uniform(0, 1, rho.size)
-    ladders = [2.0 ** draw(st.integers(-14, 3)) * 0.5 ** np.arange(draw(st.integers(1, 20)))
+    ladders = [draw(st.sampled_from([1.0, 0.6, 0.75, 2 * np.pi]))
+               * 2.0 ** draw(st.integers(-14, 3)) * 0.5 ** np.arange(draw(st.integers(1, 20)))
                for _ in range(2)]
+    bounds = np.concatenate(ladders) * (1 + 1e-12)
+    rho = rng.choice([1.0, 1.25, 1.5]) * 2.0 ** -rng.integers(0, 12, size)
+    rho = np.concatenate([2.0 ** -np.arange(6.0), rho, bounds,
+                          np.nextafter(bounds, 0), np.nextafter(bounds, np.inf)])
+    vals = rng.choice([0.0, 0.5, 1.0, 2.0], rho.size) + rng.uniform(0, 1, rho.size)
     return rho, vals, ladders
 
 

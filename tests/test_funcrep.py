@@ -6,8 +6,8 @@ from oscillometer.errors import ConfigError, NumericalError
 from oscillometer.funcrep import (Arc, BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
                                   TaylorFunction, TorusSamples, _window_means,
-                                  arc_average, disk_quadrature, eval_deriv,
-                                  mobius_apply, snap_arc, x_norm)
+                                  disk_quadrature, mobius_apply, snap_arc,
+                                  x_norm)
 from oscillometer.builtins import lacunary, log_singular, step_half_values
 from oscillometer.family import OperatorFamilyGrid
 
@@ -111,16 +111,22 @@ def test_holders_adopt_read_only_owned_arrays(holder):
     assert make(frozen[:]) is not frozen
 
 
+def snapped_means(f, arcs):
+    """_window_means over the given arcs, each snapped to f's grid."""
+    starts, ncells = np.array([snap_arc(f, arc) for arc in arcs]).T
+    return _window_means(f.values, starts, ncells, 0)
+
+
 class TestArcAverage:
     def test_constant(self):
         f = PeriodicSamples(np.full(64, 3.5 + 1j))
-        assert arc_average(f, Arc(1.3, 0.7)) == pytest.approx(3.5 + 1j)
+        assert snapped_means(f, [Arc(1.3, 0.7)])[0] == pytest.approx(3.5 + 1j)
 
     def test_zero_mean_full_circle(self):
         n = 64
         theta = 2 * np.pi * np.arange(n) / n
         f = PeriodicSamples(np.cos(theta))
-        assert abs(arc_average(f, Arc(0.0, 2 * np.pi))) < 1e-14
+        assert abs(snapped_means(f, [Arc(0.0, 2 * np.pi)])[0]) < 1e-14
 
     def test_step_half_on_symmetric_arc(self):
         # oracle: direct sum over samples
@@ -130,25 +136,22 @@ class TestArcAverage:
         start, ncells = snap_arc(f, arc)
         oracle = direct_arc_average(f.values, start, ncells)
         assert oracle == pytest.approx(0.5, abs=1e-15)
-        assert arc_average(f, arc) == pytest.approx(oracle, abs=1e-14)
+        assert snapped_means(f, [arc])[0] == pytest.approx(oracle, abs=1e-14)
 
     def test_prefix_matches_direct_on_random_arcs(self):
         rng = np.random.default_rng(1)
         n = 1024
         f = PeriodicSamples(rng.normal(size=n) + 1j * rng.normal(size=n))
-        for _ in range(100):
-            mid = rng.uniform(0, 2 * np.pi)
-            length = rng.uniform(4 * 2 * np.pi / n, 2 * np.pi)
-            arc = Arc(mid, length)
-            start, ncells = snap_arc(f, arc)
-            want = direct_arc_average(f.values, start, ncells)
-            got = arc_average(f, arc)
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        arcs = [Arc(rng.uniform(0, 2 * np.pi), rng.uniform(4 * 2 * np.pi / n, 2 * np.pi))
+                for _ in range(100)]
+        want = np.array([direct_arc_average(f.values, *snap_arc(f, arc)) for arc in arcs])
+        got = snapped_means(f, arcs)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_under_resolved(self):
         f = PeriodicSamples(np.ones(64))
         with pytest.raises(ConfigError, match="under-resolved"):
-            arc_average(f, Arc(0.0, 2 * np.pi / 64))
+            snap_arc(f, Arc(0.0, 2 * np.pi / 64))
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([8, 16, 64, 256]), st.integers(0, 2 ** 32 - 1),
@@ -180,33 +183,30 @@ class TestArcAverage:
 
 
 class TestEvalDeriv:
+    """TaylorFunction.deriv at single points."""
+
     def test_linear(self):
         f = TaylorFunction.polynomial([1.0])
-        assert eval_deriv(f, 0.3 + 0.1j) == pytest.approx(1.0)
+        assert f.deriv(0.3 + 0.1j) == pytest.approx(1.0)
 
     def test_square(self):
         f = TaylorFunction.polynomial([0.0, 1.0])
-        assert eval_deriv(f, 0.5) == pytest.approx(1.0)
+        assert f.deriv(0.5) == pytest.approx(1.0)
 
     def test_log_closed_form(self):
         f = log_singular()
-        assert eval_deriv(f, 0.9) == pytest.approx(10.0)
-
-    def test_outside_disc(self):
-        f = TaylorFunction.polynomial([1.0])
-        with pytest.raises(ConfigError, match="outside unit disc"):
-            eval_deriv(f, 1.0)
+        assert f.deriv(0.9) == pytest.approx(10.0)
 
     def test_truncated_radius_guard(self):
         # slowly decaying coefficients without closed forms: reject near the rim
         f = TaylorFunction(1.0 / np.arange(1, 257))
         assert f.radius_cap < 1.0
-        with pytest.raises(ConfigError):
-            eval_deriv(f, 0.999999)
+        with pytest.raises(ConfigError, match="beyond trusted radius"):
+            f.deriv(0.999999)
 
     def test_polynomial_evaluable_everywhere(self):
         f = TaylorFunction.polynomial(np.ones(8))
-        assert np.isfinite(eval_deriv(f, 0.999999))
+        assert np.isfinite(f.deriv(0.999999))
 
 
 class TestTaylorFunction:

@@ -7,12 +7,10 @@ from oscillometer.funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
                                   TaylorFunction, TorusSamples, snap_arc)
 from oscillometer.spaces import (SpaceDescriptor, _arc_layout, _disc_radii,
-                                 _rect_values, _strata_pairs, bloch_term,
-                                 bmo_oscillation, build_family, compose_mobius,
-                                 kernel_from_config, lip_quotient, qk_local,
-                                 rect_oscillation, weight_from_config,
-                                 weighted_term)
-from oscillometer.family import seminorm_sup, tail_profile
+                                 _rect_values, _strata_pairs, bmo_oscillation,
+                                 build_family, compose_mobius, kernel_from_config,
+                                 qk_local, weight_from_config)
+from oscillometer.family import OperatorFamilyGrid, seminorm_sup, tail_profile
 from oscillometer.builtins import (circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
                                    torus_builtin)
@@ -194,17 +192,34 @@ class TestBmoOscillation:
             bmo_oscillation(f, Arc(0, 1.0), 0.5)
 
 
+def grid_entries(desc, f):
+    """Every entry's parameters (describe) and value (evaluate_all) on the
+    grid built from desc."""
+    grid = build_family(desc)
+    return grid.describe(np.arange(len(grid))), grid.evaluate_all(f)
+
+
+# radii 0, 0.1, ..., 0.9 plus the dyadic shells; angle 0 puts a node on each
+DISC_TENTHS = {"uniform_radii": 10, "shells": 6, "angles": 8}
+
+
 class TestBlochTerm:
+    """Entries (1 - |w|^2) |f'(w)| of the bloch grid."""
+
+    def entry(self, f, w):
+        params, vals = grid_entries(SpaceDescriptor("bloch", resolution=DISC_TENTHS), f)
+        return vals[params.w == w].item()
+
     def test_z_at_origin(self):
-        assert bloch_term(taylor_builtin("monomial", degree=1), 0.0) == \
+        assert self.entry(taylor_builtin("monomial", degree=1), 0.0) == \
             pytest.approx(1.0)
 
     def test_z_at_point(self):
-        assert bloch_term(taylor_builtin("monomial", degree=1), 0.6) == \
+        assert self.entry(taylor_builtin("monomial", degree=1), 0.6) == \
             pytest.approx(0.64)
 
     def test_log_singular(self):
-        assert bloch_term(log_singular(), 0.9) == pytest.approx(1.9)
+        assert self.entry(log_singular(), 0.9) == pytest.approx(1.9)
 
 
 class TestQkLocal:
@@ -244,76 +259,99 @@ class TestQkLocal:
 
 
 class TestWeightedTerm:
+    """Entries v(z) |f(z)| of the weighted disc grid."""
+
+    def entry(self, f, z):
+        desc = SpaceDescriptor("weighted", weight=weight_from_config({"name": "one_minus_r2"}),
+                               resolution=DISC_TENTHS)
+        params, vals = grid_entries(desc, f)
+        return vals[params.z == z].item()
+
     def test_taylor_class_vanishes_at_origin(self):
-        v = weight_from_config({"name": "one_minus_r2"})
-        assert weighted_term(taylor_builtin("monomial", degree=1), v, 0.0) == 0.0
+        assert self.entry(taylor_builtin("monomial", degree=1), 0.0) == 0.0
 
     def test_cauchy_kernel(self):
-        v = weight_from_config({"name": "one_minus_r2"})
         f = taylor_builtin("cauchy_kernel")
-        assert weighted_term(f, v, 0.9) == pytest.approx(1.9)
-        assert weighted_term(f, v, 0.0) == pytest.approx(1.0)
+        assert self.entry(f, 0.9) == pytest.approx(1.9)
+        assert self.entry(f, 0.0) == pytest.approx(1.0)
 
 
 class TestLipQuotient:
+    """Entries |f(x) - f(y)| / |x - y|^alpha of the lip grid (all pairs)."""
+
     def test_identity_map(self):
         dom = BoxDomain([0.0], [1.0], 0.01)
         f = EuclideanSamples(dom, dom.axes()[0], 1.0)
-        assert lip_quotient(f, 30, 70, 1.0) == pytest.approx(1.0)
+        _, vals = grid_entries(SpaceDescriptor("lip", alpha=1.0, lip_domain=dom), f)
+        assert vals == pytest.approx(np.ones(101 * 50))
 
     def test_cusp_pairs_through_origin(self):
         dom = BoxDomain([-1.0], [1.0], 0.01)
         f = EuclideanSamples(dom, np.abs(dom.axes()[0]) ** 0.5, 0.5)
-        origin = 100
-        for other in (3, 57, 199):
-            assert lip_quotient(f, other, origin, 0.5) == pytest.approx(1.0)
+        params, vals = grid_entries(SpaceDescriptor("lip", alpha=0.5, lip_domain=dom), f)
+        through = (params.x[:, 0] == 0.0) | (params.y[:, 0] == 0.0)
+        assert np.count_nonzero(through) == 200
+        assert vals[through] == pytest.approx(np.ones(200))
 
     def test_square_endpoint_pair(self):
         dom = BoxDomain([0.0], [1.0], 0.01)
         f = EuclideanSamples(dom, dom.axes()[0] ** 2, 1.0)
-        assert lip_quotient(f, 100, 0, 1.0) == pytest.approx(1.0)
+        params, vals = grid_entries(SpaceDescriptor("lip", alpha=1.0, lip_domain=dom), f)
+        assert vals[(params.x[:, 0] == 0.0) & (params.y[:, 0] == 1.0)].item() == \
+            pytest.approx(1.0)
 
     def test_same_node_rejected(self):
+        # no entry pairs a node with itself, and a grid given one is refused
         dom = BoxDomain([0.0], [1.0], 0.01)
-        f = EuclideanSamples(dom, dom.axes()[0], 1.0)
-        with pytest.raises(ConfigError):
-            lip_quotient(f, 5, 5, 1.0)
+        grid = build_family(SpaceDescriptor("lip", alpha=1.0, lip_domain=dom))
+        assert np.all(grid.remoteness > 0)
+        with pytest.raises(ConfigError, match="positive"):
+            OperatorFamilyGrid("lip", grid.describe, np.append(grid.remoteness, 0.0),
+                               grid.evaluate_all, 0.02, grid.default_scales)
 
 
 class TestRectOscillation:
+    """rect_bmo grid entries: the square root of the I x J mean of |F - F_J -
+    F_I + F_IxJ|^2."""
+
+    RES = {"n_samples": 64, "midpoints": 8, "min_len_exp": 0, "max_len_exp": 5}
+
+    def entries(self, F, **res):
+        desc = SpaceDescriptor("rect_bmo", resolution=dict(self.RES, **res))
+        return grid_entries(desc, F)
+
     def test_constant_zero(self):
         F = TorusSamples(np.full((64, 64), 2.0 + 1.0j))
-        assert rect_oscillation(F, Arc(0, 1.0), Arc(1, 2.0)) == \
-            pytest.approx(0.0, abs=1e-12)
+        _, vals = self.entries(F)
+        assert np.all(vals <= 1e-12)
 
     def test_one_variable_degenerate(self):
-        F = torus_builtin("one_variable", 64)
-        G = torus_builtin("additive", 64)
-        for I, J in [(Arc(0, 1.0), Arc(2, 0.5)), (Arc(3, 2.0), Arc(1, 1.0))]:
-            assert rect_oscillation(F, I, J) <= 1e-10
-            assert rect_oscillation(G, I, J) <= 1e-10
+        for F in (torus_builtin("one_variable", 64), torus_builtin("additive", 64)):
+            _, vals = self.entries(F)
+            assert np.all(vals <= 1e-10)
 
     def test_product_identity_random(self):
         rng = np.random.default_rng(7)
         n = 256
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
         h = rng.normal(size=n) + 1j * rng.normal(size=n)
-        F = TorusSamples(np.outer(g, h))
-        gs = PeriodicSamples(g)
-        hs = PeriodicSamples(h)
-        for I, J in [(Arc(0.7, 1.1), Arc(2.2, 0.4)), (Arc(0, 2 * np.pi), Arc(1, 1))]:
-            want = bmo_oscillation(gs, I, 2.0) * bmo_oscillation(hs, J, 2.0)
-            got = rect_oscillation(F, I, J)
-            assert abs(got - want) <= 1e-10 * max(1.0, want)
+        params, got = self.entries(TorusSamples(np.outer(g, h)), n_samples=n)
+        arcs = set(zip(params.mid_zeta, params.len_zeta))
+        og, oh = ({arc: bmo_oscillation(PeriodicSamples(v), Arc(*arc), 2.0) for arc in arcs}
+                  for v in (g, h))
+        want = np.array([og[p.mid_zeta, p.len_zeta] * oh[p.mid_lambda, p.len_lambda]
+                         for p in params])
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, want))
 
     def test_step_tensor_jump_arcs(self):
         # product identity reduces the 2-d value to two 1-d p=2 sweeps
         n = 512
-        F = torus_builtin("step_tensor", n)
+        params, vals = self.entries(torus_builtin("step_tensor", n), n_samples=n)
         s = PeriodicSamples(step_half_values(n))
-        I = Arc(0.0, np.pi / 2)
-        want = bmo_oscillation(s, I, 2.0) ** 2
-        assert rect_oscillation(F, I, I) == pytest.approx(want, rel=1e-10)
+        want = bmo_oscillation(s, Arc(0.0, np.pi / 2), 2.0) ** 2
+        at = ((params.mid_zeta == 0.0) & (params.len_zeta == np.pi / 2)
+              & (params.mid_lambda == 0.0) & (params.len_lambda == np.pi / 2))
+        assert vals[at].item() == pytest.approx(want, rel=1e-10)
         assert want == pytest.approx(0.25, abs=2e-3)
 
 
