@@ -7,8 +7,9 @@ contraction comparisons; a ladder takes one forward transform, real for real
 samples, and one inverse per member.  Dilations and Cesaro-damped partial
 sums act on Taylor coefficients.  The Hoelder smoother extends the function off its box
 by composing it with the projection onto the box (edge clamping on the grid,
-which keeps the Hoelder constant exactly), convolves with a truncated
-heavy-tailed kernel of unit discrete mass and restricts back to the box.
+which keeps the Hoelder constant exactly) and convolves along each axis with
+heavy-tailed discrete weights of exactly unit mass: an FFT over the box plus
+the edge values times the weights' closed-form tail sums, with no padding.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import certification_threshold
-from .errors import (COUNT_CAP, EXPONENT_CAP, LENGTH_CAP, ConfigError,
-                     config_block, config_number)
+from .errors import (EXPONENT_CAP, LENGTH_CAP, ConfigError, config_block,
+                     config_number)
 from .family import limsup_estimate, seminorm_sup, tail_profile
 from .funcrep import (EuclideanSamples, PeriodicSamples, TaylorFunction,
                       TorusSamples, x_norm)
@@ -106,71 +107,50 @@ def fejer_taylor(f: TaylorFunction, n: int) -> TaylorFunction:
 # Hoelder smoothing on box grids
 # ---------------------------------------------------------------------------
 
-def _extend_by_projection(f: EuclideanSamples, pad: int) -> np.ndarray:
-    """f composed with the projection onto the box, sampled on the grid padded
-    by pad nodes per side.  Clamping grid indices is the Euclidean projection
-    onto an axis-aligned box, which is 1-Lipschitz, so the extension equals f
-    on the box and keeps its grid Hoelder constant exactly."""
-    return np.pad(f.values, pad, mode="edge")
+def _smooth_axis(values: np.ndarray, axis: int, t: float,
+                 step: float) -> np.ndarray:
+    """Convolution along one axis of the edge-clamped extension of values
+    with the discrete Poisson weights w(m) = t h / (pi (t^2 + m^2 h^2)),
+    normalised by their exact sum over Z, coth(pi t / h).  The box itself is
+    one circular FFT convolution long enough not to wrap; past each edge the
+    extension is the edge value, whose share at node i is that value times
+    the tail mass T(i) = sum_{m > i} w(m), so the mass is exactly one."""
+    v = np.moveaxis(values, axis, -1)
+    n = v.shape[-1]
+    x = step * np.arange(n)
+    w = math.tanh(math.pi * t / step) * t * step / (math.pi * (t * t + x * x))
+    size = 1 << (2 * n - 2).bit_length()       # 2^ceil(log2(2n - 1))
+    kernel = np.zeros(size)
+    kernel[:n] = w
+    kernel[size - n + 1:] = w[:0:-1]           # offsets -(n - 1) .. -1
+    out = np.fft.irfft(np.fft.rfft(v, size) * np.fft.rfft(kernel), size)[..., :n]
+    tail = (1.0 + w[0]) / 2.0 - np.cumsum(w)   # (1 - w(0))/2 - sum_{1..i} w
+    out += v[..., :1] * tail + v[..., -1:] * tail[::-1]
+    return np.moveaxis(out, -1, axis)
 
 
-def _poisson_kernel_nd(ndim: int, t: float, step: float, pad: int):
-    """Discrete truncated kernel with unit mass, plus the mass left outside."""
-    offs = step * np.arange(-pad, pad + 1)
-    if ndim == 1:
-        raw = t / (t * t + offs ** 2) / np.pi
-        outside = 1.0 - (2.0 / np.pi) * math.atan(pad * step / t)
-    else:
-        r2 = offs[:, None] ** 2 + offs[None, :] ** 2
-        raw = t / (t * t + r2) ** 1.5 / (2.0 * np.pi)
-        outside = t / math.sqrt(t * t + (pad * step) ** 2)
-    kernel = raw * step ** ndim
-    return kernel / kernel.sum(), float(outside)
-
-
-def _fft_convolve_same(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Linear convolution, centre-aligned output of the input's shape."""
-    full = [v + k - 1 for v, k in zip(values.shape, kernel.shape)]
-    sizes = [1 << int(np.ceil(np.log2(s))) for s in full]
-    axes = list(range(values.ndim))
-    fv = np.fft.rfftn(values, sizes, axes=axes)
-    fk = np.fft.rfftn(kernel, sizes, axes=axes)
-    conv = np.fft.irfftn(fv * fk, sizes, axes=axes)
-    start = [(k - 1) // 2 for k in kernel.shape]
-    sel = tuple(slice(s, s + v) for s, v in zip(start, values.shape))
-    return conv[sel]
-
-
-def lip_smooth(f: EuclideanSamples, t: float, *,
-               pad_factor: float = 4.0) -> EuclideanSamples:
-    """Mollified approximant: extend, convolve at scale t, restrict.
+def lip_smooth(f: EuclideanSamples, t: float) -> EuclideanSamples:
+    """Mollified approximant: f composed with the projection onto the box
+    (edge clamping, 1-Lipschitz, so the grid Hoelder constant is kept),
+    convolved at scale t along each axis in turn -- in 2-D a product kernel
+    of unit mass -- and restricted to the box.
 
     Refused for alpha = 1 and for kernels finer than the grid step.
     """
-    samples, _ = lip_smooth_with_info(f, t, pad_factor=pad_factor)
-    return samples
-
-
-def lip_smooth_with_info(f: EuclideanSamples, t: float, *,
-                         pad_factor: float = 4.0):
-    """lip_smooth plus the truncated kernel mass (reported, not hidden)."""
     if f.alpha >= 1.0:
         raise ConfigError("little space may be trivial")
     if t <= 0:
         raise ConfigError(f"kernel scale must be positive, got {t}")
     if t < f.domain.step:
         raise ConfigError("kernel under-resolved")
-    dom = f.domain
-    pad = pad_factor * dom.diameter / dom.step
-    if not 0.0 <= pad <= COUNT_CAP:
-        raise ConfigError(f"pad factor must be >= 0 and pad at most {COUNT_CAP} "
-                          f"nodes, got {pad_factor}")
-    pad = int(math.ceil(pad))
-    ext = _extend_by_projection(f, pad)
-    kernel, outside = _poisson_kernel_nd(dom.ndim, t, dom.step, pad)
-    smoothed = _fft_convolve_same(ext, kernel)
-    sel = tuple(slice(pad, pad + s) for s in dom.shape)
-    return EuclideanSamples(dom, smoothed[sel], f.alpha), outside
+    values = f.values
+    for axis in range(values.ndim):
+        values = _smooth_axis(values, axis, t, f.domain.step)
+    return EuclideanSamples(f.domain, values, f.alpha)
+
+
+# kept while bench/spans.py times the smoother under this name
+lip_smooth_with_info = lip_smooth
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +164,6 @@ class ApproxFamily:
     kind: str
     parameters: list
     members: list
-    kernel_truncation: float = 0.0     # the largest over the members
 
     def __post_init__(self):
         if not self.members:
@@ -212,19 +191,15 @@ def fejer_family(f: TaylorFunction, levels: int = 8) -> ApproxFamily:
 
 
 def lip_smooth_family(f: EuclideanSamples, levels: int = 8, t0: float = 0.1,
-                      pad_factor: float = 4.0) -> ApproxFamily:
-    ts, members, outside = [], [], []
-    for m in range(levels):
-        t = t0 * 2.0 ** -m
-        if t < f.domain.step:
-            break
-        g, mass = lip_smooth_with_info(f, t, pad_factor=pad_factor)
-        ts.append(t)
-        members.append(g)
-        outside.append(mass)
+                      pad_factor=None) -> ApproxFamily:
+    """Hoelder smoothings at t0 2^-m, m < levels, down to the grid step.
+    pad_factor is ignored; it stays while bench/workloads.py passes it."""
+    ts = [t0 * 2.0 ** -m for m in range(levels)]
+    ts = [t for t in ts if t >= f.domain.step]
     if len(ts) < 3:
         raise ConfigError("kernel under-resolved")
-    return ApproxFamily("lip_smooth", ts, members, max(outside))
+    # called by its traced name, so the benchmark times each member
+    return ApproxFamily("lip_smooth", ts, [lip_smooth_with_info(f, t) for t in ts])
 
 
 # each ladder with the one input representation it acts on
@@ -249,7 +224,7 @@ def family_from_config(cfg: dict, f) -> ApproxFamily:
     ladder = config_block(cfg, "ladder")
     casts = {"levels": (int, EXPONENT_CAP)}
     if kind == "lip_smooth":
-        casts.update(t0=(float, LENGTH_CAP), pad_factor=(float,))
+        casts.update(t0=(float, LENGTH_CAP))
     kwargs = {key: config_number(ladder, key, None, *cast)
               for key, cast in casts.items() if key in ladder}
     return make(f, **kwargs)
@@ -281,7 +256,6 @@ class AssumptionReport:
     little_threshold: float
     x_reference: float
     x_tolerance: float
-    kernel_truncation: float = 0.0
     notes: str = ""
 
     def to_dict(self) -> dict:
@@ -297,7 +271,6 @@ class AssumptionReport:
             "little_threshold": self.little_threshold,
             "x_reference": self.x_reference,
             "x_tolerance": self.x_tolerance,
-            "kernel_truncation": self.kernel_truncation,
             "notes": self.notes,
         }
 
@@ -322,7 +295,6 @@ def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
         grid = build_family(desc)
     input_norm = float(np.max(grid.evaluate_all(f)))
     threshold = certification_threshold(input_norm)
-    slack_allowed = slack + fam.kernel_truncation
     member_norms, member_tails, little_flags, x_distances = [], [], [], []
     for g in fam.members:
         vals = grid.evaluate_all(g)
@@ -334,7 +306,7 @@ def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
         x_distances.append(ambient_distance(desc, f, g))
     x_ref = ambient_norm(desc, f)
     x_tol = x_tol_rel * x_ref
-    norms_ok = max(member_norms) <= input_norm * (1.0 + slack_allowed) + 1e-15
+    norms_ok = max(member_norms) <= input_norm * (1.0 + slack) + 1e-15
     tail3 = x_distances[-3:]
     decreasing = all(tail3[i] >= tail3[i + 1] - 1e-12 * max(1.0, tail3[i])
                      for i in range(len(tail3) - 1))
@@ -348,13 +320,12 @@ def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
         x_distances=x_distances,
         verdict=bool(norms_ok and decreasing and converged and len(tail3) == 3),
         slack_used=slack_used,
-        slack_allowed=slack_allowed,
+        slack_allowed=slack,
         member_tails=member_tails,
         little_flags=little_flags,
         little_threshold=threshold,
         x_reference=x_ref,
         x_tolerance=x_tol,
-        kernel_truncation=fam.kernel_truncation,
         notes=("ambient distances for box grids use the sup-norm proxy"
                if desc.tag == "lip" else ""),
     )

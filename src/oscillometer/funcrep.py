@@ -341,10 +341,6 @@ class BoxDomain:
         return [self.lo[d] + self.step * np.arange(self.shape[d])
                 for d in range(self.ndim)]
 
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
-
 
 class EuclideanSamples(_Samples):
     """Real samples of a function over a BoxDomain grid, held by `_owned`,

@@ -466,17 +466,21 @@ def _direct_osc(windows: np.ndarray, means: np.ndarray, p: float,
     nodes of one arc, usually a strided view) about its mean, reduced a
     bounded number of elements at a time.  The trapezoid weights are applied
     as a row sum minus half the two end nodes, not as a matrix product, which
-    would hand the memory-bound reduction to a multi-threaded BLAS."""
+    would hand the memory-bound reduction to a multi-threaded BLAS.  For
+    p != 1 rows are scaled by their largest deviation before the power, so
+    no p over- or underflows: as p grows the value tends to that deviation."""
     count, width = windows.shape
-    out = np.empty(count)
+    out, top = np.empty(count), np.ones(count)
     rows = max(1, chunk // width)
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
         dev = np.abs(windows[lo:hi] - means[lo:hi, None])
         if p != 1.0:
+            top[lo:hi] = dev.max(axis=1)
+            np.divide(dev, top[lo:hi, None], out=dev, where=top[lo:hi, None] > 0)
             dev **= p
         out[lo:hi] = (dev.sum(axis=1) - 0.5 * (dev[:, 0] + dev[:, -1])) / (width - 1)
-    return out ** (1.0 / p)
+    return out ** (1.0 / p) * top
 
 
 def _disc_radii(uniform: int, shells: int, shell_from: int = 1,

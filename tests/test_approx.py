@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 from oscillometer.approx import (ApproxFamily, assumption_check, dilate,
                                  dilation_family, family_from_config,
                                  fejer_family, fejer_taylor, lip_smooth,
-                                 lip_smooth_family, lip_smooth_with_info,
-                                 poisson_circle, poisson_family,
-                                 poisson_torus2, poisson_torus_family,
-                                 _extend_by_projection)
+                                 lip_smooth_family, poisson_circle,
+                                 poisson_family, poisson_torus2,
+                                 poisson_torus_family, _smooth_axis)
 from oscillometer.builtins import (box_builtin, circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
                                    torus_builtin)
@@ -196,11 +195,10 @@ class TestLipSmooth:
         dom = BoxDomain([-1.0], [1.0], 2e-3)
         x = dom.axes()[0]
         f = EuclideanSamples(dom, np.cos(x), 0.9)
-        g, trunc = lip_smooth_with_info(f, 0.01)
+        g = lip_smooth(f, 0.01)
         inner = np.abs(x) <= 0.25
         err = np.max(np.abs(g.values[inner] - np.exp(-0.01) * np.cos(x[inner])))
         assert err < 0.03
-        assert trunc < 1e-2
 
     def test_contractivity_of_discrete_kernel(self):
         # unit-mass positive kernel: quotients never grow past the extension
@@ -225,40 +223,67 @@ class TestLipSmooth:
         return float(np.max(np.abs(flat[ia] - flat[ib]) / dist ** alpha))
 
     @pytest.mark.parametrize("ndim", [1, 2])
-    def test_projection_extension_keeps_hoelder_constant(self, ndim):
-        # random walks (201 nodes, or 17^2 with walks along both axes): the
-        # extension restricts to f and its all-pairs grid constant is f's
-        rng = np.random.default_rng(10)
-        n, pad = (201, 40) if ndim == 1 else (17, 8)
-        dom = BoxDomain([-1.0] * ndim, [1.0] * ndim, 2.0 / (n - 1))
-        for alpha in (0.3, 0.5, 0.8):
-            walk = rng.normal(size=(n,) * ndim)
-            for axis in range(ndim):
-                walk = np.cumsum(walk, axis=axis)
-            f = EuclideanSamples(dom, 0.05 * walk, alpha)
-            ext = _extend_by_projection(f, pad)
-            inner = tuple(slice(pad, pad + n) for _ in range(ndim))
-            assert ext.shape == (n + 2 * pad,) * ndim
-            assert np.array_equal(ext[inner], f.values)
-            base = self._all_pairs_hoelder(f.values, dom.step, alpha)
-            extended = self._all_pairs_hoelder(ext, dom.step, alpha)
-            assert extended <= base * (1 + 1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 201),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    def test_projection_extension_keeps_hoelder_constant(self, ndim, n, alpha,
+                                                         u, seed):
+        # random walks on 1-D grids of at most 201 nodes or 2-D grids of at
+        # most 17^2, smoothed at t in [step, 1]: a positive kernel of unit
+        # mass applied to the projection extension, so the all-pairs grid
+        # Hoelder constant never grows
+        if ndim == 2:
+            n = 3 + n % 15
+        step = 1.0 / (n - 1)
+        dom = BoxDomain([0.0] * ndim, [1.0] * ndim, step)
+        t = step + u * (1.0 - step)
+        rng = np.random.default_rng(seed)
+        walk = rng.normal(size=(n,) * ndim)
+        for axis in range(ndim):
+            walk = np.cumsum(walk, axis=axis)
+        f = EuclideanSamples(dom, walk, alpha)
+        base = self._all_pairs_hoelder(f.values, step, alpha)
+        smoothed = self._all_pairs_hoelder(lip_smooth(f, t).values, step, alpha)
+        assert smoothed <= base * (1 + 1e-12)
+        c = rng.uniform(-10.0, 10.0)
+        flat = lip_smooth(EuclideanSamples(dom, np.full(dom.shape, c), alpha), t)
+        assert np.all(np.abs(flat.values - c) <= 1e-13 * abs(c))
+        # the 1-D weights themselves: row i of the smoothing matrix is node
+        # i's weights, tails folded onto the edge nodes
+        weights = _smooth_axis(np.eye(n), 0, t, step)
+        assert weights.min() >= 0.0
+        assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-13)
+
+    @pytest.mark.parametrize("t", [1.0 / 32, 0.1, 0.5])
+    def test_closed_form_tails_match_padded_sum(self, t):
+        # reference: the grid padded by P edge values per side and a direct
+        # sum with the normalised weights on offsets |m| <= P; it misses only
+        # the weights beyond +-P, whose share is at most their mass times
+        # 2 max|f|
+        P = 10 ** 5
+        dom = BoxDomain([-1.0], [1.0], 1.0 / 32)
+        x = dom.axes()[0]
+        f = EuclideanSamples(dom, np.sqrt(np.abs(x - 0.3)) + 0.5 * x, 0.5)
+        h = dom.step
+        m = h * np.arange(-P, P + 1)
+        w = np.tanh(np.pi * t / h) * t * h / (np.pi * (t * t + m * m))
+        ext = np.concatenate([np.full(P, f.values[0]), f.values,
+                              np.full(P, f.values[-1])])
+        want = np.convolve(ext, w, mode="valid")
+        outside = 1.0 - w.sum()
+        err = np.max(np.abs(lip_smooth(f, t).values - want))
+        assert err <= outside * 2.0 * np.abs(f.values).max() + 1e-13
 
     @pytest.mark.parametrize("n", [17, 65])
     def test_smoothing_2d(self, n):
         dom = BoxDomain([0.0, 0.0], [1.0, 1.0], 1.0 / (n - 1))
         xx, yy = np.meshgrid(dom.axes()[0], dom.axes()[1], indexing="ij")
         f = EuclideanSamples(dom, np.hypot(xx - 0.5, yy - 0.5) ** 0.5, 0.5)
-        g = lip_smooth(f, 0.25, pad_factor=1.0)
+        g = lip_smooth(f, 0.25)
         assert g.values.shape == dom.shape
         assert np.all(np.isfinite(g.values))
         assert lip_const(g) <= lip_const(f) * (1 + 1e-12)
-
-    def test_negative_pad_factor_refused(self):
-        dom = BoxDomain([0.0], [1.0], 0.01)
-        f = EuclideanSamples(dom, np.sqrt(dom.axes()[0]), 0.5)
-        with pytest.raises(ConfigError, match="pad factor"):
-            lip_smooth(f, 0.1, pad_factor=-1.0)
 
 
 class TestLadders:
@@ -292,7 +317,7 @@ class TestLadders:
                         family_from_config({"kind": kind}, f)
 
     @pytest.mark.parametrize("ladder", [{"levels": "abc"}, {"levels": None},
-                                        {"t0": "x"}, {"pad_factor": "x"}])
+                                        {"t0": "x"}])
     def test_bad_ladder_number_refused(self, ladder):
         f = box_builtin("holder_cusp", BoxDomain([-1.0], [1.0], 0.01), 0.5)
         with pytest.raises(ConfigError, match="must be a finite number"):

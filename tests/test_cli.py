@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -204,9 +205,23 @@ def _with(base, **changes):
     return payload
 
 
+def run_process(tmp_path, command, payload):
+    """The CLI run as a process, so an uncaught exception shows as a traceback
+    on stderr; with warnings raised as errors, so a numpy warning does too."""
+    cfg = write_config(tmp_path, f"{command}.json", payload)
+    out = tmp_path / "out"
+    out.mkdir()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "oscillometer.cli",
+                           command, "--config", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    return proc, out
+
+
 @pytest.mark.parametrize("command,payload", [
     ("check", _with(LIP_SMOOTH_CHECK, family={"kind": "dilation"})),
-    ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.pad_factor": -1})),
     ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.t0": "x"})),
     ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.t0": float("nan")})),
     ("check", _with(LIP_SMOOTH_CHECK, slack="x")),
@@ -269,7 +284,6 @@ def _with(base, **changes):
                                          "top_exp": 10 ** 30})),
     ("check", _with(LIP_SMOOTH_CHECK, space={
         "space": "lip", "domain": {"lo": [0], "hi": [1], "step": 1e-300}})),
-    ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.pad_factor": 1e308})),
     # grid sizes of 1 TiB and more: refused before anything is allocated
     ("norm", _with(RECT_NORM, **{"space.resolution": {"n_samples": 2 ** 24}})),
     ("norm", _with(BLOCH_NORM, **{"space.resolution.uniform_radii": 4096,
@@ -303,7 +317,7 @@ def _with(base, **changes):
                            "exponent": 1e308}}),
     ("check", _with(QK_INVARIANCE, **{"phi.a": [0.3, 1e308]})),
     ("check", _with(QK_INVARIANCE, **{"phi.lambda": [1e308, 0]})),
-], ids=["lip-dilation", "pad-factor-negative", "t0-text", "t0-nan", "slack-text",
+], ids=["lip-dilation", "t0-text", "t0-nan", "slack-text",
         "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
         "ladder-number", "family-text", "output-text", "space-number",
         "resolution-text", "domain-list", "coeffs-number", "function-text",
@@ -316,28 +330,30 @@ def _with(base, **changes):
         "poly-no-coeffs", "annulus-reversed", "annulus-r0-negative",
         "name-list", "name-object", "approximants-kind-list", "family-kind-object",
         "domain-kind-list", "top-exp-negative", "top-exp-huge", "box-step-tiny",
-        "pad-factor-huge", "torus-side-huge", "disc-nodes-huge", "box-nodes-huge",
+        "torus-side-huge", "disc-nodes-huge", "box-nodes-huge",
         "quad-nr-huge", "t0-huge", "hi-huge", "coeffs-inf", "coeffs-huge",
         "coeffs-int-huge", "samples-huge", "samples-int-huge",
         "cusp-exponent-negative", "cusp-exponent-huge", "phi-a-huge",
         "phi-lambda-huge"])
 def test_bad_config_exit_code(tmp_path, command, payload):
-    # run as a process, so an uncaught exception shows as a traceback on
-    # stderr; with warnings raised as errors, so a numpy warning on the way to
-    # the refusal does too
-    cfg = write_config(tmp_path, "bad.json", payload)
-    out = tmp_path / "out"
-    out.mkdir()
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "oscillometer.cli",
-                           command, "--config", cfg, "--out", str(out)],
-                          capture_output=True, text=True, env=env)
+    proc, out = run_process(tmp_path, command, payload)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "configuration error" in proc.stderr
     assert list(out.iterdir()) == []
+
+
+def test_huge_bmo_exponent_exits_cleanly(tmp_path):
+    # each arc's deviations are scaled by their largest before the power, so
+    # p = 1e308 neither overflows nor underflows: it reads the sup deviation,
+    # which for the 1-Lipschitz hat is pi/2, at the ends of a half circle
+    proc, out = run_process(tmp_path, "norm", {
+        "space": {"space": "bmo_circle", "p": 1e308, "resolution": {
+            "n_samples": 1024, "midpoints": 32, "min_len_exp": 1, "max_len_exp": 7}},
+        "function": {"kind": "builtin", "name": "triangle"}})
+    assert proc.returncode == 0, proc.stderr
+    value = json.loads((out / "report.json").read_text())["value"]
+    assert value == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 # cheap jobs of every command and space, the base of the exit-code property

@@ -204,7 +204,7 @@ def _ladder(desc, f):
     if desc.tag == "qk":
         return fejer_family(f, 4)
     if desc.tag == "lip":
-        return lip_smooth_family(f, levels=3, t0=0.25, pad_factor=1.0)
+        return lip_smooth_family(f, levels=3, t0=0.25)
     return dilation_family(f, 5)
 
 

@@ -372,7 +372,6 @@ class TestBoxDomain:
     def test_2d(self):
         dom = BoxDomain([0.0, 0.0], [1.0, 2.0], 0.25)
         assert dom.shape == (5, 9)
-        assert dom.diameter == pytest.approx(np.sqrt(5))
 
     def test_samples_shape_check(self):
         dom = BoxDomain([0.0], [1.0], 0.5)

@@ -192,6 +192,32 @@ class TestBmoOscillation:
             bmo_oscillation(f, Arc(0, 1.0), 0.5)
 
 
+BMO_EXPONENTS = (1.0, 1.5, 4.0, 64.0, 1100.0, 1e308)
+
+
+@pytest.fixture(scope="module")
+def bmo_exponent_grids():
+    res = {"n_samples": 1024, "midpoints": 32, "min_len_exp": 1, "max_len_exp": 7}
+    return [build_family(SpaceDescriptor("bmo_circle", p=p, resolution=res))
+            for p in BMO_EXPONENTS]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=8),
+       st.floats(1e-3, 1e-1), st.booleans())
+def test_bmo_nondecreasing_in_p(bmo_exponent_grids, coeffs, amplitude, real):
+    # the trapezoid weights of an arc sum to 1, so by the power-mean
+    # inequality every entry, and with it the seminorm, is non-decreasing in
+    # p; small amplitudes put dev**p far below the smallest float for large p
+    theta = TWO_PI * np.arange(1024) / 1024
+    values = amplitude * sum(c * np.exp(1j * k * theta)
+                             for k, c in enumerate(coeffs, start=1))
+    f = PeriodicSamples(values.real if real else values)
+    rows = [grid.evaluate_all(f) for grid in bmo_exponent_grids]
+    for lo, hi in zip(rows, rows[1:]):
+        assert np.all(hi >= lo * (1.0 - 1e-12))
+
+
 def grid_entries(desc, f):
     """Every entry's parameters (describe) and value (evaluate_all) on the
     grid built from desc."""
