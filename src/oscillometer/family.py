@@ -39,26 +39,30 @@ def thread_budget() -> int:
 
 
 def map_chunks(fn: Callable[[int, int], np.ndarray], size: int,
-               chunks: int) -> np.ndarray:
-    """fn(lo, hi) over `chunks` contiguous slices of range(size), joined.
+               block: int) -> np.ndarray:
+    """fn(lo, hi) over contiguous blocks of at most `block` entries of
+    range(size), joined.
 
-    The slices run on thread_budget() workers; with one worker, fn(0, size)
-    runs in the caller.  fn must compute each entry independently of the
-    slice it is in, so the result does not depend on the thread count.
+    With one worker (thread_budget()) the blocks run in order in the caller,
+    otherwise on a pool of that many workers, so the working set is set by
+    `block`, not by `size`.  fn must compute each entry independently of the
+    block it is in, so the result depends on neither the block size nor the
+    thread count.
     """
-    workers = thread_budget()
-    if workers <= 1 or chunks <= 1:
-        return fn(0, size)
-    bounds = np.linspace(0, size, chunks + 1).astype(int)
     out = np.empty(size)
+    starts = range(0, size, block)
 
-    def run(i):
-        lo, hi = bounds[i], bounds[i + 1]
-        if hi > lo:
-            out[lo:hi] = fn(lo, hi)
+    def run(lo):
+        hi = min(lo + block, size)
+        out[lo:hi] = fn(lo, hi)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(chunks)))
+    workers = thread_budget()
+    if workers <= 1:
+        for lo in starts:
+            run(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, starts))
     return out
 
 
@@ -105,7 +109,11 @@ class OperatorFamilyGrid:
         # exps + k < top_exp, or exps + k == top_exp and mant <= top_mant
         top_mant, top_exp = np.frexp(scales[0] * (1 + 1e-12))
         levels = np.clip(top_exp - exps - (mant > top_mant) + 1, 0, scales.size)
-        self._entry_levels = levels.astype(np.min_scalar_type(scales.size))
+        # the grid keeps the runs of entries of equal level, not every
+        # entry's level: a tail profile takes one max per run
+        self._run_starts = np.flatnonzero(np.diff(levels, prepend=-1))
+        self._run_levels = levels[self._run_starts].astype(
+            np.min_scalar_type(scales.size))
 
     def __len__(self) -> int:
         return self.remoteness.size
@@ -214,7 +222,8 @@ def tail_profile(fam: OperatorFamilyGrid, f,
     vals = fam.evaluate_all(f) if values is None else values
     scales = fam.default_scales
     maxima = np.full(scales.size + 1, -np.inf)
-    np.maximum.at(maxima, fam._entry_levels, vals)
+    np.maximum.at(maxima, fam._run_levels,
+                  np.maximum.reduceat(vals, fam._run_starts))
     # an entry counts at its finest level and every coarser one: a running
     # max from the finest level outward (max is order-free, so exact)
     sups = np.maximum.accumulate(maxima[:0:-1])[::-1]

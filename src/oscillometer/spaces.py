@@ -464,22 +464,28 @@ def _direct_osc(windows: np.ndarray, means: np.ndarray, p: float,
                 chunk: int = 1 << 16) -> np.ndarray:
     """Direct trapezoid p-oscillation of each row of `windows` (the ncells + 1
     nodes of one arc, usually a strided view) about its mean, reduced a
-    bounded number of elements at a time.  The trapezoid weights are applied
-    as a row sum minus half the two end nodes, not as a matrix product, which
-    would hand the memory-bound reduction to a multi-threaded BLAS.  For
-    p != 1 rows are scaled by their largest deviation before the power, so
-    no p over- or underflows: as p grows the value tends to that deviation."""
+    block of at most max(chunk, ncells + 1) elements at a time in one
+    difference and one deviation buffer that every block reuses; the values
+    do not depend on `chunk`.  The trapezoid weights are applied as a row
+    sum minus half the two end nodes, not as a matrix product, which would
+    hand the memory-bound reduction to a multi-threaded BLAS.  For p != 1
+    rows are scaled by their largest deviation before the power, so no p
+    over- or underflows: as p grows the value tends to that deviation."""
     count, width = windows.shape
     out, top = np.empty(count), np.ones(count)
-    rows = max(1, chunk // width)
+    rows = min(count, max(1, chunk // width))
+    diff = np.empty((rows, width), np.result_type(windows, means))
+    dev = np.empty((rows, width))
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
-        dev = np.abs(windows[lo:hi] - means[lo:hi, None])
+        d, v = diff[:hi - lo], dev[:hi - lo]
+        np.subtract(windows[lo:hi], means[lo:hi, None], out=d)
+        np.abs(d, out=v)
         if p != 1.0:
-            top[lo:hi] = dev.max(axis=1)
-            np.divide(dev, top[lo:hi, None], out=dev, where=top[lo:hi, None] > 0)
-            dev **= p
-        out[lo:hi] = (dev.sum(axis=1) - 0.5 * (dev[:, 0] + dev[:, -1])) / (width - 1)
+            v.max(axis=1, out=top[lo:hi])
+            np.divide(v, top[lo:hi, None], out=v, where=top[lo:hi, None] > 0)
+            v **= p
+        out[lo:hi] = (v.sum(axis=1) - 0.5 * (v[:, 0] + v[:, -1])) / (width - 1)
     return out ** (1.0 / p) * top
 
 
@@ -566,12 +572,16 @@ def _build_qk(desc: SpaceDescriptor):
             out[r_lo - lo:r_hi - lo] = (deriv_sq * jac[None, :]).sum(axis=1)
         return out
 
+    # centres per pointwise block: about 2^16 nodes, so every temporary of
+    # a block is about 1 MiB of complex on any thread count
+    block = max(1, 2 ** 16 // wn.size)
+
     def eval_all(f: TaylorFunction) -> np.ndarray:
         if not isinstance(f, TaylorFunction):
             raise ConfigError("the invariant-integral family needs a TaylorFunction")
         deriv_coeffs = _gram_deriv_coeffs(f, n_ang)
         if deriv_coeffs is None:
-            vals = map_chunks(lambda lo, hi: pointwise(f, lo, hi), centres.size, 8)
+            vals = map_chunks(lambda lo, hi: pointwise(f, lo, hi), centres.size, block)
         else:
             vals = np.concatenate([_gram_shell(deriv_coeffs, *templates[rho], rots)
                                    for rho, rots, _ in rows])
@@ -713,20 +723,24 @@ def _strata_pairs(dom: BoxDomain, cap: int):
     offsets = [off for off in ((1 << j) * np.array(u) for j in range(top) for u in units)
                if np.all(off < shape)]
     budget = max(1, cap // len(offsets))
-    coords = _grid_coords(dom)
-    anchor = np.array(np.unravel_index(np.argmin(np.linalg.norm(coords, axis=1)),
-                                       dom.shape))
+    # on a tensor grid the first node nearest the origin is the first node
+    # nearest 0 on each axis
+    anchor = np.array([np.argmin(np.abs(axis)) for axis in dom.axes()])
     ia_all, ib_all = [], []
     for off in offsets:
         sub = tuple(shape - off)
         count = math.prod(sub)
         stride = max(1, int(math.ceil(count / budget)))
-        picked = np.unravel_index(np.arange(0, count, stride, dtype=np.int64), sub)
-        extras = np.array([anchor, anchor - off])
+        picked = np.ravel_multi_index(np.unravel_index(
+            np.arange(0, count, stride, dtype=np.int64), sub), dom.shape)
+        # the picks are sorted and unique; the anchor extras, ascending, go
+        # in at their sorted places unless already picked
+        extras = np.array([anchor - off, anchor])
         extras = extras[np.all((extras >= 0) & (extras < sub), axis=1)]
-        sel = np.unique(np.concatenate([
-            np.ravel_multi_index(picked, dom.shape),
-            np.ravel_multi_index(tuple(extras.T), dom.shape)]))
+        flat = np.ravel_multi_index(tuple(extras.T), dom.shape)
+        at = np.searchsorted(picked, flat)
+        new = picked[np.minimum(at, picked.size - 1)] != flat
+        sel = np.insert(picked, at[new], flat[new])
         ia_all.append(sel)
         ib_all.append(sel + np.ravel_multi_index(tuple(off), dom.shape))
     return np.concatenate(ia_all), np.concatenate(ib_all)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from oscillometer.errors import ConfigError, NumericalError
 from oscillometer.family import (OperatorFamilyGrid, TailProfile, dyadic_scales,
-                                 limsup_estimate, seminorm_sup, tail_profile,
-                                 thread_budget)
+                                 limsup_estimate, map_chunks, seminorm_sup,
+                                 tail_profile, thread_budget)
 from oscillometer.funcrep import PeriodicSamples
 from oscillometer.spaces import SpaceDescriptor, build_family
 from oscillometer.builtins import log_singular, step_half_values, taylor_builtin
@@ -143,15 +144,18 @@ class TestTailProfileProperty:
     @given(remoteness_and_ladders())
     def test_levels_are_direct_maxima(self, case):
         rho, vals, ladders = case
-        # two grids on one remoteness vector, one per ladder
-        grids = [OperatorFamilyGrid("x", by_index, rho, lambda f: vals, 0.02, scales)
-                 for scales in ladders]
-        for fam, scales in zip(grids + grids, ladders + ladders):
-            for values in (vals, vals[::-1].copy()):
-                got = tail_profile(fam, None, values=values).tail_sups
-                want = [values[rho <= t * (1 + 1e-12)].max()
-                        if np.any(rho <= t * (1 + 1e-12)) else np.nan for t in scales]
-                assert np.array_equal(got, want, equal_nan=True)
+        # two grids per remoteness vector, one per ladder; the sorted copy
+        # gives long runs of entries of one level
+        for remote in (rho, np.sort(rho)):
+            grids = [OperatorFamilyGrid("x", by_index, remote, lambda f: vals, 0.02,
+                                        scales) for scales in ladders]
+            for fam, scales in zip(grids + grids, ladders + ladders):
+                for values in (vals, vals[::-1].copy()):
+                    got = tail_profile(fam, None, values=values).tail_sups
+                    want = [values[remote <= t * (1 + 1e-12)].max()
+                            if np.any(remote <= t * (1 + 1e-12)) else np.nan
+                            for t in scales]
+                    assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestLimsupEstimate:
@@ -223,7 +227,7 @@ class TestThreads:
         grid = build_family(SpaceDescriptor("qk", resolution={
             "shell_from": 2, "shell_to": 7, "extra_radii": (0.5,),
             "angles": 16, "quad_nr": 16, "quad_ntheta": 32}))
-        # a polynomial takes the Gram form, a closed form the threaded
+        # a polynomial takes the Gram form, a closed form the blocked
         # pointwise path
         for f in (taylor_builtin("monomial", degree=2), log_singular()):
             monkeypatch.setenv("OSCILLOMETER_THREADS", "1")
@@ -231,6 +235,39 @@ class TestThreads:
             monkeypatch.setenv("OSCILLOMETER_THREADS", "4")
             parallel = grid.evaluate_all(f)
             assert np.array_equal(serial, parallel)
+        # map_chunks itself: row sums of 101 rows, each reduced on its own
+        rows = np.random.default_rng(3).normal(size=(101, 37))
+        want = rows.sum(axis=1)
+        for block in (1, 7, rows.shape[0]):
+            seen = []
+
+            def fn(lo, hi):
+                seen.append((lo, hi))
+                return rows[lo:hi].sum(axis=1)
+
+            for threads in ("1", "4"):
+                monkeypatch.setenv("OSCILLOMETER_THREADS", threads)
+                seen.clear()
+                got = map_chunks(fn, rows.shape[0], block)
+                assert got.tobytes() == want.tobytes()
+                assert sorted(seen) == [(lo, min(lo + block, rows.shape[0]))
+                                        for lo in range(0, rows.shape[0], block)]
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_qk_pointwise_memory_bounded(self, monkeypatch, threads):
+        # the pointwise path runs a fixed number of centres per block: its
+        # traced peak must not grow with the shell size or the thread count
+        grid = build_family(SpaceDescriptor("qk"))
+        f = log_singular()
+        monkeypatch.setenv("OSCILLOMETER_THREADS", threads)
+        grid.evaluate_all(f)
+        tracemalloc.start()
+        try:
+            grid.evaluate_all(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
 
 def test_dyadic_scales_ladder():

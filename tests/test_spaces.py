@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from oscillometer.errors import ConfigError
 from oscillometer.funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
                                   TaylorFunction, TorusSamples, snap_arc)
-from oscillometer.spaces import (SpaceDescriptor, _arc_layout, _disc_radii,
-                                 _rect_values, _strata_pairs, bmo_oscillation,
-                                 build_family, compose_mobius, kernel_from_config,
-                                 qk_local, weight_from_config)
+from oscillometer.spaces import (SpaceDescriptor, _arc_layout, _direct_osc,
+                                 _disc_radii, _rect_values, _strata_pairs,
+                                 bmo_oscillation, build_family, compose_mobius,
+                                 kernel_from_config, qk_local, weight_from_config)
 from oscillometer.family import OperatorFamilyGrid, seminorm_sup, tail_profile
 from oscillometer.builtins import (circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
@@ -112,12 +113,14 @@ def direct_strata(shape, lo, step, cap):
 @st.composite
 def strata_grids(draw):
     """A 1-D or 2-D box grid of 2..40 nodes per axis (any aspect, so some
-    offsets outrun the shorter axis), its corner anywhere on a quarter-step
-    lattice around the origin, and a pair cap from 1 to 4000."""
+    offsets outrun the shorter axis), its corner anywhere on a half-step
+    lattice around the origin, and a pair cap from 1 to 4000.  An odd
+    half-step puts the origin midway between two nodes of that axis, so the
+    anchor ties; with step 0.25 every coordinate is exact in binary."""
     ndim = draw(st.sampled_from([1, 2]))
     shape = tuple(draw(st.lists(st.integers(2, 40), min_size=ndim, max_size=ndim)))
     step = 0.25
-    lo = [step * draw(st.integers(-50, 10)) for _ in shape]
+    lo = [step / 2 * draw(st.integers(-100, 20)) for _ in shape]
     hi = [a + step * (n - 1) for a, n in zip(lo, shape)]
     return BoxDomain(lo, hi, step), draw(st.integers(1, 4000))
 
@@ -579,6 +582,22 @@ class TestFamilyKernels:
         # the moment form's absolute error blows up under the root near 0.
         tol = 64 * n * n * EPS * np.abs(values).max() ** 2
         assert np.all(np.abs(got ** 2 - np.array(want)) <= tol)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_direct_osc_independent_of_chunk(p, real):
+    # strided windows of one vector, as the bmo family reads them; 10 rows
+    # leave a partial last block at 3 rows per block
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=400) + (0 if real else 1j * rng.normal(size=400))
+    width = 33
+    windows = sliding_window_view(values, width)[::29][:10]
+    means = windows.mean(axis=1)
+    results = [_direct_osc(windows, means, p, chunk)
+               for chunk in (width, 3 * width + 1, 2 ** 16)]
+    assert windows.shape[0] % 3 != 0
+    assert all(bitwise_equal(got, results[0]) for got in results[1:])
 
 
 class TestStrataPairsProperty:
