@@ -250,7 +250,6 @@ class AssumptionReport:
     x_distances: list
     verdict: bool
     slack_used: float
-    slack_allowed: float
     member_tails: list
     little_flags: list
     little_threshold: float
@@ -265,7 +264,6 @@ class AssumptionReport:
             "x_distances": self.x_distances,
             "verdict": "pass" if self.verdict else "fail",
             "slack_used": self.slack_used,
-            "slack_allowed": self.slack_allowed,
             "member_tails": self.member_tails,
             "little_flags": self.little_flags,
             "little_threshold": self.little_threshold,
@@ -320,7 +318,6 @@ def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
         x_distances=x_distances,
         verdict=bool(norms_ok and decreasing and converged and len(tail3) == 3),
         slack_used=slack_used,
-        slack_allowed=slack,
         member_tails=member_tails,
         little_flags=little_flags,
         little_threshold=threshold,

@@ -505,14 +505,16 @@ def _build_bloch(desc: SpaceDescriptor):
     res = desc.resolution
     radii = _disc_radii(res["uniform_radii"], res["shells"])
     w = _disc_nodes(radii, res["angles"], _DISC_KEYS)
+    modulus = np.abs(w)
+    weight = 1.0 - modulus ** 2
 
     def eval_all(f: TaylorFunction) -> np.ndarray:
         if not isinstance(f, TaylorFunction):
             raise ConfigError("the analytic family needs a TaylorFunction")
-        return (1.0 - np.abs(w) ** 2) * np.abs(f.deriv(w))
+        return weight * np.abs(f.deriv(w))
 
     scales = 2.0 ** -np.arange(0, res["shells"] + 1, dtype=float)
-    return (lambda idx: _records(w=w[idx])), 1.0 - np.abs(w), eval_all, scales
+    return (lambda idx: _records(w=w[idx])), 1.0 - modulus, eval_all, scales
 
 
 def _disc_nodes(radii: np.ndarray, n_ang: int, keys: str) -> np.ndarray:
@@ -576,15 +578,34 @@ def _build_qk(desc: SpaceDescriptor):
     # a block is about 1 MiB of complex on any thread count
     block = max(1, 2 ** 16 // wn.size)
 
+    # (degree, {radius: Gram matrix}) of the last degree the Gram path saw:
+    # the matrices depend on the templates and the degree only, not on f.
+    # The pair is replaced in one assignment and read once per call, so
+    # concurrent callers see either the old pair or the new one.  A set of
+    # more than COUNT_CAP entries is built shell by shell on every call and
+    # not kept, so a grid never holds more than 128 MiB of them
+    grams = (None, {})
+
     def eval_all(f: TaylorFunction) -> np.ndarray:
+        nonlocal grams
         if not isinstance(f, TaylorFunction):
             raise ConfigError("the invariant-integral family needs a TaylorFunction")
         deriv_coeffs = _gram_deriv_coeffs(f, n_ang)
         if deriv_coeffs is None:
             vals = map_chunks(lambda lo, hi: pointwise(f, lo, hi), centres.size, block)
         else:
-            vals = np.concatenate([_gram_shell(deriv_coeffs, *templates[rho], rots)
-                                   for rho, rots, _ in rows])
+            d = deriv_coeffs.size
+            degree, by_radius = grams
+            if degree != d:
+                by_radius = {}
+                if radii.size * d * d <= COUNT_CAP:
+                    by_radius = {rho: _gram_matrix(d, *templates[rho])
+                                 for rho, _, _ in rows}
+                    grams = (d, by_radius)
+            vals = np.concatenate([
+                _gram_forms(deriv_coeffs, by_radius[rho] if by_radius
+                            else _gram_matrix(d, *templates[rho]), rots)
+                for rho, rots, _ in rows])
         if not np.all(np.isfinite(vals)):
             raise NumericalError("singular node")
         return np.sqrt(np.maximum(vals, 0.0))
@@ -606,25 +627,29 @@ def _gram_deriv_coeffs(f: TaylorFunction, n_ang: int) -> Optional[np.ndarray]:
     return coeffs * np.arange(1, coeffs.size + 1)
 
 
-def _gram_shell(c: np.ndarray, phi: np.ndarray, jac: np.ndarray,
-                rots: np.ndarray) -> np.ndarray:
-    """sum_n jac_n |f'(r phi_n)|^2 for every rotation r of one shell.
+def _gram_matrix(d: int, phi: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """One shell's Gram matrix G[k, l] = sum_n jac_n phi_n^k conj(phi_n)^l,
+    k, l < d, over the template nodes phi with weights jac.
 
-    With f'(r phi) = sum_k c_k r^k phi^k, each entry is the Hermitian form
-    u^T G conj(u) in u_k = c_k r^k and the shell's Gram matrix
-    G[k, l] = sum_n jac_n phi_n^k conj(phi_n)^l: the same quadrature sum.
-    The template's nodes are closed under conjugation (real centre, angular
-    grid through 0) with matching weights, so G is real: one real
-    S S^T product over the interleaved real and imaginary parts of
-    S[k] = sqrt(jac) phi^k.
+    With f'(r phi) = sum_k c_k r^k phi^k, sum_n jac_n |f'(r phi_n)|^2 is the
+    Hermitian form u^T G conj(u) in u_k = c_k r^k (`_gram_forms`): the same
+    quadrature sum, and G does not depend on f.  The template's nodes are
+    closed under conjugation (real centre, angular grid through 0) with
+    matching weights, so G is real: one real S S^T product over the
+    interleaved real and imaginary parts of S[k] = sqrt(jac) phi^k.
     """
-    scaled_powers = np.empty((c.size, phi.size), dtype=complex)
-    if c.size:
+    scaled_powers = np.empty((d, phi.size), dtype=complex)
+    if d:
         scaled_powers[0] = np.sqrt(jac)
-    for k in range(1, c.size):
+    for k in range(1, d):
         scaled_powers[k] = scaled_powers[k - 1] * phi
     s = scaled_powers.view(float)
-    gram = s @ s.T
+    return s @ s.T
+
+
+def _gram_forms(c: np.ndarray, gram: np.ndarray, rots: np.ndarray) -> np.ndarray:
+    """sum_n jac_n |f'(r phi_n)|^2 for every rotation r of one shell, from
+    the coefficients c of f' and the shell's `_gram_matrix` of size c.size."""
     u = c * rots[:, None] ** np.arange(c.size)
     return ((u @ gram) * u.conj()).sum(axis=1).real
 
@@ -671,16 +696,22 @@ def lip_pair_indices(dom: BoxDomain, cap: int = 1_000_000):
     """Flat-index pairs sampling the quotient family: all pairs when they fit
     under the cap, otherwise dyadic-offset strata (see _strata_pairs).
 
-    Returns (ia, ib, dist) with dist the Euclidean node separations.
+    Returns (ia, ib, dist) with dist the Euclidean node separations, step
+    times the norm of each pair's integer offset: pairs of one offset have
+    one distance, so each enters the tail profile at its own offset's level
+    (differences of rounded coordinates scatter by a few ulps of the
+    coordinates, enough to move a pair one level coarser).
     """
-    flat_coords = _grid_coords(dom)
-    n_total = flat_coords.shape[0]
+    n_total = math.prod(dom.shape)
     if n_total * (n_total - 1) // 2 <= cap:
         ia, ib = np.triu_indices(n_total, k=1)
+        nodes = np.stack(np.unravel_index(np.arange(n_total), dom.shape), axis=1)
+        offsets = nodes[ib]
+        offsets -= nodes[ia]
+        reach = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
     else:
-        ia, ib = _strata_pairs(dom, cap)
-    dist = np.linalg.norm(flat_coords[ia] - flat_coords[ib], axis=1)
-    return ia, ib, dist
+        ia, ib, reach = _strata_pairs(dom, cap)
+    return ia, ib, dom.step * reach
 
 
 def _build_lip(desc: SpaceDescriptor):
@@ -715,6 +746,7 @@ def _strata_pairs(dom: BoxDomain, cap: int):
     stride-th node x, in C order over the nodes with x + off on the grid,
     with x + off.  Every stratum keeps the pairs anchored at the node
     nearest the origin so cusp-type extremal quotients survive subsampling.
+    Returns (ia, ib, reach), reach the norm of each pair's integer offset.
     """
     shape = np.array(dom.shape)
     units = dict.fromkeys([*map(tuple, np.eye(dom.ndim, dtype=np.int64)),
@@ -726,7 +758,7 @@ def _strata_pairs(dom: BoxDomain, cap: int):
     # on a tensor grid the first node nearest the origin is the first node
     # nearest 0 on each axis
     anchor = np.array([np.argmin(np.abs(axis)) for axis in dom.axes()])
-    ia_all, ib_all = [], []
+    ia_all, ib_all, sizes = [], [], []
     for off in offsets:
         sub = tuple(shape - off)
         count = math.prod(sub)
@@ -743,7 +775,9 @@ def _strata_pairs(dom: BoxDomain, cap: int):
         sel = np.insert(picked, at[new], flat[new])
         ia_all.append(sel)
         ib_all.append(sel + np.ravel_multi_index(tuple(off), dom.shape))
-    return np.concatenate(ia_all), np.concatenate(ib_all)
+        sizes.append(sel.size)
+    reach = np.repeat(np.sqrt([off @ off for off in offsets]), sizes)
+    return np.concatenate(ia_all), np.concatenate(ib_all), reach
 
 
 def _build_rect(desc: SpaceDescriptor):

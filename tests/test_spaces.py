@@ -10,7 +10,8 @@ from oscillometer.funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
 from oscillometer.spaces import (SpaceDescriptor, _arc_layout, _direct_osc,
                                  _disc_radii, _rect_values, _strata_pairs,
                                  bmo_oscillation, build_family, compose_mobius,
-                                 kernel_from_config, qk_local, weight_from_config)
+                                 kernel_from_config, lip_pair_indices, qk_local,
+                                 weight_from_config)
 from oscillometer.family import OperatorFamilyGrid, seminorm_sup, tail_profile
 from oscillometer.builtins import (circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
@@ -418,6 +419,25 @@ class TestBuildFamily:
                              np.abs(desc.lip_domain.axes()[0]) ** 0.5, 0.5)
         assert seminorm_sup(fam, f).value == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dom", [
+        BoxDomain([-1.0], [1.0], 1e-4),                   # strata
+        BoxDomain([-1.0, -1.0], [1.0, 1.0], 0.0625)],     # all pairs
+        ids=["1d-strata", "2d-all-pairs"])
+    def test_lip_distances_from_integer_offsets(self, dom):
+        # rounded coordinate differences scatter by a few ulps of the
+        # coordinates; step * |offset| puts every pair at its offset's level
+        fam = build_family(SpaceDescriptor("lip", alpha=0.5, lip_domain=dom))
+        ia, ib, _ = lip_pair_indices(dom)
+        offsets = np.subtract(np.unravel_index(ib, dom.shape),
+                              np.unravel_index(ia, dom.shape))
+        reach = np.sqrt(np.sum(offsets ** 2, axis=0))
+        assert bitwise_equal(fam.remoteness, dom.step * reach)
+        if dom.ndim == 1:
+            assert bitwise_equal(fam.remoteness, 1e-4 * np.abs(ib - ia).astype(float))
+        levels = np.repeat(fam._run_levels,
+                           np.diff(np.append(fam._run_starts, len(fam))))
+        assert np.all(levels[reach == 1] == fam.default_scales.size)
+
     @pytest.mark.parametrize("n,mids,kmin,kmax", [
         (128, 8, 1, 6), (1024, 1024, 2, 7), (4096, 128, 0, 10), (64, 1, 0, 5)])
     def test_arc_layout_matches_per_arc_loop(self, n, mids, kmin, kmax):
@@ -531,6 +551,8 @@ class TestFamilyKernels:
         n_nodes = 16 * 32
         c_abs = np.abs(np.trim_zeros(f.coeffs, "b") * np.arange(1, degree + 1)).sum()
         vals = fam.evaluate_all(f)
+        # the second call reads the Gram matrices the first one kept
+        assert bitwise_equal(fam.evaluate_all(f), vals)
         for val, param in zip(vals, fam.describe(np.arange(len(fam)))):
             want = qk_local(f, param.a, desc.kernel, rule)
             # sum_n jac_n over the centre's nodes (f' = 1) times the majorant
@@ -600,16 +622,110 @@ def test_direct_osc_independent_of_chunk(p, real):
     assert all(bitwise_equal(got, results[0]) for got in results[1:])
 
 
+def _qk_polynomial(degree, seed):
+    """A random complex polynomial a_1 z + ... + a_d z^d of exactly degree d
+    (the zero polynomial for d = 0, whose f' is empty)."""
+    rng = np.random.default_rng(seed)
+    if degree == 0:
+        return TaylorFunction.polynomial(np.zeros(2))
+    coeffs = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    return TaylorFunction.polynomial(coeffs)
+
+
+class TestQkGramCache:
+    """The qk grid keeps the last degree's Gram matrices between calls."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, QK_LIGHT_RES["angles"] + 1),
+                              st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=6))
+    def test_reused_grid_matches_fresh_grids(self, inputs):
+        # degrees up to angles + 1: the last one takes the pointwise path,
+        # which must neither read nor disturb the kept matrices
+        desc = SpaceDescriptor("qk", resolution=QK_LIGHT_RES)
+        reused = build_family(desc)
+        for degree, seed in inputs + inputs[:1]:
+            f = _qk_polynomial(degree, seed)
+            assert bitwise_equal(reused.evaluate_all(f),
+                                 build_family(desc).evaluate_all(f))
+
+    def test_matrices_built_once_per_degree(self, monkeypatch):
+        import oscillometer.spaces as spaces
+        built = []
+        original = spaces._gram_matrix
+
+        def counting(d, phi, jac):
+            built.append(d)
+            return original(d, phi, jac)
+
+        monkeypatch.setattr(spaces, "_gram_matrix", counting)
+        desc = SpaceDescriptor("qk", resolution=QK_LIGHT_RES)
+        fam = build_family(desc)
+        radii = _disc_radii(0, 7, 2, extra=(0.0, 0.5)).size
+        for seed in (1, 2):
+            fam.evaluate_all(_qk_polynomial(12, seed))
+        assert built == [12] * radii
+        fam.evaluate_all(_qk_polynomial(5, 3))
+        assert built == [12] * radii + [5] * radii
+        # a set over the entry cap is built on every call and not kept: the
+        # degree-5 set stays
+        f = _qk_polynomial(6, 4)
+        want = build_family(desc).evaluate_all(f)
+        monkeypatch.setattr(spaces, "COUNT_CAP", radii * 6 * 6 - 1)
+        del built[:]
+        for _ in range(2):
+            assert bitwise_equal(fam.evaluate_all(f), want)
+        fam.evaluate_all(_qk_polynomial(5, 5))
+        assert built == [6] * 2 * radii
+
+    def test_concurrent_callers_of_mixed_degrees(self):
+        # more threads than cores, each switching degree on every call, with
+        # a short switch interval: a torn read of the kept (degree, set) pair
+        # would pair one degree's coefficients with another's matrices
+        import sys
+        import threading
+        desc = SpaceDescriptor("qk", resolution=QK_LIGHT_RES)
+        inputs = [_qk_polynomial(degree, degree) for degree in (3, 7, 12, 16)]
+        want = [build_family(desc).evaluate_all(f) for f in inputs]
+        fam = build_family(desc)
+        failures = []
+
+        def worker(shift):
+            for k in range(40):
+                i = (k + shift) % len(inputs)
+                try:
+                    if not bitwise_equal(fam.evaluate_all(inputs[i]), want[i]):
+                        failures.append(i)
+                except ValueError as exc:      # mismatched matrix shapes
+                    failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+
 class TestStrataPairsProperty:
     @settings(max_examples=80, deadline=None)
     @given(strata_grids())
     def test_matches_definition(self, case):
         dom, cap = case
-        ia, ib = _strata_pairs(dom, cap)
+        ia, ib, reach = _strata_pairs(dom, cap)
         want_a, want_b = direct_strata(dom.shape, dom.lo, dom.step, cap)
         assert ia.dtype == ib.dtype == np.int64
         assert np.array_equal(ia, want_a)
         assert np.array_equal(ib, want_b)
+        # the offset norm of each pair, from its own two multi-indices
+        offsets = np.subtract(np.unravel_index(want_b, dom.shape),
+                              np.unravel_index(want_a, dom.shape))
+        assert bitwise_equal(reach, np.sqrt(np.sum(offsets ** 2, axis=0)))
 
 
 class TestHomogeneity:
