@@ -22,7 +22,7 @@ import numpy as np
 from .distance import certification_threshold
 from .errors import (EXPONENT_CAP, LENGTH_CAP, ConfigError, config_block,
                      config_number)
-from .family import limsup_estimate, seminorm_sup, tail_profile
+from .family import limsup_estimate, tail_profile
 from .funcrep import (EuclideanSamples, PeriodicSamples, TaylorFunction,
                       TorusSamples, x_norm)
 from .spaces import SpaceDescriptor, build_family, weighted_x_norm

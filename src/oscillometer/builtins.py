@@ -2,9 +2,10 @@
 
 Functions are constructed against a space descriptor so circle/torus builtins
 pick up the space's grid size and box builtins its domain.  Analytic builtins
-carry closed-form evaluators alongside truncated coefficients: coefficients
-with slow decay (e.g. 1/k) make truncated evaluation near the boundary
-unreliable, and the family grids probe radii up to 1 - 2^-13.
+carry closed-form evaluators alongside their coefficients (truncated, except
+lacunary's): coefficients with slow decay (e.g. 1/k) make truncated
+evaluation near the boundary unreliable, and the family grids probe radii up
+to 1 - 2^-13.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ def cauchy_kernel(n_coeffs: int = 4096) -> TaylorFunction:
 def lacunary(top_exp: int = 10) -> TaylorFunction:
     """sum of z^(2^j) for j = 0..top_exp: bounded coefficients, gap powers.
 
+    The coefficients are complete (an exact polynomial, no truncation tail).
     The closed forms run by repeated squaring: z^(2^j) is the square of the
     last power, and z^(2^j - 1) the product of all the lower ones."""
     if top_exp < 0:
@@ -97,7 +99,7 @@ def lacunary(top_exp: int = 10) -> TaylorFunction:
             zp = zp * zp
         return total
 
-    return TaylorFunction(coeffs, value_fn=value, deriv_fn=deriv, radius_cap=1.0)
+    return TaylorFunction(coeffs, value_fn=value, deriv_fn=deriv, radius_cap=np.inf)
 
 
 def monomial(degree: int) -> TaylorFunction:

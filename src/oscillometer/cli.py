@@ -18,12 +18,10 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import approx, builtins as fn_registry, distance as dist_mod
 from .errors import (ConfigError, NumericalError, config_block, config_number,
                      config_numbers)
-from .family import seminorm_sup, tail_profile, limsup_estimate
+from .family import seminorm_sup
 from .spaces import SpaceDescriptor, build_family, compose_mobius
 
 EXIT_OK = 0
@@ -32,17 +30,38 @@ EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _atomic_write(*files: tuple[str, str]) -> None:
+    """Write each (path, text) pair through a temp file beside its path, and
+    rename the temp files into place only once every one is written.  An
+    OSError is a configuration error ("cannot write report") that leaves no
+    output: the temp files and the directories made for them go again."""
+    made, staged = [], []
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path, text in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"'{path}' is a directory")
+            directory = os.path.dirname(os.path.abspath(path))
+            missing, up = [], directory
+            while not os.path.isdir(up):
+                missing.append(up)
+                up = os.path.dirname(up)
+            for new in reversed(missing):
+                os.mkdir(new)
+                made.append(new)
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        for new in reversed(made):
+            os.rmdir(new)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write report: {exc}") from exc
         raise
 
 
@@ -74,6 +93,8 @@ class RunConfig:
         output = config_block(raw, "output")
         self.report_path = _output_path(out_dir, output, "report", "report.json")
         self.profile_path = _output_path(out_dir, output, "profile", "profile.csv")
+        if os.path.abspath(self.report_path) == os.path.abspath(self.profile_path):
+            raise ConfigError("output 'report' and 'profile' name the same file")
         self.seed = config_number(raw, "seed", seed, int)
 
     def make_function(self):
@@ -114,7 +135,7 @@ def cmd_norm(cfg: RunConfig) -> int:
     payload = report.to_dict()
     payload["space"] = cfg.desc.tag
     payload["seed"] = cfg.seed
-    _atomic_write(cfg.report_path, _dump_json(payload))
+    _atomic_write((cfg.report_path, _dump_json(payload)))
     return EXIT_OK
 
 
@@ -138,8 +159,8 @@ def cmd_distance(cfg: RunConfig) -> int:
         ok = True
     payload["space"] = cfg.desc.tag
     payload["seed"] = cfg.seed
-    _atomic_write(cfg.report_path, _dump_json(payload))
-    _atomic_write(cfg.profile_path, profile.to_csv())
+    _atomic_write((cfg.report_path, _dump_json(payload)),
+                  (cfg.profile_path, profile.to_csv()))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -163,7 +184,7 @@ def _run_assumption(cfg: RunConfig) -> int:
     payload["family"] = fam.kind
     payload["parameters"] = [float(p) for p in fam.parameters]
     payload["seed"] = cfg.seed
-    _atomic_write(cfg.report_path, _dump_json(payload))
+    _atomic_write((cfg.report_path, _dump_json(payload)))
     return EXIT_OK if report.verdict else EXIT_CHECK_FAILED
 
 
@@ -189,7 +210,7 @@ def _run_invariance(cfg: RunConfig) -> int:
         "phi": {"a": [a.real, a.imag], "lambda": [lam_re, lam_im]},
         "seed": cfg.seed,
     }
-    _atomic_write(cfg.report_path, _dump_json(payload))
+    _atomic_write((cfg.report_path, _dump_json(payload)))
     return EXIT_OK if deviation <= cfg.tolerance else EXIT_CHECK_FAILED
 
 

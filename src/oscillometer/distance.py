@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .family import (OperatorFamilyGrid, TailProfile, limsup_estimate,
-                     seminorm_sup, tail_profile)
+                     tail_profile)
 from .spaces import SpaceDescriptor, build_family
 
 
@@ -79,7 +79,7 @@ def sandwich_check(desc: SpaceDescriptor, f, approximants, ids=None,
     entries, so the inequality holds on any grid; only a non-subadditive
     evaluator breaks it.  rounding = sqrt(eps) (||f|| + ||f - g|| + ||g||),
     sqrt(eps) = 2**-26: product sums read an entry to a few eps of its terms;
-    the moment kernels (bmo at p = 2, rect, qk's Gram form) take
+    the moment kernels (bmo at p = 2, rect, qk's Littlewood-Paley form) take
     sqrt(max(m2 - |m1|**2, 0)), which an error e in the difference moves by
     up to sqrt(e): about sqrt(eps) of the function's scale (its seminorm).
     """

@@ -14,7 +14,7 @@ one implementation of their linear arithmetic (`_Samples`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

@@ -52,7 +52,9 @@ class KKernel:
         self.eval_fn = eval_fn
         self.name = name
         t = np.concatenate([np.logspace(-6, 1, 200), [20.0, 50.0]])
-        vals = np.asarray(eval_fn(t), dtype=float)
+        # a sample that overflows is refused below as non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(eval_fn(t), dtype=float)
         if np.any(~np.isfinite(vals)) or np.any(vals < -1e-15):
             raise ConfigError(f"kernel '{name}' must be finite and non-negative")
         if np.any(np.diff(vals) < -1e-12 * np.maximum(1.0, np.abs(vals[:-1]))):
@@ -226,7 +228,11 @@ class SpaceDescriptor:
         for key, value in self.resolution.items():
             default = merged.get(key)
             if isinstance(default, tuple):
+                # qk's extra centre radii
                 value = tuple(config_numbers(self.resolution, key))
+                if not all(0.0 <= r < 1.0 for r in value):
+                    raise ConfigError(f"resolution '{key}' must lie in [0, 1), "
+                                      f"got {list(value)}")
             elif default is not None and not (self.tag == "bmo_circle"
                                               and key == "midpoints" and value == "all"):
                 cap = EXPONENT_CAP if key in _EXPONENTS else COUNT_CAP
@@ -574,38 +580,47 @@ def _build_qk(desc: SpaceDescriptor):
             out[r_lo - lo:r_hi - lo] = (deriv_sq * jac[None, :]).sum(axis=1)
         return out
 
+    ring_powers = radii[:, None] ** np.arange(n_ang)
+
+    def littlewood_paley(coeffs: np.ndarray) -> np.ndarray:
+        """Every entry of the exact polynomial sum_k a_k z^k under K(t) = t,
+        where the local integral is (pi/2) (P[|f|^2](a) - |f(a)|^2): P the
+        Poisson extension of |f|^2 = sum_m l_m e^{im theta} + conj, with the
+        lags l_m = sum_k a_{k+m} conj(a_k) from one FFT long enough not to
+        wrap.  On a ring a = rho e^{2 pi i j / angles} each sum folds modulo
+        the angle count, term q angles + r into slot r with weight
+        rho^(q angles) rho^r, and one inverse FFT per ring reads it off."""
+        a = np.concatenate([[0.0], coeffs])     # constants do not count
+        spectrum = np.fft.fft(a, 1 << (2 * a.size - 1).bit_length())
+        # the lags and the coefficients, zero-padded to whole turns
+        turns = -(-a.size // n_ang)
+        series = np.zeros((2, turns * n_ang), dtype=complex)
+        series[0, :a.size] = np.fft.ifft(np.abs(spectrum) ** 2)[:a.size]
+        series[1, :a.size] = a
+        folded = (radii[:, None] ** (n_ang * np.arange(turns))
+                  @ series.reshape(2, turns, n_ang))
+        lag_sum, value = np.fft.ifft(folded * ring_powers) * n_ang
+        local = 2.0 * lag_sum.real - series[0, 0].real - np.abs(value) ** 2
+        return 0.5 * np.pi * np.concatenate(
+            [ring[:rots.size] for ring, (_, rots, _) in zip(local, rows)])
+
     # centres per pointwise block: about 2^16 nodes, so every temporary of
     # a block is about 1 MiB of complex on any thread count
     block = max(1, 2 ** 16 // wn.size)
-
-    # (degree, {radius: Gram matrix}) of the last degree the Gram path saw:
-    # the matrices depend on the templates and the degree only, not on f.
-    # The pair is replaced in one assignment and read once per call, so
-    # concurrent callers see either the old pair or the new one.  A set of
-    # more than COUNT_CAP entries is built shell by shell on every call and
-    # not kept, so a grid never holds more than 128 MiB of them
-    grams = (None, {})
+    # with K(t) = t (the default kernel) the space is BMOA, and an exact
+    # polynomial's entries are Garsia's closed form; every other input takes
+    # the quadrature, and so does a polynomial whose lag FFT would exceed
+    # COUNT_CAP entries (GiBs; the quadrature reads its closed forms if any)
+    garsia = kernel.name == "power[1.0]"
 
     def eval_all(f: TaylorFunction) -> np.ndarray:
-        nonlocal grams
         if not isinstance(f, TaylorFunction):
             raise ConfigError("the invariant-integral family needs a TaylorFunction")
-        deriv_coeffs = _gram_deriv_coeffs(f, n_ang)
-        if deriv_coeffs is None:
-            vals = map_chunks(lambda lo, hi: pointwise(f, lo, hi), centres.size, block)
+        if (garsia and f.coeffs is not None and np.isinf(f.radius_cap)
+                and f.coeffs.size < COUNT_CAP // 2):
+            vals = littlewood_paley(f.coeffs)
         else:
-            d = deriv_coeffs.size
-            degree, by_radius = grams
-            if degree != d:
-                by_radius = {}
-                if radii.size * d * d <= COUNT_CAP:
-                    by_radius = {rho: _gram_matrix(d, *templates[rho])
-                                 for rho, _, _ in rows}
-                    grams = (d, by_radius)
-            vals = np.concatenate([
-                _gram_forms(deriv_coeffs, by_radius[rho] if by_radius
-                            else _gram_matrix(d, *templates[rho]), rots)
-                for rho, rots, _ in rows])
+            vals = map_chunks(lambda lo, hi: pointwise(f, lo, hi), centres.size, block)
         if not np.all(np.isfinite(vals)):
             raise NumericalError("singular node")
         return np.sqrt(np.maximum(vals, 0.0))
@@ -613,45 +628,6 @@ def _build_qk(desc: SpaceDescriptor):
     scales = 2.0 ** -np.arange(0, res["shell_to"] + 1, dtype=float)
     return ((lambda idx: _records(a=centres[idx])), 1.0 - np.abs(centres),
             eval_all, scales)
-
-
-def _gram_deriv_coeffs(f: TaylorFunction, n_ang: int) -> Optional[np.ndarray]:
-    """Taylor coefficients c_k = (k+1) a_{k+1} of f' when the Gram form pays
-    (an exact polynomial of degree at most the shell's rotation count, so d^2
-    work per entry undercuts a Horner pass over every node); else None."""
-    if f.deriv_fn is not None or f.radius_cap < 1.0:
-        return None
-    coeffs = np.trim_zeros(f.coeffs, "b")
-    if coeffs.size > n_ang:
-        return None
-    return coeffs * np.arange(1, coeffs.size + 1)
-
-
-def _gram_matrix(d: int, phi: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """One shell's Gram matrix G[k, l] = sum_n jac_n phi_n^k conj(phi_n)^l,
-    k, l < d, over the template nodes phi with weights jac.
-
-    With f'(r phi) = sum_k c_k r^k phi^k, sum_n jac_n |f'(r phi_n)|^2 is the
-    Hermitian form u^T G conj(u) in u_k = c_k r^k (`_gram_forms`): the same
-    quadrature sum, and G does not depend on f.  The template's nodes are
-    closed under conjugation (real centre, angular grid through 0) with
-    matching weights, so G is real: one real S S^T product over the
-    interleaved real and imaginary parts of S[k] = sqrt(jac) phi^k.
-    """
-    scaled_powers = np.empty((d, phi.size), dtype=complex)
-    if d:
-        scaled_powers[0] = np.sqrt(jac)
-    for k in range(1, d):
-        scaled_powers[k] = scaled_powers[k - 1] * phi
-    s = scaled_powers.view(float)
-    return s @ s.T
-
-
-def _gram_forms(c: np.ndarray, gram: np.ndarray, rots: np.ndarray) -> np.ndarray:
-    """sum_n jac_n |f'(r phi_n)|^2 for every rotation r of one shell, from
-    the coefficients c of f' and the shell's `_gram_matrix` of size c.size."""
-    u = c * rots[:, None] ** np.arange(c.size)
-    return ((u @ gram) * u.conj()).sum(axis=1).real
 
 
 def _build_weighted(desc: SpaceDescriptor):

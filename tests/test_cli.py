@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oscillometer.cli import main
 
@@ -205,12 +206,14 @@ def _with(base, **changes):
     return payload
 
 
-def run_process(tmp_path, command, payload):
+def run_process(tmp_path, command, payload, out=None):
     """The CLI run as a process, so an uncaught exception shows as a traceback
-    on stderr; with warnings raised as errors, so a numpy warning does too."""
+    on stderr; with warnings raised as errors, so a numpy warning does too.
+    The output directory is a fresh `out` unless one is given."""
     cfg = write_config(tmp_path, f"{command}.json", payload)
-    out = tmp_path / "out"
-    out.mkdir()
+    if out is None:
+        out = tmp_path / "out"
+        out.mkdir()
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -317,6 +320,11 @@ def run_process(tmp_path, command, payload):
                            "exponent": 1e308}}),
     ("check", _with(QK_INVARIANCE, **{"phi.a": [0.3, 1e308]})),
     ("check", _with(QK_INVARIANCE, **{"phi.lambda": [1e308, 0]})),
+    ("check", _with(QK_INVARIANCE, **{"space.resolution.extra_radii": [-0.5]})),
+    ("check", _with(QK_INVARIANCE, **{"space.K": {"name": "power", "exponent": 1000}})),
+    ("check", _with(QK_INVARIANCE, **{"space.K": {"name": "power", "exponent": 1e6}})),
+    ("distance", _with(BLOCH_DISTANCE, output={"report": "r.json",
+                                               "profile": "./r.json"})),
 ], ids=["lip-dilation", "t0-text", "t0-nan", "slack-text",
         "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
         "ladder-number", "family-text", "output-text", "space-number",
@@ -334,13 +342,35 @@ def run_process(tmp_path, command, payload):
         "quad-nr-huge", "t0-huge", "hi-huge", "coeffs-inf", "coeffs-huge",
         "coeffs-int-huge", "samples-huge", "samples-int-huge",
         "cusp-exponent-negative", "cusp-exponent-huge", "phi-a-huge",
-        "phi-lambda-huge"])
+        "phi-lambda-huge", "extra-radii-negative", "kernel-exponent-1000",
+        "kernel-exponent-1e6", "profile-is-report"])
 def test_bad_config_exit_code(tmp_path, command, payload):
     proc, out = run_process(tmp_path, command, payload)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "configuration error" in proc.stderr
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["report-under-file", "out-is-file"])
+def test_unwritable_output_exit_code(tmp_path, case):
+    # a report whose directory is a regular file, and --out naming one: exit
+    # 2 before anything is written, the profile staged beside the report too
+    plain = tmp_path / "plainfile"
+    payload = BLOCH_DISTANCE
+    if case == "report-under-file":
+        (tmp_path / "out").mkdir()
+        plain = tmp_path / "out" / "plainfile"
+        payload = _with(BLOCH_DISTANCE, output={"report": "plainfile/x.json"})
+    plain.write_text("kept")
+    proc, out = run_process(tmp_path, "distance", payload,
+                            out=plain if case == "out-is-file" else tmp_path / "out")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "cannot write report" in proc.stderr
+    assert plain.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+        ["distance.json", "plainfile"] + (["out"] if case == "report-under-file" else []))
 
 
 def test_huge_bmo_exponent_exits_cleanly(tmp_path):
@@ -356,7 +386,11 @@ def test_huge_bmo_exponent_exits_cleanly(tmp_path):
     assert value == pytest.approx(math.pi / 2, rel=1e-12)
 
 
-# cheap jobs of every command and space, the base of the exit-code property
+# cheap jobs of every command and space, the base of the exit-code property;
+# the last one names its outputs, one in a subdirectory, and its kernel
+QK_OUTPUT = {"space": dict(QK_LIGHT, K={"name": "power", "exponent": 1.0}),
+             "function": {"kind": "builtin", "name": "monomial", "degree": 2},
+             "output": {"report": "r.json", "profile": "x/p.csv"}}
 LIP_DEFAULTS = {"space": {"space": "lip"},
                 "function": {"kind": "builtin", "name": "holder_cusp"}}
 SMALL_BMO = {"space": "bmo_circle", "p": 1,
@@ -386,9 +420,10 @@ CONTRACT_BASES = [
                "family": {"kind": "poisson_circle", "ladder": {"levels": 4}}}),
     ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder": {"levels": 3, "t0": 0.1}})),
     ("check", dict(QK_INVARIANCE, tolerance=0.02)),
+    ("distance", QK_OUTPUT),
 ]
-MUTANTS = [None, "x", -1, 0, 1, 2.5, float("nan"), float("inf"), [], {}, True,
-           [1], {"a": 1}, 10 ** 30, 1e308]
+MUTANTS = [None, "x", -1, -0.5, 0, 1, 2.5, float("nan"), float("inf"), [], {},
+           True, [1], {"a": 1}, 10 ** 30, 1e308]
 _DELETE = object()
 
 
@@ -426,9 +461,16 @@ def mutated_configs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(mutated_configs())
+# a negative centre radius, a kernel sample that overflows, and a report
+# where the profile's directory goes
+@example(("distance", _with(QK_OUTPUT, **{"space.resolution.extra_radii": [-0.5]})))
+@example(("distance", _with(QK_OUTPUT, **{"space.K.exponent": 1e308})))
+@example(("distance", _with(QK_OUTPUT, **{"output.report": "x"})))
 def test_exit_code_contract(job):
     # exit 0 success, 2 configuration, 3 numerical, 4 failed check: never a
-    # traceback, no output on 2 or 3, reports that parse on 0 or 4
+    # traceback or a warning, never the grid's own shape check (no input may
+    # make a grid and its evaluator disagree), no output on 2 or 3, and on 0
+    # or 4 only the named outputs, each of which parses
     command, payload = job
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "cfg.json")
@@ -437,19 +479,25 @@ def test_exit_code_contract(job):
         with open(cfg, "w") as fh:
             json.dump(payload, fh)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main([command, "--config", cfg, "--out", out])
         assert code in (0, 2, 3, 4), err.getvalue()
         assert "Traceback" not in err.getvalue()
-        written = sorted(os.listdir(out))
+        assert "malformed" not in err.getvalue()
         if code in (2, 3):
-            assert written == []
-        else:
-            assert "report.json" in written
-            for name in written:
-                with open(os.path.join(out, name)) as fh:
-                    text = fh.read()
-                if name.endswith(".csv"):
-                    assert text.splitlines()[0] == "scale,tail_sup"
-                else:
-                    json.loads(text)
+            assert os.listdir(out) == []
+            return
+        output = payload.get("output") or {}
+        kinds = {output.get("profile", "profile.csv"): "csv",
+                 output.get("report", "report.json"): "json"}
+        written = [os.path.relpath(os.path.join(top, name), out)
+                   for top, _, names in os.walk(out) for name in names]
+        assert output.get("report", "report.json") in written
+        for name in written:
+            with open(os.path.join(out, name)) as fh:
+                text = fh.read()
+            if kinds[name] == "csv":
+                assert text.splitlines()[0] == "scale,tail_sup"
+            else:
+                json.loads(text)

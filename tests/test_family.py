@@ -227,8 +227,8 @@ class TestThreads:
         grid = build_family(SpaceDescriptor("qk", resolution={
             "shell_from": 2, "shell_to": 7, "extra_radii": (0.5,),
             "angles": 16, "quad_nr": 16, "quad_ntheta": 32}))
-        # a polynomial takes the Gram form, a closed form the blocked
-        # pointwise path
+        # a polynomial takes Garsia's closed form, a closed-form input the
+        # blocked pointwise path
         for f in (taylor_builtin("monomial", degree=2), log_singular()):
             monkeypatch.setenv("OSCILLOMETER_THREADS", "1")
             serial = grid.evaluate_all(f)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,7 @@ from oscillometer.spaces import (SpaceDescriptor, _arc_layout, _direct_osc,
                                  kernel_from_config, lip_pair_indices, qk_local,
                                  weight_from_config)
 from oscillometer.family import OperatorFamilyGrid, seminorm_sup, tail_profile
-from oscillometer.builtins import (circle_builtin, log_singular,
+from oscillometer.builtins import (circle_builtin, lacunary, log_singular,
                                    step_half_values, taylor_builtin,
                                    torus_builtin)
 
@@ -538,29 +539,63 @@ class TestFamilyKernels:
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 12, 17])
     def test_qk_entries_match_qk_local(self, degree):
-        # degree 0 is the zero polynomial; 17 exceeds the 16 family angles, so
-        # it takes the pointwise fallback instead of the Gram form
-        from oscillometer.spaces import _gram_deriv_coeffs
+        # degree 0 is the zero polynomial; 17 exceeds the 16 family angles
         desc = SpaceDescriptor("qk", resolution=QK_LIGHT_RES)
         fam = build_family(desc)
         rng = np.random.default_rng(degree)
         coeffs = rng.normal(size=max(degree, 1)) + 1j * rng.normal(size=max(degree, 1))
         f = TaylorFunction.polynomial(coeffs if degree else np.zeros(3))
-        assert (_gram_deriv_coeffs(f, 16) is None) == (degree > 16)
+        centres = fam.describe(np.arange(len(fam))).a
+        # K(t) = t on an exact polynomial: Garsia's form against the direct
+        # lag sums.  Every lag, folded sum and value is a sum of at most
+        # 2 (degree + 1) terms of size (sum |a_k|)^2 (or its root), each
+        # off by a few eps; the FFTs add log2 of their lengths
+        want = littlewood_paley_squares(f.coeffs, centres)
+        tol = 32 * (degree + 1) * EPS * np.abs(f.coeffs).sum() ** 2
+        assert np.all(np.abs(fam.evaluate_all(f) ** 2 - want) <= tol)
+        # the quadrature: the same function in closed form under K(t) = t,
+        # and the polynomial under K = 1
+        closed = TaylorFunction(None, value_fn=f.value, deriv_fn=f.deriv)
+        flat = SpaceDescriptor("qk", resolution=QK_LIGHT_RES,
+                               kernel=kernel_from_config({"name": "one"}))
         rule = QuadratureRule(16, 32)
         n_nodes = 16 * 32
         c_abs = np.abs(np.trim_zeros(f.coeffs, "b") * np.arange(1, degree + 1)).sum()
-        vals = fam.evaluate_all(f)
-        # the second call reads the Gram matrices the first one kept
-        assert bitwise_equal(fam.evaluate_all(f), vals)
-        for val, param in zip(vals, fam.describe(np.arange(len(fam)))):
-            want = qk_local(f, param.a, desc.kernel, rule)
-            # sum_n jac_n over the centre's nodes (f' = 1) times the majorant
-            # (sum |c_k|)^2 of |f'|^2 bounds every term; Horner or Gram form,
-            # node rotation and the n-term sum each add O(d + n) eps of it
-            mass = qk_local(TaylorFunction.polynomial([1.0]), param.a, desc.kernel, rule)
-            tol = (16 * degree + n_nodes) * EPS * c_abs ** 2 * mass
-            assert abs(val ** 2 - want) <= tol
+        for d, g in ((desc, closed), (flat, f)):
+            vals = build_family(d).evaluate_all(g)
+            for val, a in zip(vals, centres):
+                want = qk_local(g, a, d.kernel, rule)
+                # sum_n jac_n over the centre's nodes (f' = 1) times the
+                # majorant (sum |c_k|)^2 of |f'|^2 bounds every term; Horner,
+                # node rotation and the n-term sum each add O(d + n) eps of it
+                mass = qk_local(TaylorFunction.polynomial([1.0]), a, d.kernel, rule)
+                tol = (16 * degree + n_nodes) * EPS * c_abs ** 2 * mass
+                assert abs(val ** 2 - want) <= tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+    def test_qk_exact_polynomials_match_littlewood_paley(self, qk_default, degree, seed):
+        fam, centres = qk_default
+        f = _qk_polynomial(degree, seed)
+        want = littlewood_paley_squares(f.coeffs, centres)
+        got = fam.evaluate_all(f) ** 2
+        assert np.all(np.abs(got - want) <= 1e-12 * want.max())
+
+    def test_qk_lacunary_reads_exactly(self, qk_default):
+        # the degree-1024 lacunary polynomial on the default grid: 256
+        # quadrature angles alias |f'|^2, whose angular degree reaches 2046,
+        # and read 5.053763 at a = 0; its complete coefficients read exactly
+        fam, centres = qk_default
+        f = lacunary()
+        want = littlewood_paley_squares(f.coeffs, centres)
+        got = fam.evaluate_all(f)
+        assert np.all(np.abs(got ** 2 - want) <= 1e-12 * want.max())
+        assert got[centres == 0][0] == pytest.approx(4.156773, abs=5e-7)
+        assert got.max() == pytest.approx(4.572118, abs=5e-7)
+        # its closed forms still come first wherever a function is evaluated
+        closed = TaylorFunction(None, value_fn=f.value_fn, deriv_fn=f.deriv_fn)
+        bloch = build_family(SpaceDescriptor("bloch"))
+        assert bitwise_equal(bloch.evaluate_all(f), bloch.evaluate_all(closed))
 
     @pytest.mark.parametrize("p,mids,real", [
         pytest.param(p, mids, real, id=f"{p}-{mids}" + ("-real" if real else ""))
@@ -622,69 +657,63 @@ def test_direct_osc_independent_of_chunk(p, real):
     assert all(bitwise_equal(got, results[0]) for got in results[1:])
 
 
-def _qk_polynomial(degree, seed):
+def _qk_polynomial(degree, seed, closed=False):
     """A random complex polynomial a_1 z + ... + a_d z^d of exactly degree d
-    (the zero polynomial for d = 0, whose f' is empty)."""
+    (the zero polynomial for d = 0, whose f' is empty), as exact
+    coefficients or, when `closed`, as closed forms only."""
     rng = np.random.default_rng(seed)
-    if degree == 0:
-        return TaylorFunction.polynomial(np.zeros(2))
-    coeffs = rng.normal(size=degree) + 1j * rng.normal(size=degree)
-    return TaylorFunction.polynomial(coeffs)
+    coeffs = np.zeros(2)
+    if degree:
+        coeffs = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    f = TaylorFunction.polynomial(coeffs)
+    return TaylorFunction(None, value_fn=f.value, deriv_fn=f.deriv) if closed else f
 
 
-class TestQkGramCache:
-    """The qk grid keeps the last degree's Gram matrices between calls."""
+def littlewood_paley_squares(coeffs, a):
+    """Independent oracle for the qk entries' squares under K(t) = t at the
+    centres a, for f = sum_k a_k z^k (coeffs a_1..a_N): the Littlewood-Paley
+    identity (pi/2) (P[|f|^2](a) - |f(a)|^2), the lags l_m = sum_k a_{k+m}
+    conj(a_k) of P summed directly."""
+    c = np.asarray(coeffs, dtype=complex)
+    lags = np.array([np.dot(c[m:], np.conj(c[:c.size - m])) for m in range(c.size)])
+    poisson = 2.0 * np.real(P.polyval(a, lags)) - lags[0].real
+    value = P.polyval(a, np.concatenate([[0.0], c]))
+    return 0.5 * np.pi * (poisson - np.abs(value) ** 2)
+
+
+@pytest.fixture(scope="module")
+def qk_default():
+    """The default qk grid (K(t) = t) and its centres."""
+    fam = build_family(SpaceDescriptor("qk"))
+    return fam, fam.describe(np.arange(len(fam))).a
+
+
+class TestQkGridReuse:
+    """A qk grid gives every caller the values a fresh grid gives."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, QK_LIGHT_RES["angles"] + 1),
-                              st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=6))
+                              st.integers(0, 2 ** 32 - 1), st.booleans()),
+                    min_size=1, max_size=6))
     def test_reused_grid_matches_fresh_grids(self, inputs):
-        # degrees up to angles + 1: the last one takes the pointwise path,
-        # which must neither read nor disturb the kept matrices
+        # exact polynomials read Garsia's form, their closed-form twins the
+        # quadrature: neither path may leave anything behind for the next call
         desc = SpaceDescriptor("qk", resolution=QK_LIGHT_RES)
         reused = build_family(desc)
-        for degree, seed in inputs + inputs[:1]:
-            f = _qk_polynomial(degree, seed)
+        for degree, seed, closed in inputs + inputs[:1]:
+            f = _qk_polynomial(degree, seed, closed)
             assert bitwise_equal(reused.evaluate_all(f),
                                  build_family(desc).evaluate_all(f))
 
-    def test_matrices_built_once_per_degree(self, monkeypatch):
-        import oscillometer.spaces as spaces
-        built = []
-        original = spaces._gram_matrix
-
-        def counting(d, phi, jac):
-            built.append(d)
-            return original(d, phi, jac)
-
-        monkeypatch.setattr(spaces, "_gram_matrix", counting)
-        desc = SpaceDescriptor("qk", resolution=QK_LIGHT_RES)
-        fam = build_family(desc)
-        radii = _disc_radii(0, 7, 2, extra=(0.0, 0.5)).size
-        for seed in (1, 2):
-            fam.evaluate_all(_qk_polynomial(12, seed))
-        assert built == [12] * radii
-        fam.evaluate_all(_qk_polynomial(5, 3))
-        assert built == [12] * radii + [5] * radii
-        # a set over the entry cap is built on every call and not kept: the
-        # degree-5 set stays
-        f = _qk_polynomial(6, 4)
-        want = build_family(desc).evaluate_all(f)
-        monkeypatch.setattr(spaces, "COUNT_CAP", radii * 6 * 6 - 1)
-        del built[:]
-        for _ in range(2):
-            assert bitwise_equal(fam.evaluate_all(f), want)
-        fam.evaluate_all(_qk_polynomial(5, 5))
-        assert built == [6] * 2 * radii
-
     def test_concurrent_callers_of_mixed_degrees(self):
-        # more threads than cores, each switching degree on every call, with
-        # a short switch interval: a torn read of the kept (degree, set) pair
-        # would pair one degree's coefficients with another's matrices
+        # more threads than cores, each switching input on every call, with a
+        # short switch interval: state shared between calls would hand one
+        # caller values computed from another's input
         import sys
         import threading
         desc = SpaceDescriptor("qk", resolution=QK_LIGHT_RES)
-        inputs = [_qk_polynomial(degree, degree) for degree in (3, 7, 12, 16)]
+        inputs = [_qk_polynomial(degree, degree, closed=degree == 7)
+                  for degree in (3, 7, 12, 16)]
         want = [build_family(desc).evaluate_all(f) for f in inputs]
         fam = build_family(desc)
         failures = []
@@ -695,7 +724,7 @@ class TestQkGramCache:
                 try:
                     if not bitwise_equal(fam.evaluate_all(inputs[i]), want[i]):
                         failures.append(i)
-                except ValueError as exc:      # mismatched matrix shapes
+                except Exception as exc:       # a thread's exception is lost
                     failures.append(repr(exc))
 
         interval = sys.getswitchinterval()
