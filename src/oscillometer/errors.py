@@ -2,6 +2,7 @@
 config-block checks that raise one."""
 
 import math
+import numbers
 
 
 class ConfigError(Exception):
@@ -24,18 +25,22 @@ LENGTH_CAP = 2.0 ** 64
 
 
 def config_number(block: dict, key: str, default, cast=float, cap=math.inf):
-    """block[key] (default when absent) converted by cast; a value the cast
-    refuses, a non-finite one, or one of magnitude above cap is a
-    configuration error, not a traceback."""
+    """block[key] (default when absent) converted by cast.  Only a number is
+    taken: a boolean, a string or any other JSON type, an int key's
+    non-integral value, a non-finite value, or one of magnitude above cap is
+    a configuration error, not a traceback."""
     value = block.get(key, default)
-    try:
-        number = cast(value)
-        if math.isfinite(number) and abs(number) <= cap:
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = cast(value)
+            if (math.isfinite(number) and abs(number) <= cap
+                    and (cast is not int or number == value)):
+                return number
+        except (ValueError, OverflowError):
+            pass
     bound = "" if cap == math.inf else f" of magnitude at most {cap}"
-    raise ConfigError(f"'{key}' must be a finite number{bound}, got {value!r}")
+    whole = ", a whole one" if cast is int else ""
+    raise ConfigError(f"'{key}' must be a finite number{bound}{whole}, got {value!r}")
 
 
 def config_numbers(block: dict, key: str, default=None, size=None,

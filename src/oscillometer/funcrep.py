@@ -338,8 +338,23 @@ class BoxDomain:
         self.ndim = lo.size
 
     def axes(self) -> list[np.ndarray]:
-        return [self.lo[d] + self.step * np.arange(self.shape[d])
-                for d in range(self.ndim)]
+        """Node coordinates per axis, counted in steps from the node k0
+        nearest 0.  Where 0 is a node (to the tolerance the box is covered
+        to), node k sits at exactly step * (k - k0): a sample's coordinate is
+        then the same product as a pair distance (step times an integer
+        offset), not lo + step * k with an ulp of lo in it."""
+        axes = []
+        for lo, size in zip(self.lo, self.shape):
+            at = -lo / self.step
+            k0 = min(max(round(at), 0), size - 1)
+            origin = lo + self.step * k0
+            if abs(at - k0) <= 1e-9 * max(1.0, abs(at)):
+                # a numpy zero, as lo is: with a Python float numpy adds in
+                # place into the product's buffer, which moves the allocator's
+                # state and raised one workload's peak RSS by 5 MiB
+                origin = np.float64(0.0)
+            axes.append(origin + self.step * np.arange(-k0, size - k0))
+        return axes
 
 
 class EuclideanSamples(_Samples):

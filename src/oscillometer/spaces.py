@@ -429,6 +429,16 @@ def _arc_layout(n: int, midpoints: int, kmin: int, kmax: int):
     return starts, ncells, midpoint, length
 
 
+# the sorted path pays once a block holds this many nodes: below it the
+# per-pair search costs more than the strided scan of the block it replaces
+_SORTED_MIN_SPACING = 32
+# the grid holds one block index per (arc, block) pair of its sorted levels
+# (4 bytes each); a grid with more pairs than this keeps the direct path
+_SORTED_PAIR_CAP = 1 << 20
+# pairs searched at a time: a group's temporaries stay near 64 KiB each
+_SORTED_GROUP = 1 << 13
+
+
 def _build_bmo(desc: SpaceDescriptor):
     res = desc.resolution
     n = res["n_samples"]
@@ -438,7 +448,15 @@ def _build_bmo(desc: SpaceDescriptor):
     p = desc.p
     spacing = n // mids
     levels = [(i * mids, n >> k) for i, k in enumerate(range(kmin, kmax + 1))]
-    lead = (n >> kmin) // 2       # the longest arcs start this far before 0
+    # at p = 1, real samples on a level whose arcs are whole blocks of
+    # `spacing` nodes plus the end node are read from sorted blocks
+    blocked = [(off, nc) for off, nc in levels
+               if p == 1.0 and spacing >= _SORTED_MIN_SPACING
+               and nc % (2 * spacing) == 0]
+    if mids * sum(nc for _, nc in blocked) // spacing > _SORTED_PAIR_CAP:
+        blocked = []
+    direct = [level for level in levels if level not in blocked]
+    sorted_osc = _sorted_levels(n, spacing, blocked, starts, ncells) if blocked else None
 
     def describe(idx: np.ndarray) -> np.recarray:
         return _records(midpoint=midpoint[idx], length=length[idx])
@@ -452,9 +470,17 @@ def _build_bmo(desc: SpaceDescriptor):
             msq = _window_means(np.abs(centred) ** 2, starts, ncells, 0).real
             return np.sqrt(np.maximum(msq - np.abs(mean) ** 2, 0.0))
         out = np.empty(ncells.size)
+        todo = levels
+        if sorted_osc and centred.dtype == float:
+            sorted_osc(centred, mean, out)
+            todo = direct
+        if not todo:
+            return out
+        # the longest arcs left start `lead` nodes before their midpoints:
         # node j sits at j + lead, so every arc is one contiguous run
+        lead = todo[0][1] // 2
         wrapped = np.concatenate([centred[n - lead:], centred, centred[:lead]])
-        for off, nc in levels:
+        for off, nc in todo:
             sel = slice(off, off + mids)
             # one level's arcs start `spacing` nodes apart: strided windows
             first = lead - nc // 2
@@ -466,10 +492,99 @@ def _build_bmo(desc: SpaceDescriptor):
     return describe, ncells * TWO_PI / n, eval_all, scales
 
 
+def _sorted_levels(n: int, spacing: int, levels: list, starts: np.ndarray,
+                   ncells: np.ndarray) -> Callable:
+    """The p = 1 evaluator of real samples on the bmo levels (off, nc) whose
+    arcs are whole blocks of `spacing` nodes plus their end node.
+
+    The (arc, block) pairs depend on the grid alone and are laid out here:
+    arc by arc, each arc's blocks in order, in groups of whole arcs of at
+    most _SORTED_GROUP pairs (more only for one arc of more blocks).
+
+    Per call each block of B values is sorted once and split at its median
+    med (the midpoint of its two middle values) into two halves, each held
+    as its distances |x - med| in ascending order with their prefix sums:
+    A_k sums a half's k smallest distances (`prefix`), A the whole half
+    (`totals`).  An arc mean m
+    lies a = |m - med| from the median.  Every value of the far half (the
+    side away from m) lies its distance + a from m; of the near half, the k
+    values with distance below a lie a - distance from m, the rest
+    distance - a:
+
+        sum |x - m| = (B/2 a + A_far) + ((k a - A_k) + ((A_near - A_k) - (B/2 - k) a))
+
+    Every pair of a group finds its k in one vectorised binary search over
+    B/2 values.  f -> -f swaps the halves and mirrors m, so the same sums
+    come out bit for bit (a sum of prefix sums over one sorted order would
+    not), as do scalings by powers of two.  The trapezoid end weights add
+    (|f_last - m| - |f_first - m|) / 2 per arc."""
+    entries = np.concatenate([off + np.arange(n // spacing) for off, _ in levels])
+    first = starts[entries]
+    last = (first + ncells[entries]) % n
+    per_arc = ncells[entries] // spacing
+    runs = np.concatenate([[0], np.cumsum(per_arc)])
+    # arc i covers the per_arc[i] blocks from first[i] // spacing on
+    blocks = ((np.repeat(first // spacing - runs[:-1], per_arc) + np.arange(runs[-1]))
+              % (n // spacing)).astype(np.int32)
+    # a group holds the arcs whose runs start in one span of _SORTED_GROUP pairs
+    cuts = [0, *(np.flatnonzero(np.diff(runs[:-1] // _SORTED_GROUP)) + 1),
+            entries.size]
+    groups = [(slice(a, b), slice(runs[a], runs[b]), runs[a:b] - runs[a])
+              for a, b in zip(cuts, cuts[1:])]
+    half = spacing // 2
+
+    def oscillations(centred: np.ndarray, means: np.ndarray, out: np.ndarray) -> None:
+        d = np.sort(centred.reshape(-1, spacing), axis=1)
+        med = (d[:, half - 1] + d[:, half]) / 2
+        d -= med[:, None]
+        np.abs(d, out=d)
+        d[:, :half] = d[:, half - 1::-1]    # the lower half, outward
+        # half h of block b is row 2 b + h (h = 1 upper) of d and of A
+        d = d.reshape(-1, half)
+        prefix = np.zeros((d.shape[0], half + 1))
+        np.cumsum(d, axis=1, out=prefix[:, 1:])
+        d, prefix, totals = d.ravel(), prefix.ravel(), prefix[:, -1].copy()
+        for arcs, pairs, offsets in groups:
+            m = means[entries[arcs]]
+            blk = blocks[pairs]
+            c = np.repeat(m, per_arc[arcs]) - med[blk]
+            a = np.abs(c)
+            near = 2 * blk + (c >= 0)
+            k = _count_below(d, near * half, a, half)
+            below = prefix.take(near * (half + 1) + k)
+            dev = ((half * a + totals[near ^ 1])
+                   + ((k * a - below) + ((totals[near] - below) - (half - k) * a)))
+            total = np.add.reduceat(dev, offsets) + 0.5 * (
+                np.abs(centred[last[arcs]] - m) - np.abs(centred[first[arcs]] - m))
+            out[entries[arcs]] = np.maximum(total, 0.0) / ncells[entries[arcs]]
+
+    return oscillations
+
+
+def _count_below(srt: np.ndarray, base: np.ndarray, c: np.ndarray,
+                 width: int) -> np.ndarray:
+    """Per entry i, how many of the `width` sorted values srt[base[i]:
+    base[i] + width] lie below c[i]: a branchless binary search whose probe
+    offsets depend on width alone, so every entry moves in one vector step."""
+    pos = base.astype(np.intp)
+    size = width
+    while size > 1:
+        half = size // 2
+        pos += (srt.take(pos + half) < c) * half
+        size -= half
+    pos += srt.take(pos) < c
+    return pos - base
+
+
 def _direct_osc(windows: np.ndarray, means: np.ndarray, p: float,
                 chunk: int = 1 << 16) -> np.ndarray:
     """Direct trapezoid p-oscillation of each row of `windows` (the ncells + 1
-    nodes of one arc, usually a strided view) about its mean, reduced a
+    nodes of one arc, usually a strided view) about its mean.  It computes
+    `bmo_oscillation` and every bmo level at p != 1, 2, on complex samples,
+    on grids whose blocks hold fewer than _SORTED_MIN_SPACING nodes or
+    whose whole-block levels hold more than _SORTED_PAIR_CAP (arc, block)
+    pairs, and on levels whose arcs are not whole blocks; the rest of p = 1
+    on real samples comes from `_sorted_levels`.  Rows are reduced a
     block of at most max(chunk, ncells + 1) elements at a time in one
     difference and one deviation buffer that every block reuses; the values
     do not depend on `chunk`.  The trapezoid weights are applied as a row

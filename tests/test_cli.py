@@ -143,6 +143,21 @@ class TestCheck:
         report = json.loads((tmp_path / "i.json").read_text())
         assert report["relative_deviation"] <= 0.02
 
+    def test_invariance_exact_polynomial(self, tmp_path):
+        # phi_a(z) = (a - z)/(1 - conj(a) z) turns z into a rotation-free
+        # Moebius image of itself, whose sup the grid reads as it reads z;
+        # both sides go through the quadrature, so they agree to rounding
+        code = run(tmp_path, "check", {
+            "space": {"space": "qk"},
+            "function": {"kind": "builtin", "name": "monomial", "degree": 1},
+            "task": "invariance-check",
+            "phi": {"a": [0.0, 0.5]},
+            "output": {"report": "i.json"},
+        })
+        assert code == 0
+        report = json.loads((tmp_path / "i.json").read_text())
+        assert report["relative_deviation"] <= 1e-12
+
     def test_invariance_failure_exit_code(self, tmp_path):
         # an absurdly tight tolerance forces the failure path
         code = run(tmp_path, "check", {
@@ -352,6 +367,24 @@ def test_bad_config_exit_code(tmp_path, command, payload):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("path,value,key", [
+    ("space.p", True, "p"), ("space.p", "2", "p"), ("seed", 2.7, "seed"),
+    ("space.resolution.n_samples", True, "n_samples"),
+    ("space.resolution.midpoints", 32.5, "midpoints"),
+    ("function.degree", "3", "degree")])
+def test_non_number_refused_naming_key(tmp_path, path, value, key):
+    # only a JSON number is a number, and an int key takes only an integral
+    # one: each of these used to be cast (true -> 1.0, "2" -> 2.0, 2.7 -> 2)
+    base = dict(BMO_STEP, seed=0)
+    if path.startswith("function"):
+        base = dict(BLOCH_NORM, function={"kind": "builtin", "name": "monomial"})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(tmp_path, "norm", _with(base, **{path: value}))
+    assert code == 2
+    assert f"configuration error: '{key}' must be" in err.getvalue()
+
+
 @pytest.mark.parametrize("case", ["report-under-file", "out-is-file"])
 def test_unwritable_output_exit_code(tmp_path, case):
     # a report whose directory is a regular file, and --out naming one: exit
@@ -396,13 +429,13 @@ LIP_DEFAULTS = {"space": {"space": "lip"},
 SMALL_BMO = {"space": "bmo_circle", "p": 1,
              "resolution": {"n_samples": 1024, "midpoints": 32,
                             "min_len_exp": 1, "max_len_exp": 7}}
+BMO_STEP = {"space": SMALL_BMO, "function": {"kind": "builtin", "name": "step_half"}}
 SMALL_RECT = {"space": "rect_bmo",
               "resolution": {"n_samples": 128, "midpoints": 16,
                              "min_len_exp": 1, "max_len_exp": 6}}
 CONTRACT_BASES = [
     ("norm", LIP_DEFAULTS),
-    ("distance", {"space": SMALL_BMO,
-                  "function": {"kind": "builtin", "name": "step_half"}}),
+    ("distance", BMO_STEP),
     ("distance", {"space": SMALL_BMO,
                   "function": {"kind": "samples",
                                "values": [[(j % 5) / 4, 0.5] for j in range(1024)]},
@@ -466,6 +499,11 @@ def mutated_configs(draw):
 @example(("distance", _with(QK_OUTPUT, **{"space.resolution.extra_radii": [-0.5]})))
 @example(("distance", _with(QK_OUTPUT, **{"space.K.exponent": 1e308})))
 @example(("distance", _with(QK_OUTPUT, **{"output.report": "x"})))
+# a boolean, a numeric string and a fractional seed or count are not numbers
+@example(("distance", _with(BMO_STEP, **{"space.p": True})))
+@example(("distance", _with(BMO_STEP, **{"space.p": "2"})))
+@example(("distance", _with(BMO_STEP, seed=2.7)))
+@example(("distance", _with(BMO_STEP, **{"space.resolution.n_samples": True})))
 def test_exit_code_contract(job):
     # exit 0 success, 2 configuration, 3 numerical, 4 failed check: never a
     # traceback or a warning, never the grid's own shape check (no input may

@@ -270,6 +270,22 @@ class TestThreads:
         assert peak <= 16 * 2 ** 20
 
 
+def test_bmo_sorted_memory_bounded():
+    # p = 1 on real samples holds the centred samples, their sorted blocks
+    # and prefix sums, and one group of (arc, block) pairs at a time: four
+    # sample vectors' worth, never one array of all pairs
+    grid = build_family(SpaceDescriptor("bmo_circle"))
+    f = PeriodicSamples(step_half_values(131072))
+    grid.evaluate_all(f)
+    tracemalloc.start()
+    try:
+        grid.evaluate_all(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 131072 * 8
+
+
 def test_dyadic_scales_ladder():
     s = dyadic_scales(1.0, 2.0 ** -10)
     assert s[0] == 1.0

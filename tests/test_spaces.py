@@ -7,16 +7,19 @@ from hypothesis import given, settings, strategies as st
 from oscillometer.errors import ConfigError
 from oscillometer.funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
-                                  TaylorFunction, TorusSamples, snap_arc)
-from oscillometer.spaces import (SpaceDescriptor, _arc_layout, _direct_osc,
-                                 _disc_radii, _rect_values, _strata_pairs,
+                                  TaylorFunction, TorusSamples, _window_means,
+                                  snap_arc)
+from oscillometer.spaces import (_SORTED_MIN_SPACING, SpaceDescriptor,
+                                 _arc_layout, _direct_osc, _disc_radii,
+                                 _rect_values, _strata_pairs,
                                  bmo_oscillation, build_family, compose_mobius,
                                  kernel_from_config, lip_pair_indices, qk_local,
                                  weight_from_config)
 from oscillometer.family import OperatorFamilyGrid, seminorm_sup, tail_profile
+from oscillometer import spaces as spaces_module
 from oscillometer.builtins import (circle_builtin, lacunary, log_singular,
-                                   step_half_values, taylor_builtin,
-                                   torus_builtin)
+                                   make_function, step_half_values,
+                                   taylor_builtin, torus_builtin)
 
 
 def direct_oscillation(values, start, ncells, p):
@@ -439,6 +442,22 @@ class TestBuildFamily:
                            np.diff(np.append(fam._run_starts, len(fam))))
         assert np.all(levels[reach == 1] == fam.default_scales.size)
 
+    @pytest.mark.parametrize("step", [1e-4, 1e-5])
+    def test_lip_cusp_reads_exactly_one(self, step):
+        # nodes sit at exact multiples of the step from the node at 0, the
+        # same products as the pair distances: every quotient through the
+        # origin is |x|^(1/2) / |x|^(1/2), so the cusp's sup is exactly 1
+        dom = BoxDomain([-1.0], [1.0], step)
+        axis = dom.axes()[0]
+        k0 = int(np.argmin(np.abs(axis)))
+        assert bitwise_equal(axis, step * (np.arange(axis.size) - k0))
+        desc = SpaceDescriptor("lip", alpha=0.5, lip_domain=dom)
+        f = make_function({"kind": "builtin", "name": "holder_cusp"}, desc)
+        assert seminorm_sup(build_family(desc), f).value == 1.0
+        # without 0 among the nodes, node k stays at lo + step * k
+        off = BoxDomain([0.25], [1.25], 0.5).axes()[0]
+        assert bitwise_equal(off, 0.25 + 0.5 * np.arange(3))
+
     @pytest.mark.parametrize("n,mids,kmin,kmax", [
         (128, 8, 1, 6), (1024, 1024, 2, 7), (4096, 128, 0, 10), (64, 1, 0, 5)])
     def test_arc_layout_matches_per_arc_loop(self, n, mids, kmin, kmax):
@@ -655,6 +674,94 @@ def test_direct_osc_independent_of_chunk(p, real):
                for chunk in (width, 3 * width + 1, 2 ** 16)]
     assert windows.shape[0] % 3 != 0
     assert all(bitwise_equal(got, results[0]) for got in results[1:])
+
+
+def direct_path_entries(values, res, p):
+    """Oracle: every bmo entry through `_direct_osc` alone, as the grid read
+    them all before sorted blocks, from each arc's gathered window about its
+    prefix-sum mean."""
+    n = values.size
+    mids = n if res["midpoints"] == "all" else res["midpoints"]
+    starts, ncells, _, _ = _arc_layout(n, mids, res["min_len_exp"], res["max_len_exp"])
+    centred = values - values.mean()
+    means = _window_means(centred, starts, ncells, 0)
+    out = np.empty(starts.size)
+    for nc in np.unique(ncells):
+        sel = np.flatnonzero(ncells == nc)
+        windows = centred[(starts[sel, None] + np.arange(nc + 1)) % n]
+        out[sel] = _direct_osc(windows, means[sel], p)
+    return out
+
+
+# (n, midpoints, min_len_exp): block sizes 128, 64 and 32 take sorted
+# blocks on their levels of whole blocks; 16 and 1 ("all") stay direct; at
+# min_len_exp 0 and 1 arcs reach round the whole and half the circle
+SORTED_GRIDS = [(1024, 8, 0), (2048, 16, 1), (2048, 32, 2), (1024, 32, 1),
+                (1024, 64, 2), (256, "all", 1)]
+assert {n // (n if m == "all" else m) >= _SORTED_MIN_SPACING
+        for n, m, _ in SORTED_GRIDS} == {True, False}
+
+
+@pytest.fixture(scope="module")
+def sorted_grids():
+    grids = {}
+    for n, mids, kmin in SORTED_GRIDS:
+        res = {"n_samples": n, "midpoints": mids, "min_len_exp": kmin,
+               "max_len_exp": kmin + 5}
+        for p in (1.0, 1.5):
+            grids[n, mids, p] = res, build_family(
+                SpaceDescriptor("bmo_circle", p=p, resolution=res))
+    return grids
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SORTED_GRIDS), st.sampled_from(["ints", "steps", "noise"]),
+       st.integers(0, 2 ** 32 - 1), st.floats(-1e3, 1e3))
+def test_bmo_sorted_blocks_match_direct_path(sorted_grids, grid, kind, seed, const):
+    n, mids, _ = grid
+    res, fam = sorted_grids[n, mids, 1.0]
+    rng = np.random.default_rng(seed)
+    if kind == "ints":
+        # few distinct values: plateaus, and ties at many an arc's mean
+        values = rng.integers(-2, 3, size=n).astype(float)
+    elif kind == "steps":
+        jumps = np.sort(rng.integers(0, n, size=rng.integers(1, 6)))
+        values = np.cumsum(np.isin(np.arange(n), jumps) * rng.normal(size=n))
+    else:
+        values = rng.normal(size=n)
+    # a random rotation carries the features across node 0, where arcs wrap
+    values = np.roll(values * 10.0 ** rng.integers(-3, 4) + const, rng.integers(n))
+    got = fam.evaluate_all(PeriodicSamples(values))
+    want = direct_path_entries(values, res, 1.0)
+    ncells = n * fam.remoteness / TWO_PI
+    scale = 2.0 * np.abs(values).max()
+    # the bound of test_bmo_entries_match_direct_oscillation
+    bound = (2.0 * n * n / ncells + 8.0 * (ncells + 1)) * EPS * scale
+    assert np.all(got >= 0)
+    assert np.all(np.abs(got - want) <= 2.0 * bound)
+    assert bitwise_equal(fam.evaluate_all(PeriodicSamples(-values)), got)
+    assert not fam.evaluate_all(PeriodicSamples(np.full(n, const))).any()
+    # complex samples and p != 1 keep the direct path, bit for bit
+    cplx = values + 1j * np.roll(values, 1)
+    assert bitwise_equal(fam.evaluate_all(PeriodicSamples(cplx)),
+                         direct_path_entries(cplx, res, 1.0))
+    res, fam = sorted_grids[n, mids, 1.5]
+    for v in (values, cplx):
+        assert bitwise_equal(fam.evaluate_all(PeriodicSamples(v)),
+                             direct_path_entries(v, res, 1.5))
+
+
+def test_bmo_pair_cap_keeps_direct_path(monkeypatch):
+    # a grid whose whole-block levels hold more (arc, block) pairs than the
+    # cap keeps no pair layout and reads every level directly
+    res = {"n_samples": 2048, "midpoints": 16, "min_len_exp": 1, "max_len_exp": 6}
+    desc = SpaceDescriptor("bmo_circle", resolution=res)
+    f = PeriodicSamples(np.random.default_rng(4).normal(size=2048))
+    want = direct_path_entries(f.values, res, 1.0)
+    assert not bitwise_equal(build_family(desc).evaluate_all(f), want)
+    # 16 arcs per level over 8, 4 and 2 blocks of 128 nodes: 224 pairs
+    monkeypatch.setattr(spaces_module, "_SORTED_PAIR_CAP", 223)
+    assert bitwise_equal(build_family(desc).evaluate_all(f), want)
 
 
 def _qk_polynomial(degree, seed, closed=False):
