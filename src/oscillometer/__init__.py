@@ -5,19 +5,18 @@ boxes in R^n.
 """
 
 from .errors import ConfigError, NumericalError
-from .funcrep import (Arc, BoxDomain, EuclideanSamples, PeriodicSamples,
+from .funcrep import (BoxDomain, EuclideanSamples, PeriodicSamples,
                       QuadratureRule, TaylorFunction, TorusSamples,
                       disk_quadrature, mobius_apply, x_norm)
 from .family import (OperatorFamilyGrid, SeminormReport, TailProfile,
                      dyadic_scales, limsup_estimate, seminorm_sup,
                      tail_profile)
-from .spaces import (KKernel, SpaceDescriptor, WeightV, bmo_oscillation,
-                     build_family, compose_mobius, kernel_from_config,
-                     qk_local, weight_from_config, weighted_x_norm)
+from .spaces import (KKernel, SpaceDescriptor, WeightV, build_family,
+                     compose_mobius, kernel_from_config, weight_from_config)
 from .approx import (ApproxFamily, AssumptionReport, assumption_check, dilate,
                      dilation_family, fejer_family, fejer_taylor,
-                     lip_smooth, lip_smooth_family, poisson_circle,
-                     poisson_family, poisson_torus2, poisson_torus_family)
+                     lip_smooth, lip_smooth_family, poisson_family,
+                     poisson_torus_family)
 from .distance import (DistanceReport, certification_threshold,
                        distance_estimate, sandwich_check)
 from .builtins import make_function

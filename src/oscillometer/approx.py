@@ -25,7 +25,7 @@ from .errors import (EXPONENT_CAP, LENGTH_CAP, ConfigError, config_block,
 from .family import limsup_estimate, tail_profile
 from .funcrep import (EuclideanSamples, PeriodicSamples, TaylorFunction,
                       TorusSamples, x_norm)
-from .spaces import SpaceDescriptor, build_family, weighted_x_norm
+from .spaces import SpaceDescriptor, build_family
 
 
 # ---------------------------------------------------------------------------
@@ -51,16 +51,6 @@ def _poisson_members(f, rs) -> list:
     k = sum(np.ix_(*freqs))
     spectrum = forward(f.values, axes=axes)
     return [type(f)(inverse(spectrum * r ** k, shape, axes=axes)) for r in rs]
-
-
-def poisson_circle(f: PeriodicSamples, r: float) -> PeriodicSamples:
-    """Convolution with the radius-r Poisson kernel as a Fourier multiplier."""
-    return _poisson_members(f, [r])[0]
-
-
-def poisson_torus2(F: TorusSamples, r: float) -> TorusSamples:
-    """Double Poisson smoothing on the torus: multiplier r^(|j|+|k|)."""
-    return _poisson_members(F, [r])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +263,9 @@ class AssumptionReport:
         }
 
 
-def ambient_norm(desc: SpaceDescriptor, f) -> float:
-    """||f|| in the ambient space backing the descriptor's tag."""
-    if desc.tag == "weighted":
-        return weighted_x_norm(desc, f)
-    return x_norm(desc.tag, f)
-
-
 def ambient_distance(desc: SpaceDescriptor, f, g) -> float:
-    """||f - g|| in the same ambient space."""
-    return ambient_norm(desc, f - g)
+    """||f - g|| in the ambient space of the descriptor's space."""
+    return x_norm(desc, f - g)
 
 
 def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
@@ -302,7 +285,7 @@ def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
         member_tails.append(est)
         little_flags.append(bool(est <= threshold))
         x_distances.append(ambient_distance(desc, f, g))
-    x_ref = ambient_norm(desc, f)
+    x_ref = x_norm(desc, f)
     x_tol = x_tol_rel * x_ref
     norms_ok = max(member_norms) <= input_norm * (1.0 + slack) + 1e-15
     tail3 = x_distances[-3:]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (COUNT_CAP, LENGTH_CAP, TOP_EXP_CAP, ConfigError,
-                     config_number)
+                     config_number, is_number)
 from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
                       TaylorFunction, TorusSamples)
 from .spaces import SpaceDescriptor
@@ -211,9 +211,14 @@ def make_function(cfg: dict, desc: SpaceDescriptor):
         return taylor_builtin("poly", coeffs=cfg.get("coeffs"))
     if kind == "samples":
         raw = cfg.get("values")
+        # the leaves are checked as they came from JSON, one per type: an
+        # array cast would read true as 1 and "2" as 2, and [true, 0] is
+        # already an integer array
         try:
-            values = np.asarray(raw, dtype=float)
-            bounded = bool(np.all(np.abs(values) <= LENGTH_CAP))
+            leaves = np.asarray(raw, dtype=object)
+            values = leaves.astype(float)
+            bounded = (all(map(is_number, {type(v): v for v in leaves.flat}.values()))
+                       and bool(np.all(np.abs(values) <= LENGTH_CAP)))
         except (TypeError, ValueError, OverflowError):
             bounded = False
         if not bounded:

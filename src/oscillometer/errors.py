@@ -24,13 +24,19 @@ COUNT_CAP, EXPONENT_CAP, TOP_EXP_CAP = 2 ** 24, 53, 24
 LENGTH_CAP = 2.0 ** 64
 
 
+def is_number(value) -> bool:
+    """True for a JSON number: a real that is not a boolean (Python's bool
+    is an int, and numpy reads true as 1 and a numeric string as a number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def config_number(block: dict, key: str, default, cast=float, cap=math.inf):
     """block[key] (default when absent) converted by cast.  Only a number is
     taken: a boolean, a string or any other JSON type, an int key's
     non-integral value, a non-finite value, or one of magnitude above cap is
     a configuration error, not a traceback."""
     value = block.get(key, default)
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if is_number(value):
         try:
             number = cast(value)
             if (math.isfinite(number) and abs(number) <= cap

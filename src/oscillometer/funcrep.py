@@ -1,7 +1,9 @@
 """Function representations shared by all spaces: samples on the circle and
 torus, truncated power series on the disc, box grids in R^n, plus the
-elementary evaluations (arc averages, derivatives, disc automorphisms,
-ambient norms, polar quadrature) everything else is built from.
+elementary evaluations (window means over arcs, derivatives, disc
+automorphisms, polar quadrature, and `x_norm`, the one ambient norm of every
+space) everything else is built from.  The single-arc helpers the tests use
+as references (an `Arc` and its snapping to the grid) live in the tests.
 
 Grids are uniform with power-of-two size so trapezoid sums double as exact
 spectral quadrature and DFT smoothing stays alias-free for band-limited data.
@@ -115,28 +117,6 @@ class TorusSamples(_PeriodicGrid):
     ndim = 2
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Arc of the circle given by midpoint angle and length.
-
-    length lies in (0, 2*pi]; all full-circle arcs are identified (their
-    midpoint is canonicalised to 0).
-    """
-
-    midpoint: float
-    length: float
-
-    def __post_init__(self):
-        if not (0.0 < self.length <= TWO_PI + 1e-12):
-            raise ConfigError(f"arc length must lie in (0, 2*pi], got {self.length}")
-        length = min(self.length, TWO_PI)
-        midpoint = self.midpoint % TWO_PI
-        if length == TWO_PI:
-            midpoint = 0.0
-        object.__setattr__(self, "length", float(length))
-        object.__setattr__(self, "midpoint", float(midpoint))
-
-
 def _window_means(values: np.ndarray, starts: np.ndarray, ncells: np.ndarray,
                   axis: int) -> np.ndarray:
     """Trapezoid means of `values` over the periodic arcs [starts, starts +
@@ -161,22 +141,6 @@ def _window_means(values: np.ndarray, starts: np.ndarray, ncells: np.ndarray,
     sums = q[at[count + 1:]] - q[at[1:count + 1]]
     sums[starts + ncells >= n] += total
     return sums / ncells.reshape((-1,) + (1,) * (sums.ndim - 1))
-
-
-def snap_arc(samples: PeriodicSamples | TorusSamples, arc: Arc) -> tuple[int, int]:
-    """Snap arc endpoints to the nearest nodes of the circle grid (of either
-    axis, for torus samples, whose two axes share n and step).
-
-    Returns (start_node, ncells).  Arcs spanning fewer than 2 cells after
-    snapping are rejected.
-    """
-    h = samples.step
-    start = int(np.rint((arc.midpoint - arc.length / 2.0) / h))
-    ncells = int(np.rint(arc.length / h))
-    ncells = min(ncells, samples.n)
-    if ncells < 2:
-        raise ConfigError("arc under-resolved")
-    return start % samples.n, ncells
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +378,6 @@ class QuadratureRule:
 
     n_r: int = 48
     n_theta: int = 128
-    theta_offset: float = 0.0
 
     def __post_init__(self):
         if self.n_r < 2 or self.n_theta < 4:
@@ -425,14 +388,11 @@ class QuadratureRule:
         x, w = np.polynomial.legendre.leggauss(self.n_r)
         r = 0.5 * (x + 1.0)
         wr = 0.5 * w * r
-        th = self.theta_offset + TWO_PI * np.arange(self.n_theta) / self.n_theta
+        th = TWO_PI * np.arange(self.n_theta) / self.n_theta
         wt = TWO_PI / self.n_theta
         z = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
         weights = np.broadcast_to((wr * wt)[:, None], (self.n_r, self.n_theta)).ravel()
         return z, weights.copy()
-
-    def rotated(self, offset: float) -> "QuadratureRule":
-        return QuadratureRule(self.n_r, self.n_theta, offset)
 
 
 def disk_quadrature(g: Callable, rule: QuadratureRule = QuadratureRule()) -> float:
@@ -452,48 +412,43 @@ def disk_quadrature(g: Callable, rule: QuadratureRule = QuadratureRule()) -> flo
 # ambient-space norms
 # ---------------------------------------------------------------------------
 
-def _l2_periodic(f: PeriodicSamples | TorusSamples) -> float:
-    centred = f.values - f.values.mean()
-    return float(np.sqrt(np.sum(np.abs(centred) ** 2) * f.step ** f.ndim))
+# the one input representation each space's ambient norm measures
+_AMBIENT_REPRESENTATION = {
+    "bmo_circle": PeriodicSamples, "rect_bmo": TorusSamples,
+    "bloch": TaylorFunction, "qk": TaylorFunction, "weighted": TaylorFunction,
+    "lip": EuclideanSamples,
+}
 
 
-def _bergman(f: TaylorFunction) -> float:
-    if f.coeffs is None:
-        raise ConfigError("Bergman norm needs explicit coefficients")
-    k = np.arange(1, f.coeffs.size + 1)
-    return float(np.sqrt(np.pi * np.sum(np.abs(f.coeffs) ** 2 / (k + 1))))
+def x_norm(desc, f) -> float:
+    """Ambient-space norm of f for the space `desc` describes (its `tag`, and
+    for weighted its `weight`), the norm approximation errors are measured in.
 
-
-def _hardy(f: TaylorFunction) -> float:
-    if f.coeffs is None:
-        raise ConfigError("Hardy norm needs explicit coefficients")
-    return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
-
-
-def _sup_box(f: EuclideanSamples) -> float:
-    return float(np.max(np.abs(f.values)))
-
-
-def x_norm(space_tag: str, f) -> float:
-    """Ambient-space norm used to measure approximation error.
-
-    bmo_circle: L2 of the circle with the mean removed; bloch: Bergman norm
-    from coefficients; qk: Hardy norm (the K(t) = t ambient norm up to a
-    constant); rect_bmo: mean-removed L2 of the torus; lip: sup over the box
-    grid (a recorded proxy for the ambient Sobolev norm).
+    bmo_circle: L2 of the circle with the mean removed; rect_bmo: mean-removed
+    L2 of the torus; bloch: Bergman norm from coefficients; qk: Hardy norm
+    (the K(t) = t ambient norm up to a constant); weighted: area-weighted L2
+    with density v^2 / pi on the unit disc; lip: sup over the box grid (a
+    recorded proxy for the ambient Sobolev norm).
     """
-    try:
-        if space_tag in ("bmo_circle", "rect_bmo"):
-            return _l2_periodic(f)
-        if space_tag == "bloch":
-            return _bergman(f)
-        if space_tag == "qk":
-            return _hardy(f)
-        if space_tag == "lip":
-            return _sup_box(f)
-    except AttributeError:
-        raise ConfigError(f"representation mismatch for space '{space_tag}'")
-    if space_tag == "weighted":
-        raise ConfigError("weighted ambient norm requires the space descriptor; "
-                          "use spaces.weighted_x_norm")
-    raise ConfigError(f"unknown space tag '{space_tag}'")
+    tag = desc.tag
+    if not isinstance(f, _AMBIENT_REPRESENTATION[tag]):
+        raise ConfigError(f"representation mismatch for space '{tag}'")
+    if tag in ("bmo_circle", "rect_bmo"):
+        centred = f.values - f.values.mean()
+        return float(np.sqrt(np.sum(np.abs(centred) ** 2) * f.step ** f.ndim))
+    if tag == "lip":
+        return float(np.max(np.abs(f.values)))
+    if tag == "weighted":
+        if desc.weight.domain["kind"] != "disc":
+            raise ConfigError("weighted ambient norm implemented on the disc only")
+        val = disk_quadrature(
+            lambda z: np.abs(f.value(z)) ** 2 * desc.weight(z) ** 2 / np.pi,
+            QuadratureRule(48, 64))
+        return float(np.sqrt(val))
+    if f.coeffs is None:
+        name = "Bergman" if tag == "bloch" else "Hardy"
+        raise ConfigError(f"{name} norm needs explicit coefficients")
+    if tag == "bloch":
+        k = np.arange(1, f.coeffs.size + 1)
+        return float(np.sqrt(np.pi * np.sum(np.abs(f.coeffs) ** 2 / (k + 1))))
+    return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))

@@ -15,8 +15,8 @@ returns one vectorised evaluator giving ||L f|| for every entry at once:
 Disc grids mix a uniform radial fill with dyadic boundary shells: the shells
 feed the tail levels while the fill keeps interior maxima resolved.  All
 angular grids are rotation-closed (uniform), which several contraction tests
-rely on.  `bmo_oscillation` and `qk_local` compute one entry on their own, as
-reference values for the family kernels.
+rely on.  The single-entry references the tests check the kernels against
+(`bmo_oscillation`, `qk_local`) live in the tests, not here.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from .errors import (COUNT_CAP, EXPONENT_CAP, LENGTH_CAP, ConfigError,
                      NumericalError, config_block, config_number,
                      config_numbers)
 from .family import OperatorFamilyGrid, dyadic_scales, map_chunks
-from .funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
-                      PeriodicSamples, QuadratureRule, TaylorFunction,
-                      TorusSamples, _window_means, disk_quadrature,
-                      mobius_apply, snap_arc)
+from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
+                      QuadratureRule, TaylorFunction, TorusSamples,
+                      _window_means, disk_quadrature, mobius_apply)
 
 # ---------------------------------------------------------------------------
 # kernels and weights
@@ -270,54 +269,8 @@ class SpaceDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# one-parameter references and the automorphism composition
+# the automorphism composition
 # ---------------------------------------------------------------------------
-
-def bmo_oscillation(f: PeriodicSamples, arc: Arc, p: float) -> float:
-    """p-mean oscillation of f over the arc: (mean_I |f - f_I|^p)^(1/p).
-
-    p = 2 closes via first/second window moments; other exponents use the
-    direct trapezoid sum over the arc's samples.  Work happens on globally
-    mean-centred samples (the oscillation is exactly translation invariant),
-    which keeps the moment cancellation conditioned on the oscillation scale
-    rather than the function scale.
-    """
-    if not p >= 1.0:
-        raise ConfigError(f"oscillation exponent p must be >= 1, got {p}")
-    start, ncells = snap_arc(f, arc)
-    starts, cells = np.array([start]), np.array([ncells])
-    centred = f.values - f.values.mean()
-    mean = _window_means(centred, starts, cells, 0)
-    if p == 2.0:
-        sq = _window_means(np.abs(centred) ** 2, starts, cells, 0).real
-        return float(np.sqrt(max(sq[0] - abs(mean[0]) ** 2, 0.0)))
-    window = centred[(start + np.arange(ncells + 1)) % f.n]
-    return float(_direct_osc(window[None, :], mean, p)[0])
-
-
-def qk_local(f: TaylorFunction, a: complex, kernel: KKernel,
-             rule: QuadratureRule = QuadratureRule()) -> float:
-    """Invariant integral of |f'|^2 against K(log 1/|phi_a|) over the disc.
-
-    Computed in the automorphism-pulled-back form, which pins the kernel
-    singularity at the quadrature-free origin; the angular grid is rotated to
-    put a node line through arg(a), where the Jacobian concentrates.  The
-    unimodular rotation of the automorphism drops out, so only `a` matters.
-    Returns the squared-norm quantity (no square root).
-    """
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise ConfigError("automorphism centre must lie inside the disc")
-    if a != 0:
-        rule = rule.rotated(math.atan2(a.imag, a.real))
-    w, wts = rule.nodes()
-    phi, dphi = mobius_apply(a, 1.0, w)
-    jac = np.abs(dphi) ** 2 * kernel(np.log(1.0 / np.abs(w)))
-    vals = np.abs(f.deriv(phi)) ** 2 * jac
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("singular node")
-    return float(np.dot(wts, vals))
-
 
 def compose_mobius(f: TaylorFunction, a: complex, lam: complex = 1.0) -> TaylorFunction:
     """g = f o phi - f(phi(0)) for the automorphism phi with centre a.
@@ -580,11 +533,12 @@ def _direct_osc(windows: np.ndarray, means: np.ndarray, p: float,
                 chunk: int = 1 << 16) -> np.ndarray:
     """Direct trapezoid p-oscillation of each row of `windows` (the ncells + 1
     nodes of one arc, usually a strided view) about its mean.  It computes
-    `bmo_oscillation` and every bmo level at p != 1, 2, on complex samples,
-    on grids whose blocks hold fewer than _SORTED_MIN_SPACING nodes or
-    whose whole-block levels hold more than _SORTED_PAIR_CAP (arc, block)
-    pairs, and on levels whose arcs are not whole blocks; the rest of p = 1
-    on real samples comes from `_sorted_levels`.  Rows are reduced a
+    the tests' single-arc `bmo_oscillation` and every bmo level at p != 1,
+    2, on complex samples, on grids whose blocks hold fewer than
+    _SORTED_MIN_SPACING nodes or whose whole-block levels hold more than
+    _SORTED_PAIR_CAP (arc, block) pairs, and on levels whose arcs are not
+    whole blocks; the rest of p = 1 on real samples comes from
+    `_sorted_levels`.  Rows are reduced a
     block of at most max(chunk, ncells + 1) elements at a time in one
     difference and one deviation buffer that every block reuses; the values
     do not depend on `chunk`.  The trapezoid weights are applied as a row
@@ -895,17 +849,3 @@ def _build_rect(desc: SpaceDescriptor):
 
     scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
     return describe, remoteness, eval_all, scales
-
-
-# ---------------------------------------------------------------------------
-# ambient norm for the weighted space
-# ---------------------------------------------------------------------------
-
-def weighted_x_norm(desc: SpaceDescriptor, f: TaylorFunction) -> float:
-    """Area-weighted L2 norm with density v^2 / pi on the unit disc."""
-    if desc.weight.domain["kind"] != "disc":
-        raise ConfigError("weighted ambient norm implemented on the disc only")
-    val = disk_quadrature(
-        lambda z: np.abs(f.value(z)) ** 2 * desc.weight(z) ** 2 / np.pi,
-        QuadratureRule(48, 64))
-    return float(np.sqrt(val))

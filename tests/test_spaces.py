@@ -5,21 +5,20 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from oscillometer.errors import ConfigError
-from oscillometer.funcrep import (TWO_PI, Arc, BoxDomain, EuclideanSamples,
+from oscillometer.funcrep import (TWO_PI, BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
-                                  TaylorFunction, TorusSamples, _window_means,
-                                  snap_arc)
+                                  TaylorFunction, TorusSamples, _window_means)
 from oscillometer.spaces import (_SORTED_MIN_SPACING, SpaceDescriptor,
                                  _arc_layout, _direct_osc, _disc_radii,
-                                 _rect_values, _strata_pairs,
-                                 bmo_oscillation, build_family, compose_mobius,
-                                 kernel_from_config, lip_pair_indices, qk_local,
-                                 weight_from_config)
+                                 _rect_values, _strata_pairs, build_family,
+                                 compose_mobius, kernel_from_config,
+                                 lip_pair_indices, weight_from_config)
 from oscillometer.family import OperatorFamilyGrid, seminorm_sup, tail_profile
 from oscillometer import spaces as spaces_module
 from oscillometer.builtins import (circle_builtin, lacunary, log_singular,
                                    make_function, step_half_values,
                                    taylor_builtin, torus_builtin)
+from oracles import Arc, bmo_oscillation, qk_local, snap_arc
 
 
 def direct_oscillation(values, start, ncells, p):
