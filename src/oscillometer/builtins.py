@@ -38,7 +38,7 @@ def triangle_values(n: int) -> np.ndarray:
     return np.abs(theta - np.pi)
 
 
-def circle_builtin(name: str, n: int, **params) -> PeriodicSamples:
+def circle_builtin(name: str, n: int, /, **params) -> PeriodicSamples:
     if name == "step_half":
         return PeriodicSamples(step_half_values(n))
     if name == "triangle":
@@ -112,19 +112,21 @@ def monomial(degree: int) -> TaylorFunction:
 
 def _complex_list(raw) -> np.ndarray:
     """JSON coefficients (numbers or [re, im] pairs) as a complex array, each
-    part finite and of magnitude at most LENGTH_CAP."""
+    part a JSON number (not a boolean or a string, see `is_number`), finite
+    and of magnitude at most LENGTH_CAP."""
     try:
-        coeffs = np.asarray([complex(c[0], c[1]) if isinstance(c, (list, tuple))
-                             else complex(c) for c in raw], dtype=complex)
-        if np.all(np.abs(coeffs.view(float)) <= LENGTH_CAP):
-            return coeffs
-    except (TypeError, ValueError, IndexError, OverflowError):
+        pairs = [c if isinstance(c, (list, tuple)) else (c, 0.0) for c in raw]
+        if all(len(c) == 2 and is_number(c[0]) and is_number(c[1]) for c in pairs):
+            coeffs = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+            if np.all(np.abs(coeffs.view(float)) <= LENGTH_CAP):
+                return coeffs
+    except (TypeError, OverflowError):
         pass
     raise ConfigError(f"'coeffs' must be a list of numbers or [re, im] pairs, "
                       f"each part of magnitude at most {LENGTH_CAP}, got {raw!r}")
 
 
-def taylor_builtin(name: str, **params) -> TaylorFunction:
+def taylor_builtin(name: str, /, **params) -> TaylorFunction:
     if name == "monomial":
         return monomial(config_number(params, "degree", 1, int, COUNT_CAP))
     if name == "poly":
@@ -142,7 +144,7 @@ def taylor_builtin(name: str, **params) -> TaylorFunction:
 # torus samples
 # ---------------------------------------------------------------------------
 
-def torus_builtin(name: str, n: int, **params) -> TorusSamples:
+def torus_builtin(name: str, n: int, /, **params) -> TorusSamples:
     if name == "step_tensor":
         g = step_half_values(n)
         return TorusSamples(np.outer(g, g))
@@ -162,7 +164,7 @@ def torus_builtin(name: str, n: int, **params) -> TorusSamples:
 # box samples
 # ---------------------------------------------------------------------------
 
-def box_builtin(name: str, domain: BoxDomain, alpha: float,
+def box_builtin(name: str, domain: BoxDomain, alpha: float, /,
                 **params) -> EuclideanSamples:
     coords = domain.axes()
     if domain.ndim == 1:
@@ -182,7 +184,7 @@ def box_builtin(name: str, domain: BoxDomain, alpha: float,
     if name == "square":
         vals = coords[0] ** 2 if domain.ndim == 1 else xx ** 2
         return EuclideanSamples(domain, vals, alpha)
-    if name == "cosine":
+    if name == "cosine_box":
         vals = np.cos(coords[0]) if domain.ndim == 1 else np.cos(xx + yy)
         return EuclideanSamples(domain, vals, alpha)
     raise ConfigError(f"unknown box builtin '{name}'")
@@ -191,12 +193,6 @@ def box_builtin(name: str, domain: BoxDomain, alpha: float,
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
-
-_CIRCLE_NAMES = {"step_half", "triangle", "cosine"}
-_TAYLOR_NAMES = {"monomial", "poly", "log_singular", "cauchy_kernel", "lacunary"}
-_TORUS_NAMES = {"step_tensor", "triangle_tensor", "one_variable", "additive"}
-_BOX_NAMES = {"holder_cusp", "linear", "square", "cosine_box"}
-
 
 def make_function(cfg: dict, desc: SpaceDescriptor):
     """Build a function from a JSON block against the space's grids.
@@ -207,6 +203,7 @@ def make_function(cfg: dict, desc: SpaceDescriptor):
            real values on the box grid).
     """
     kind = cfg.get("kind", "builtin")
+    rep = desc.representation
     if kind == "taylor":
         return taylor_builtin("poly", coeffs=cfg.get("coeffs"))
     if kind == "samples":
@@ -224,38 +221,23 @@ def make_function(cfg: dict, desc: SpaceDescriptor):
         if not bounded:
             raise ConfigError(f"sample 'values' must be numbers of magnitude at "
                               f"most {LENGTH_CAP}, got {raw!r}")
-        if desc.tag == "lip":
+        if rep is EuclideanSamples:
             return EuclideanSamples(desc.lip_domain, values, desc.alpha)
-        if desc.tag not in ("bmo_circle", "rect_bmo"):
+        if rep is TaylorFunction:
             raise ConfigError(f"sample input not supported for space '{desc.tag}'")
-        ndim = 2 if desc.tag == "bmo_circle" else 3
-        if values.ndim != ndim or values.shape[-1] != 2:
+        if values.ndim != rep.ndim + 1 or values.shape[-1] != 2:
             raise ConfigError(f"'{desc.tag}' samples must be an array of "
-                              f"[re, im] pairs with {ndim - 1} grid axes")
-        z = values[..., 0] + 1j * values[..., 1]
-        return PeriodicSamples(z) if desc.tag == "bmo_circle" else TorusSamples(z)
+                              f"[re, im] pairs with {rep.ndim} grid axes")
+        return rep(values[..., 0] + 1j * values[..., 1])
     if kind != "builtin":
         raise ConfigError(f"unknown function kind '{kind}'")
     name = cfg.get("name")
     if not isinstance(name, str):
         raise ConfigError(f"builtin 'name' must be a string, got {name!r}")
     params = {k: v for k, v in cfg.items() if k not in ("kind", "name")}
-    if desc.tag == "bmo_circle":
-        if name not in _CIRCLE_NAMES:
-            raise ConfigError(f"builtin '{name}' is not a circle function")
-        return circle_builtin(name, desc.resolution["n_samples"], **params)
-    if desc.tag in ("bloch", "qk", "weighted"):
-        if name not in _TAYLOR_NAMES:
-            raise ConfigError(f"builtin '{name}' is not an analytic function")
+    if rep is TaylorFunction:
         return taylor_builtin(name, **params)
-    if desc.tag == "rect_bmo":
-        if name not in _TORUS_NAMES:
-            raise ConfigError(f"builtin '{name}' is not a torus function")
-        return torus_builtin(name, desc.resolution["n_samples"], **params)
-    if desc.tag == "lip":
-        if name == "cosine_box":
-            name = "cosine"
-        elif name not in _BOX_NAMES:
-            raise ConfigError(f"builtin '{name}' is not a box function")
+    if rep is EuclideanSamples:
         return box_builtin(name, desc.lip_domain, desc.alpha, **params)
-    raise ConfigError(f"unknown space '{desc.tag}'")
+    builtin = circle_builtin if rep is PeriodicSamples else torus_builtin
+    return builtin(name, desc.resolution["n_samples"], **params)

@@ -412,17 +412,10 @@ def disk_quadrature(g: Callable, rule: QuadratureRule = QuadratureRule()) -> flo
 # ambient-space norms
 # ---------------------------------------------------------------------------
 
-# the one input representation each space's ambient norm measures
-_AMBIENT_REPRESENTATION = {
-    "bmo_circle": PeriodicSamples, "rect_bmo": TorusSamples,
-    "bloch": TaylorFunction, "qk": TaylorFunction, "weighted": TaylorFunction,
-    "lip": EuclideanSamples,
-}
-
-
 def x_norm(desc, f) -> float:
-    """Ambient-space norm of f for the space `desc` describes (its `tag`, and
-    for weighted its `weight`), the norm approximation errors are measured in.
+    """Ambient-space norm of f for the space `desc` describes (its `tag`, its
+    `representation`, and for weighted its `weight`), the norm approximation
+    errors are measured in.
 
     bmo_circle: L2 of the circle with the mean removed; rect_bmo: mean-removed
     L2 of the torus; bloch: Bergman norm from coefficients; qk: Hardy norm
@@ -431,7 +424,7 @@ def x_norm(desc, f) -> float:
     recorded proxy for the ambient Sobolev norm).
     """
     tag = desc.tag
-    if not isinstance(f, _AMBIENT_REPRESENTATION[tag]):
+    if not isinstance(f, desc.representation):
         raise ConfigError(f"representation mismatch for space '{tag}'")
     if tag in ("bmo_circle", "rect_bmo"):
         centred = f.values - f.values.mean()

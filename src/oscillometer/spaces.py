@@ -17,13 +17,17 @@ feed the tail levels while the fill keeps interior maxima resolved.  All
 angular grids are rotation-closed (uniform), which several contraction tests
 rely on.  The single-entry references the tests check the kernels against
 (`bmo_oscillation`, `qk_local`) live in the tests, not here.
+
+`_SPACES`, at the end, is the one table of spaces: each record holds a
+space's builder, input representation, allowance and resolution keys, and
+every other module reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -157,45 +161,6 @@ def weight_from_config(cfg) -> WeightV:
 # descriptor
 # ---------------------------------------------------------------------------
 
-SPACE_TAGS = ("bmo_circle", "bloch", "qk", "weighted", "lip", "rect_bmo")
-
-# declared one-sided grid-resolution allowances (fraction of the estimate):
-# the arc-parametrised spaces sample midpoints sparsely, so their suprema
-# carry more slack than the densely filled disc and pair grids
-_DEFAULT_ALLOWANCE = {
-    "bmo_circle": 0.05,
-    "rect_bmo": 0.05,
-    "bloch": 0.02,
-    "qk": 0.02,
-    "weighted": 0.02,
-    "lip": 0.02,
-}
-
-_DEFAULT_RESOLUTION = {
-    "bmo_circle": {"n_samples": 131072, "midpoints": 128,
-                   "min_len_exp": 2, "max_len_exp": 8},
-    "bloch": {"uniform_radii": 128, "shells": 12, "angles": 512},
-    "qk": {"shell_from": 2, "shell_to": 7, "extra_radii": (0.25, 0.5),
-           "angles": 64, "quad_nr": 48, "quad_ntheta": 256},
-    "weighted": {"uniform_radii": 128, "shells": 12, "angles": 512,
-                 "box_nodes": 64},
-    "lip": {"pair_cap": 1_000_000},
-    "rect_bmo": {"n_samples": 1024, "midpoints": 64,
-                 "min_len_exp": 1, "max_len_exp": 6},
-}
-
-# resolution values that may be 0 (exponents, and an empty uniform fill);
-# every other one is a count that must be positive
-_MAY_BE_ZERO = {"uniform_radii", "min_len_exp", "max_len_exp", "shell_from",
-                "shell_to"}
-# dyadic exponents, refused above EXPONENT_CAP (53); every other resolution
-# value is a count, refused above COUNT_CAP (2**24)
-_EXPONENTS = {"min_len_exp", "max_len_exp", "shell_from", "shell_to", "shells"}
-# a torus input holds n_samples**2 values and is sampled before any grid is
-# built, so its side is capped where it is read
-_TORUS_SIDE_CAP = math.isqrt(COUNT_CAP)
-
-
 @dataclass
 class SpaceDescriptor:
     """Complete recipe for one space: which triple to build and how finely."""
@@ -209,7 +174,8 @@ class SpaceDescriptor:
     resolution: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tag not in SPACE_TAGS:
+        # a list or dict tag is unhashable: check the type before the lookup
+        if not isinstance(self.tag, str) or self.tag not in _SPACES:
             raise ConfigError(f"unknown space '{self.tag}'")
         if self.tag == "bmo_circle" and not self.p >= 1.0:
             raise ConfigError(f"oscillation exponent p must be >= 1, got {self.p}")
@@ -222,28 +188,33 @@ class SpaceDescriptor:
             self.kernel = kernel_from_config(None)
         if self.tag == "weighted" and self.weight is None:
             self.weight = weight_from_config(None)
-        # each value takes its default's type; bmo midpoints may be "all"
-        merged = dict(_DEFAULT_RESOLUTION[self.tag])
+        # each value takes its default's type and lies in [least, cap];
+        # bmo midpoints may be "all", and qk's extra centre radii in [0, 1)
+        keys = _SPACES[self.tag].resolution
+        merged = {key: default for key, (default, _, _) in keys.items()}
         for key, value in self.resolution.items():
-            default = merged.get(key)
+            if key not in keys:
+                raise ConfigError(f"unknown resolution key '{key}' for space "
+                                  f"'{self.tag}'")
+            default, least, cap = keys[key]
             if isinstance(default, tuple):
-                # qk's extra centre radii
                 value = tuple(config_numbers(self.resolution, key))
-                if not all(0.0 <= r < 1.0 for r in value):
-                    raise ConfigError(f"resolution '{key}' must lie in [0, 1), "
-                                      f"got {list(value)}")
-            elif default is not None and not (self.tag == "bmo_circle"
-                                              and key == "midpoints" and value == "all"):
-                cap = EXPONENT_CAP if key in _EXPONENTS else COUNT_CAP
-                if (self.tag, key) == ("rect_bmo", "n_samples"):
-                    cap = _TORUS_SIDE_CAP
+                if not all(least <= r < cap for r in value):
+                    raise ConfigError(f"resolution '{key}' must lie in [{least}, "
+                                      f"{cap}), got {list(value)}")
+            elif not (self.tag == "bmo_circle" and key == "midpoints"
+                      and value == "all"):
                 value = config_number(self.resolution, key, None, type(default), cap)
-                floor = 0 if key in _MAY_BE_ZERO else 1
-                if value < floor:
+                if value < least:
                     raise ConfigError(f"resolution '{key}' must be at least "
-                                      f"{floor}, got {value!r}")
+                                      f"{least}, got {value!r}")
             merged[key] = value
         self.resolution = merged
+
+    @property
+    def representation(self) -> type:
+        """The one input representation the space takes."""
+        return _SPACES[self.tag].representation
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SpaceDescriptor":
@@ -346,21 +317,14 @@ def _check_size(count: int, what: str) -> None:
 
 def build_family(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     """Discretise the space's operator family per the descriptor's resolution."""
-    builder = {
-        "bmo_circle": _build_bmo,
-        "bloch": _build_bloch,
-        "qk": _build_qk,
-        "weighted": _build_weighted,
-        "lip": _build_lip,
-        "rect_bmo": _build_rect,
-    }[desc.tag]
-    describe, remoteness, eval_all, scales = builder(desc)
+    space = _SPACES[desc.tag]
+    describe, remoteness, eval_all, scales = space.build(desc)
     # the builder's own fresh array, made read-only so that the grid adopts it
     # under the ownership rule: copying a large remoteness vector and freeing
     # the original shifts the allocator's state and slows later tasks
     remoteness.setflags(write=False)
     return OperatorFamilyGrid(desc.tag, describe, remoteness, eval_all,
-                              _DEFAULT_ALLOWANCE[desc.tag], scales)
+                              space.allowance_rel, scales)
 
 
 def _arc_layout(n: int, midpoints: int, kmin: int, kmax: int):
@@ -737,7 +701,7 @@ def _build_weighted(desc: SpaceDescriptor):
     return (lambda idx: _records(z=z[idx])), remoteness, eval_all, scales
 
 
-def lip_pair_indices(dom: BoxDomain, cap: int = 1_000_000):
+def lip_pair_indices(dom: BoxDomain, cap: int):
     """Flat-index pairs sampling the quotient family: all pairs when they fit
     under the cap, otherwise dyadic-offset strata (see _strata_pairs).
 
@@ -849,3 +813,46 @@ def _build_rect(desc: SpaceDescriptor):
 
     scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
     return describe, remoteness, eval_all, scales
+
+
+# ---------------------------------------------------------------------------
+# the table of spaces
+# ---------------------------------------------------------------------------
+
+class _Space(NamedTuple):
+    """Everything one space is: its family builder, the one input
+    representation it takes, its declared one-sided grid-resolution
+    allowance (a fraction of the estimate), and its resolution keys as
+    key -> (default, least value, cap)."""
+
+    build: Callable
+    representation: type
+    allowance_rel: float
+    resolution: dict
+
+
+# counts are at least 1 and at most COUNT_CAP (2**24), dyadic exponents at
+# least 0 and at most EXPONENT_CAP (53); a torus input holds n_samples**2
+# values and is sampled before any grid is built, so rect_bmo's side is capped
+# at the square root; qk's extra centre radii lie in [0, 1), the cap excluded.
+# The arc-parametrised spaces sample midpoints sparsely, so their suprema
+# carry more slack than the densely filled disc and pair grids
+_DISC_RESOLUTION = {"uniform_radii": (128, 0, COUNT_CAP),
+                    "shells": (12, 1, EXPONENT_CAP), "angles": (512, 1, COUNT_CAP)}
+_SPACES = {
+    "bmo_circle": _Space(_build_bmo, PeriodicSamples, 0.05, {
+        "n_samples": (131072, 1, COUNT_CAP), "midpoints": (128, 1, COUNT_CAP),
+        "min_len_exp": (2, 0, EXPONENT_CAP), "max_len_exp": (8, 0, EXPONENT_CAP)}),
+    "bloch": _Space(_build_bloch, TaylorFunction, 0.02, _DISC_RESOLUTION),
+    "qk": _Space(_build_qk, TaylorFunction, 0.02, {
+        "shell_from": (2, 0, EXPONENT_CAP), "shell_to": (7, 0, EXPONENT_CAP),
+        "extra_radii": ((0.25, 0.5), 0, 1), "angles": (64, 1, COUNT_CAP),
+        "quad_nr": (48, 1, COUNT_CAP), "quad_ntheta": (256, 1, COUNT_CAP)}),
+    "weighted": _Space(_build_weighted, TaylorFunction, 0.02,
+                       dict(_DISC_RESOLUTION, box_nodes=(64, 1, COUNT_CAP))),
+    "lip": _Space(_build_lip, EuclideanSamples, 0.02,
+                  {"pair_cap": (1_000_000, 1, COUNT_CAP)}),
+    "rect_bmo": _Space(_build_rect, TorusSamples, 0.05, {
+        "n_samples": (1024, 1, math.isqrt(COUNT_CAP)), "midpoints": (64, 1, COUNT_CAP),
+        "min_len_exp": (1, 0, EXPONENT_CAP), "max_len_exp": (6, 0, EXPONENT_CAP)}),
+}

@@ -466,6 +466,14 @@ NON_NUMBER_SAMPLES = {
     "lip-bool": {"space": {"space": "lip"}, "function": {
         "kind": "samples", "values": [True] + [0.5] * 100}},
 }
+# Taylor coefficients that are not all JSON numbers: a numeric string, a
+# boolean, a boolean inside an [re, im] pair, and a pair of three parts
+NON_NUMBER_COEFFS = {
+    "text": ["2", 0.5],
+    "bool": [True, 0.5],
+    "bool-in-pair": [[True, 0], [1, 0]],
+    "triple": [[1, 0, 0], [0.5, 0]],
+}
 MUTANTS = [None, "x", -1, -0.5, 0, 1, 2.5, float("nan"), float("inf"), [], {},
            True, [1], {"a": 1}, 10 ** 30, 1e308]
 _DELETE = object()
@@ -517,6 +525,15 @@ def mutated_configs(draw):
 @example(("distance", _with(BMO_STEP, **{"space.resolution.n_samples": True})))
 @example(("distance", NON_NUMBER_SAMPLES["bmo-bool-and-text"]))
 @example(("norm", NON_NUMBER_SAMPLES["lip-bool"]))
+@example(("norm", {"space": BLOCH_LIGHT, "function": {
+    "kind": "taylor", "coeffs": NON_NUMBER_COEFFS["text"]}}))
+@example(("distance", _with(BLOCH_DISTANCE, function={
+    "kind": "builtin", "name": "poly", "coeffs": NON_NUMBER_COEFFS["bool-in-pair"]})))
+# a space tag that is a list, a resolution key of another space, and a
+# builtin parameter named like the grid argument the builtin is called with
+@example(("norm", _with(LIP_DEFAULTS, **{"space.space": ["lip"]})))
+@example(("distance", _with(BMO_STEP, **{"space.resolution.angles": 64})))
+@example(("distance", _with(BMO_STEP, **{"function.n": 8})))
 def test_exit_code_contract(job):
     # exit 0 success, 2 configuration, 3 numerical, 4 failed check: never a
     # traceback or a warning, never the grid's own shape check (no input may
@@ -561,6 +578,31 @@ def test_sample_values_must_be_numbers(tmp_path, case):
         code = run(tmp_path, "norm", NON_NUMBER_SAMPLES[case])
     assert code == 2
     assert "configuration error: sample 'values' must be numbers" in err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMBER_COEFFS))
+def test_taylor_coeffs_must_be_numbers(tmp_path, case):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(tmp_path, "norm", {"space": BLOCH_LIGHT, "function": {
+            "kind": "taylor", "coeffs": NON_NUMBER_COEFFS[case]}})
+    assert code == 2
+    assert "configuration error: 'coeffs' must be a list of numbers" in err.getvalue()
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("space, key", [("bloch", "angels"), ("bloch", "n_samples"),
+                                        ("lip", "shells"), ("rect_bmo", "box_nodes")])
+def test_unknown_resolution_key_exit_code(tmp_path, space, key):
+    # a misspelled key, or another space's, would otherwise run on the
+    # default grid as if it had been read
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(tmp_path, "norm", {"space": {"space": space, "resolution": {key: 4}},
+                                      "function": {"kind": "builtin", "name": "x"}})
+    assert code == 2
+    assert (f"unknown resolution key '{key}' for space '{space}'"
+            in err.getvalue())
 
 
 @pytest.mark.parametrize("domain", [

@@ -331,16 +331,23 @@ class TestXNorm:
         assert abs(x_norm(SpaceDescriptor("bmo_circle"), f) - want) < 1e-10 * want
 
     def test_mismatch(self):
-        # each space measures one representation; unknown tags never make a
-        # descriptor
-        circle = PeriodicSamples(np.ones(8))
-        for tag in ("bloch", "lip", "rect_bmo"):
-            with pytest.raises(ConfigError, match="representation mismatch"):
-                x_norm(SpaceDescriptor(tag), circle)
-        with pytest.raises(ConfigError, match="representation mismatch"):
-            x_norm(SpaceDescriptor("bmo_circle"), TaylorFunction.polynomial([1.0]))
-        with pytest.raises(ConfigError):
-            SpaceDescriptor("nope")
+        # each space measures one representation and refuses the other three
+        inputs = [PeriodicSamples(np.ones(8)), TorusSamples(np.ones((8, 8))),
+                  TaylorFunction.polynomial([1.0]),
+                  EuclideanSamples(BoxDomain([0.0], [1.0], 0.25), np.ones(5), 0.5)]
+        for tag in ("bmo_circle", "bloch", "qk", "weighted", "lip", "rect_bmo"):
+            desc = SpaceDescriptor(tag)
+            wrong = [f for f in inputs if not isinstance(f, desc.representation)]
+            assert len(wrong) == 3
+            for f in wrong:
+                with pytest.raises(ConfigError, match="representation mismatch"):
+                    x_norm(desc, f)
+
+    @pytest.mark.parametrize("tag", ["nope", ["bloch"], {"space": "bloch"}, None])
+    def test_unknown_tag_makes_no_descriptor(self, tag):
+        # a list or dict tag is refused, not a TypeError from the table lookup
+        with pytest.raises(ConfigError, match="unknown space"):
+            SpaceDescriptor(tag)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20])
     def test_weighted_monomial_exact(self, k):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -429,8 +432,9 @@ class TestBuildFamily:
     def test_lip_distances_from_integer_offsets(self, dom):
         # rounded coordinate differences scatter by a few ulps of the
         # coordinates; step * |offset| puts every pair at its offset's level
-        fam = build_family(SpaceDescriptor("lip", alpha=0.5, lip_domain=dom))
-        ia, ib, _ = lip_pair_indices(dom)
+        desc = SpaceDescriptor("lip", alpha=0.5, lip_domain=dom)
+        fam = build_family(desc)
+        ia, ib, _ = lip_pair_indices(dom, desc.resolution["pair_cap"])
         offsets = np.subtract(np.unravel_index(ib, dom.shape),
                               np.unravel_index(ia, dom.shape))
         reach = np.sqrt(np.sum(offsets ** 2, axis=0))
@@ -483,7 +487,8 @@ class TestBuildFamily:
 
     @pytest.mark.parametrize("case", ["bloch", "qk", "disc", "annulus", "box"])
     def test_node_params_match_node_array(self, case):
-        res = {"uniform_radii": 8, "shells": 7, "angles": 16, "box_nodes": 64}
+        # each space takes only its own resolution keys: box_nodes is weighted's
+        res = {"uniform_radii": 8, "shells": 7, "angles": 16}
         domains = {"disc": {"kind": "disc"},
                    "annulus": {"kind": "annulus", "r0": 0.25, "r1": 0.75},
                    "box": {"kind": "box", "x0": -0.5, "x1": 0.5,
@@ -496,8 +501,9 @@ class TestBuildFamily:
             w = disc_nodes(_disc_radii(0, 7, 2, extra=(0.0, 0.5)), 16)
         else:
             dom = domains[case]
-            desc = SpaceDescriptor("weighted", resolution=res, weight=weight_from_config(
-                {"name": "one_minus_r2", "domain": dom}))
+            weight = weight_from_config({"name": "one_minus_r2", "domain": dom})
+            desc = SpaceDescriptor("weighted", resolution=dict(res, box_nodes=64),
+                                   weight=weight)
             field = "z"
             if case == "disc":
                 w = disc_nodes(_disc_radii(8, 7), 16)
@@ -540,10 +546,22 @@ class TestBuildFamily:
         assert fam.remoteness.min() == pytest.approx(gap * 2.0 ** -7, rel=1e-12)
         assert radii[finest].min() < 0.5 < radii[finest].max()
 
-    def test_wrong_representation_rejected(self):
-        fam = build_family(SpaceDescriptor("bloch"))
-        with pytest.raises(ConfigError):
-            fam.evaluate_all(PeriodicSamples(np.ones(8)))
+    @pytest.mark.parametrize("key", ["bmo_p1.0", "bloch", "qk", "weighted",
+                                     "lip_1d", "rect_bmo"],
+                             ids=["bmo_circle", "bloch", "qk", "weighted", "lip",
+                                  "rect_bmo"])
+    def test_wrong_representation_rejected(self, small_grids, key):
+        # every grid refuses each representation but the one its space takes,
+        # sized to the other grids so that only the representation differs
+        desc, fam = small_grids[key]
+        inputs = [PeriodicSamples(np.ones(1024)), TorusSamples(np.ones((128, 128))),
+                  TaylorFunction.polynomial([1.0, 0.5]),
+                  EuclideanSamples(BoxDomain([-1.0], [1.0], 0.02), np.ones(101), 0.5)]
+        wrong = [f for f in inputs if not isinstance(f, desc.representation)]
+        assert len(wrong) == 3
+        for f in wrong:
+            with pytest.raises(ConfigError):
+                fam.evaluate_all(f)
 
 
 EPS = np.finfo(float).eps
@@ -1047,3 +1065,43 @@ class TestKernelAndWeightValidation:
             SpaceDescriptor("lip", alpha=1.5)
         with pytest.raises(ConfigError):
             SpaceDescriptor("nope")
+
+    @pytest.mark.parametrize("tag", sorted(spaces_module._SPACES))
+    def test_only_own_resolution_keys(self, tag):
+        # every key of every other space, and a misspelling, is refused by name
+        own = spaces_module._SPACES[tag].resolution
+        others = {key for space in spaces_module._SPACES.values()
+                  for key in space.resolution} - set(own)
+        for key in sorted(others) + ["angels"]:
+            with pytest.raises(ConfigError, match=f"unknown resolution key '{key}' "
+                                                  f"for space '{tag}'"):
+                SpaceDescriptor(tag, resolution={key: 4})
+        assert SpaceDescriptor(tag).resolution == {
+            key: default for key, (default, _, _) in own.items()}
+
+
+def test_readme_resolution_table_matches_spaces():
+    # the README's table of resolution keys states `_SPACES` in words: each
+    # row's spaces (blank: the row above's), keys, defaults, least and cap
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table, tags = {}, []
+
+    def number(text):
+        base, _, exp = text.partition("**")
+        return int(base) ** int(exp or 1)
+
+    for line in readme.splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) != 5 or "`" not in cells[1]:
+            continue
+        tags = re.findall(r"`(\w+)`", cells[0]) or tags
+        keys = re.findall(r"`(\w+)`", cells[1])
+        defaults = [float(x) for x in re.findall(r"\d[\d.]*", cells[2])]
+        if len(defaults) > len(keys):
+            defaults = [tuple(defaults)]
+        least, cap = map(number, re.findall(r"\d+(?:\*\*\d+)?", cells[3] + cells[4]))
+        for tag in tags:
+            for key, default in zip(keys, defaults, strict=True):
+                table[tag, key] = (default, least, cap)
+    assert table == {(tag, key): spec for tag, space in spaces_module._SPACES.items()
+                     for key, spec in space.resolution.items()}
