@@ -9,8 +9,7 @@ from .funcrep import (BoxDomain, EuclideanSamples, PeriodicSamples,
                       QuadratureRule, TaylorFunction, TorusSamples,
                       disk_quadrature, mobius_apply, x_norm)
 from .family import (OperatorFamilyGrid, SeminormReport, TailProfile,
-                     dyadic_scales, limsup_estimate, seminorm_sup,
-                     tail_profile)
+                     limsup_estimate, seminorm_sup, tail_profile)
 from .spaces import (KKernel, SpaceDescriptor, WeightV, build_family,
                      compose_mobius, kernel_from_config, weight_from_config)
 from .approx import (ApproxFamily, AssumptionReport, assumption_check, dilate,

@@ -211,10 +211,10 @@ def family_from_config(cfg: dict, f) -> ApproxFamily:
     if not isinstance(f, representation):
         raise ConfigError(f"family '{kind}' needs {representation.__name__} "
                           f"input, got {type(f).__name__}")
-    ladder = config_block(cfg, "ladder")
     casts = {"levels": (int, EXPONENT_CAP)}
     if kind == "lip_smooth":
         casts.update(t0=(float, LENGTH_CAP))
+    ladder = config_block(cfg, "ladder", casts)
     kwargs = {key: config_number(ladder, key, None, *cast)
               for key, cast in casts.items() if key in ladder}
     return make(f, **kwargs)

@@ -13,10 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (COUNT_CAP, LENGTH_CAP, TOP_EXP_CAP, ConfigError,
-                     config_number, is_number)
+                     check_keys, config_number, is_number)
 from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
                       TaylorFunction, TorusSamples)
 from .spaces import SpaceDescriptor
+
+
+def _takes(params: dict, name: str, *keys: str) -> None:
+    """Refuse a key of params that the builtin `name` does not read."""
+    check_keys(params, keys, f"for builtin '{name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +45,13 @@ def triangle_values(n: int) -> np.ndarray:
 
 def circle_builtin(name: str, n: int, /, **params) -> PeriodicSamples:
     if name == "step_half":
+        _takes(params, name)
         return PeriodicSamples(step_half_values(n))
     if name == "triangle":
+        _takes(params, name)
         return PeriodicSamples(triangle_values(n))
     if name == "cosine":
+        _takes(params, name, "freq")
         freq = config_number(params, "freq", 1, int)
         theta = TWO_PI * np.arange(n) / n
         return PeriodicSamples(np.cos(freq * theta))
@@ -128,14 +136,19 @@ def _complex_list(raw) -> np.ndarray:
 
 def taylor_builtin(name: str, /, **params) -> TaylorFunction:
     if name == "monomial":
+        _takes(params, name, "degree")
         return monomial(config_number(params, "degree", 1, int, COUNT_CAP))
     if name == "poly":
+        _takes(params, name, "coeffs")
         return TaylorFunction.polynomial(_complex_list(params.get("coeffs")))
     if name == "log_singular":
+        _takes(params, name, "n_coeffs")
         return log_singular(config_number(params, "n_coeffs", 4096, int, COUNT_CAP))
     if name == "cauchy_kernel":
+        _takes(params, name, "n_coeffs")
         return cauchy_kernel(config_number(params, "n_coeffs", 4096, int, COUNT_CAP))
     if name == "lacunary":
+        _takes(params, name, "top_exp")
         return lacunary(config_number(params, "top_exp", 10, int, TOP_EXP_CAP))
     raise ConfigError(f"unknown analytic builtin '{name}'")
 
@@ -146,15 +159,19 @@ def taylor_builtin(name: str, /, **params) -> TaylorFunction:
 
 def torus_builtin(name: str, n: int, /, **params) -> TorusSamples:
     if name == "step_tensor":
+        _takes(params, name)
         g = step_half_values(n)
         return TorusSamples(np.outer(g, g))
     if name == "triangle_tensor":
+        _takes(params, name)
         g = triangle_values(n)
         return TorusSamples(np.outer(g, g))
     if name == "one_variable":
+        _takes(params, name, "profile")
         g = circle_builtin(params.get("profile", "step_half"), n).values
         return TorusSamples(np.broadcast_to(g[:, None], (n, n)))
     if name == "additive":
+        _takes(params, name, "profile")
         g = circle_builtin(params.get("profile", "step_half"), n).values
         return TorusSamples(g[:, None] + g[None, :])
     raise ConfigError(f"unknown torus builtin '{name}'")
@@ -174,17 +191,21 @@ def box_builtin(name: str, domain: BoxDomain, alpha: float, /,
         xx, yy = np.meshgrid(coords[0], coords[1], indexing="ij")
         radius = np.hypot(xx, yy)
     if name == "holder_cusp":
+        _takes(params, name, "exponent")
         expo = config_number(params, "exponent", alpha)
         if not 0.0 < expo <= 1.0:
             raise ConfigError(f"cusp exponent must lie in (0, 1], got {expo}")
         return EuclideanSamples(domain, radius ** expo, alpha)
     if name == "linear":
+        _takes(params, name)
         vals = coords[0] if domain.ndim == 1 else xx
         return EuclideanSamples(domain, vals, alpha)
     if name == "square":
+        _takes(params, name)
         vals = coords[0] ** 2 if domain.ndim == 1 else xx ** 2
         return EuclideanSamples(domain, vals, alpha)
     if name == "cosine_box":
+        _takes(params, name)
         vals = np.cos(coords[0]) if domain.ndim == 1 else np.cos(xx + yy)
         return EuclideanSamples(domain, vals, alpha)
     raise ConfigError(f"unknown box builtin '{name}'")
@@ -205,8 +226,12 @@ def make_function(cfg: dict, desc: SpaceDescriptor):
     kind = cfg.get("kind", "builtin")
     rep = desc.representation
     if kind == "taylor":
+        check_keys(cfg, ("kind", "coeffs"), "for function kind 'taylor'")
+        if rep is not TaylorFunction:
+            raise ConfigError(f"taylor input not supported for space '{desc.tag}'")
         return taylor_builtin("poly", coeffs=cfg.get("coeffs"))
     if kind == "samples":
+        check_keys(cfg, ("kind", "values"), "for function kind 'samples'")
         raw = cfg.get("values")
         # the leaves are checked as they came from JSON, one per type: an
         # array cast would read true as 1 and "2" as 2, and [true, 0] is

@@ -19,8 +19,8 @@ import sys
 import tempfile
 
 from . import approx, builtins as fn_registry, distance as dist_mod
-from .errors import (ConfigError, NumericalError, config_block, config_number,
-                     config_numbers)
+from .errors import (ConfigError, NumericalError, check_keys, config_block,
+                     config_number, config_numbers)
 from .family import seminorm_sup
 from .funcrep import TaylorFunction
 from .spaces import SpaceDescriptor, build_family, compose_mobius
@@ -70,10 +70,17 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# the keys a run configuration takes, and those of its ladder blocks
+_RUN_KEYS = ("space", "function", "task", "family", "approximants", "phi",
+             "tolerance", "slack", "x_tol_rel", "output", "seed")
+_LADDER_BLOCK_KEYS = ("kind", "ladder")
+
+
 class RunConfig:
     """Validated run configuration."""
 
     def __init__(self, raw: dict, out_dir: str, seed: int):
+        check_keys(raw, _RUN_KEYS, "in the config")
         if "space" not in raw:
             raise ConfigError("config needs a 'space' block")
         if "function" not in raw:
@@ -85,13 +92,13 @@ class RunConfig:
         self.desc = SpaceDescriptor.from_config(space_block)
         self.function_cfg = config_block(raw, "function")
         self.task = raw.get("task")
-        self.family_cfg = config_block(raw, "family")
-        self.approximants_cfg = config_block(raw, "approximants")
-        self.phi_cfg = config_block(raw, "phi")
+        self.family_cfg = config_block(raw, "family", _LADDER_BLOCK_KEYS)
+        self.approximants_cfg = config_block(raw, "approximants", _LADDER_BLOCK_KEYS)
+        self.phi_cfg = config_block(raw, "phi", ("a", "lambda"))
         self.tolerance = config_number(raw, "tolerance", 0.02)
         self.slack = config_number(raw, "slack", 1e-3)   # assumption-check only
         self.x_tol_rel = config_number(raw, "x_tol_rel", 1e-2)
-        output = config_block(raw, "output")
+        output = config_block(raw, "output", ("report", "profile"))
         self.report_path = _output_path(out_dir, output, "report", "report.json")
         self.profile_path = _output_path(out_dir, output, "profile", "profile.csv")
         if os.path.abspath(self.report_path) == os.path.abspath(self.profile_path):

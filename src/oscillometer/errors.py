@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the config-number and
-config-block checks that raise one."""
+"""Exception types shared across the package, and the config-number,
+config-block and config-key checks that raise one."""
 
 import math
 import numbers
@@ -60,12 +60,22 @@ def config_numbers(block: dict, key: str, default=None, size=None,
     return [config_number({key: v}, key, None, float, cap) for v in value]
 
 
-def config_block(block: dict, key: str) -> dict:
+def config_block(block: dict, key: str, keys=None) -> dict:
     """block[key] as a JSON object ({} when absent or null); any other JSON
-    type is a configuration error, not a traceback."""
+    type, or a key outside `keys` when given, is a configuration error, not
+    a traceback."""
     value = block.get(key)
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"'{key}' must be a JSON object, got {value!r}")
-    return value
+    return value if keys is None else check_keys(value, keys, f"in '{key}'")
+
+
+def check_keys(block: dict, known, where: str) -> dict:
+    """block, refused naming its keys outside `known`: a misspelled or
+    misplaced key would otherwise be ignored, and the run go on without it."""
+    unknown = [key for key in block if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} {where}")
+    return block

@@ -5,8 +5,9 @@ remoteness scale rho > 0 that shrinks exactly when the parameter escapes every
 compact set.  The seminorm is the exact maximum of the per-entry evaluations
 over the grid; the tail profile restricts that maximum to entries with
 rho <= t for a shrinking dyadic ladder of scales t, and its last level is the
-reported limit estimate.  Each grid fixes its ladder when it is built, and
-with it the level at which every entry enters the profile.
+reported limit estimate.  Each grid derives its ladder from its own
+remoteness when it is built, the halvings of the largest rho down to the
+smallest, and with it the level at which every entry enters the profile.
 """
 
 from __future__ import annotations
@@ -74,13 +75,14 @@ class OperatorFamilyGrid:
     i's scale, and `evaluate_all(f)` returns the vector of per-entry values
     ||L_i f||; `remoteness` is held under the sample objects' ownership rule
     (`funcrep._owned`).  `default_scales` is the grid's dyadic tail ladder,
-    validated and frozen here.
+    read-only: t0 2^-k for k = 0..K, from t0 = max rho down to the last
+    halving not below min rho.
     """
 
     def __init__(self, space_tag: str,
                  describe: Callable[[np.ndarray], np.recarray], remoteness,
                  eval_all: Callable[[object], np.ndarray],
-                 allowance_rel: float, default_scales):
+                 allowance_rel: float):
         remoteness = _owned(remoteness, float)
         if remoteness.ndim != 1 or remoteness.size == 0:
             raise ConfigError("empty family grid: remoteness must be a non-empty vector")
@@ -96,11 +98,9 @@ class OperatorFamilyGrid:
         self.remoteness = remoteness
         self._eval_all = eval_all
         self.allowance_rel = float(allowance_rel)
-        scales = np.array(default_scales, dtype=float)
-        if scales.ndim != 1 or scales.size == 0 or np.any(scales <= 0):
-            raise ConfigError("scale ladder must be a positive vector")
-        if np.any(scales[1:] * 2 != scales[:-1]):
-            raise ConfigError("scale ladder must be dyadic (each level half the last)")
+        t0 = remoteness.max()
+        depth = int(np.floor(np.log2(t0 / remoteness.min()) + 1e-9))
+        scales = t0 * 0.5 ** np.arange(depth + 1)
         scales.setflags(write=False)
         self.default_scales = scales
         # per entry, 1 + the finest level k with remoteness <= scales[k]
@@ -132,14 +132,6 @@ class OperatorFamilyGrid:
         if np.any(vals < 0):
             raise NumericalError("family evaluation produced negative values")
         return vals
-
-
-def dyadic_scales(t0: float, t_min: float, max_levels: int = 24) -> np.ndarray:
-    """Ladder t0, t0/2, ... down to the last level >= t_min (at most max_levels)."""
-    if t0 <= 0 or t_min <= 0 or t_min > t0:
-        raise ConfigError("invalid scale ladder bounds")
-    k = min(int(np.floor(np.log2(t0 / t_min) + 1e-9)), max_levels - 1)
-    return t0 * 0.5 ** np.arange(k + 1)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Each builder samples the space's operator parameters (arcs, disc points,
 automorphism centres, point pairs, arc pairs) on a grid with a remoteness
-scale rho > 0 shrinking exactly when the parameter escapes to infinity, and
-returns one vectorised evaluator giving ||L f|| for every entry at once:
+scale rho > 0 shrinking exactly when the parameter escapes to infinity, from
+which the grid derives its tail ladder, and returns one vectorised evaluator
+giving ||L f|| for every entry at once:
 
     bmo_circle   arcs, rho = |I|
     bloch        disc points, rho = 1 - |w|
@@ -19,8 +20,8 @@ rely on.  The single-entry references the tests check the kernels against
 (`bmo_oscillation`, `qk_local`) live in the tests, not here.
 
 `_SPACES`, at the end, is the one table of spaces: each record holds a
-space's builder, input representation, allowance and resolution keys, and
-every other module reads it.
+space's builder, input representation, allowance, resolution keys and
+config keys, and every other module reads it.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (COUNT_CAP, EXPONENT_CAP, LENGTH_CAP, ConfigError,
-                     NumericalError, config_block, config_number,
+                     NumericalError, check_keys, config_block, config_number,
                      config_numbers)
-from .family import OperatorFamilyGrid, dyadic_scales, map_chunks
+from .family import OperatorFamilyGrid, map_chunks
 from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
                       QuadratureRule, TaylorFunction, TorusSamples,
                       _window_means, disk_quadrature, mobius_apply)
@@ -81,13 +82,16 @@ def kernel_from_config(cfg) -> KKernel:
         cfg = {"name": "power", "exponent": 1.0}
     name = cfg.get("name", "power")
     if name == "power":
+        check_keys(cfg, ("name", "exponent"), "for kernel 'power'")
         s = config_number(cfg, "exponent", 1.0)
         if s <= 0:
             raise ConfigError("power kernel needs a positive exponent")
         return KKernel(lambda t, s=s: t ** s, name=f"power[{s}]")
     if name == "one":
+        check_keys(cfg, ("name",), "for kernel 'one'")
         return KKernel(lambda t: np.ones_like(t), name="one")
     if name == "min_t_1":
+        check_keys(cfg, ("name",), "for kernel 'min_t_1'")
         return KKernel(lambda t: np.minimum(t, 1.0), name="min_t_1")
     raise ConfigError(f"unknown kernel '{name}'")
 
@@ -110,6 +114,7 @@ class WeightV:
         kind = domain.get("kind", "disc")
         if not isinstance(kind, str) or kind not in _DOMAIN_BOUNDS:
             raise ConfigError(f"unsupported weighted domain '{kind}'")
+        check_keys(domain, ("kind", *sum(_DOMAIN_BOUNDS[kind], ())), f"for domain '{kind}'")
         self.domain = dict(domain, kind=kind)
         for lo, hi in _DOMAIN_BOUNDS[kind]:
             a, b = (config_number(domain, key, None, float, LENGTH_CAP)
@@ -149,8 +154,10 @@ def weight_from_config(cfg) -> WeightV:
     name = cfg.get("name", "one_minus_r2")
     domain = config_block(cfg, "domain")
     if name == "one_minus_r2":
+        check_keys(cfg, ("name", "domain"), "for weight 'one_minus_r2'")
         return WeightV(lambda z: 1.0 - np.abs(z) ** 2, domain, name=name)
     if name == "power_dist":
+        check_keys(cfg, ("name", "exponent", "domain"), "for weight 'power_dist'")
         s = config_number(cfg, "exponent", 1.0)
         w = WeightV(lambda z: np.ones(np.shape(z)), domain, name=name)
         return WeightV(lambda z, w=w, s=s: w.boundary_distance(z) ** s, domain, name=name)
@@ -174,9 +181,7 @@ class SpaceDescriptor:
     resolution: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # a list or dict tag is unhashable: check the type before the lookup
-        if not isinstance(self.tag, str) or self.tag not in _SPACES:
-            raise ConfigError(f"unknown space '{self.tag}'")
+        _space(self.tag)
         if self.tag == "bmo_circle" and not self.p >= 1.0:
             raise ConfigError(f"oscillation exponent p must be >= 1, got {self.p}")
         if self.tag == "lip":
@@ -221,6 +226,7 @@ class SpaceDescriptor:
         if "space" not in cfg:
             raise ConfigError("space config needs a 'space' key")
         tag = cfg["space"]
+        check_keys(cfg, ("space", "resolution", *_space(tag).keys), f"for space '{tag}'")
         kwargs = {"tag": tag, "resolution": dict(config_block(cfg, "resolution"))}
         if "p" in cfg:
             kwargs["p"] = config_number(cfg, "p", None)
@@ -231,7 +237,7 @@ class SpaceDescriptor:
         if tag == "weighted":
             kwargs["weight"] = weight_from_config(config_block(cfg, "weight"))
         if tag == "lip" and "domain" in cfg:
-            d = config_block(cfg, "domain")
+            d = config_block(cfg, "domain", ("lo", "hi", "step"))
             kwargs["lip_domain"] = BoxDomain(
                 config_numbers(d, "lo", cap=LENGTH_CAP),
                 config_numbers(d, "hi", cap=LENGTH_CAP),
@@ -318,13 +324,13 @@ def _check_size(count: int, what: str) -> None:
 def build_family(desc: SpaceDescriptor) -> OperatorFamilyGrid:
     """Discretise the space's operator family per the descriptor's resolution."""
     space = _SPACES[desc.tag]
-    describe, remoteness, eval_all, scales = space.build(desc)
+    describe, remoteness, eval_all = space.build(desc)
     # the builder's own fresh array, made read-only so that the grid adopts it
     # under the ownership rule: copying a large remoteness vector and freeing
     # the original shifts the allocator's state and slows later tasks
     remoteness.setflags(write=False)
     return OperatorFamilyGrid(desc.tag, describe, remoteness, eval_all,
-                              space.allowance_rel, scales)
+                              space.allowance_rel)
 
 
 def _arc_layout(n: int, midpoints: int, kmin: int, kmax: int):
@@ -405,8 +411,7 @@ def _build_bmo(desc: SpaceDescriptor):
             out[sel] = _direct_osc(windows, mean[sel], p)
         return out
 
-    scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
-    return describe, ncells * TWO_PI / n, eval_all, scales
+    return describe, ncells * TWO_PI / n, eval_all
 
 
 def _sorted_levels(n: int, spacing: int, levels: list, starts: np.ndarray,
@@ -552,8 +557,7 @@ def _build_bloch(desc: SpaceDescriptor):
             raise ConfigError("the analytic family needs a TaylorFunction")
         return weight * np.abs(f.deriv(w))
 
-    scales = 2.0 ** -np.arange(0, res["shells"] + 1, dtype=float)
-    return (lambda idx: _records(w=w[idx])), 1.0 - modulus, eval_all, scales
+    return (lambda idx: _records(w=w[idx])), 1.0 - modulus, eval_all
 
 
 def _disc_nodes(radii: np.ndarray, n_ang: int, keys: str) -> np.ndarray:
@@ -658,9 +662,7 @@ def _build_qk(desc: SpaceDescriptor):
             raise NumericalError("singular node")
         return np.sqrt(np.maximum(vals, 0.0))
 
-    scales = 2.0 ** -np.arange(0, res["shell_to"] + 1, dtype=float)
-    return ((lambda idx: _records(a=centres[idx])), 1.0 - np.abs(centres),
-            eval_all, scales)
+    return (lambda idx: _records(a=centres[idx])), 1.0 - np.abs(centres), eval_all
 
 
 def _build_weighted(desc: SpaceDescriptor):
@@ -695,10 +697,7 @@ def _build_weighted(desc: SpaceDescriptor):
             raise ConfigError("the weighted family needs a TaylorFunction")
         return vv * np.abs(f.value(z))
 
-    shells = res["shells"]
-    t0 = float(remoteness.max())
-    scales = dyadic_scales(t0, max(float(remoteness.min()), t0 * 2.0 ** -shells))
-    return (lambda idx: _records(z=z[idx])), remoteness, eval_all, scales
+    return (lambda idx: _records(z=z[idx])), remoteness, eval_all
 
 
 def lip_pair_indices(dom: BoxDomain, cap: int):
@@ -738,7 +737,7 @@ def _build_lip(desc: SpaceDescriptor):
         flat = f.values.ravel()
         return np.abs(flat[ia] - flat[ib]) / denom
 
-    return describe, dist, eval_all, dyadic_scales(float(dist.max()), float(dist.min()))
+    return describe, dist, eval_all
 
 
 def _grid_coords(dom: BoxDomain) -> np.ndarray:
@@ -792,8 +791,8 @@ def _strata_pairs(dom: BoxDomain, cap: int):
 def _build_rect(desc: SpaceDescriptor):
     res = desc.resolution
     n = res["n_samples"]
-    kmin, kmax = res["min_len_exp"], res["max_len_exp"]
-    starts, ncells, midpoint, length = _arc_layout(n, res["midpoints"], kmin, kmax)
+    starts, ncells, midpoint, length = _arc_layout(
+        n, res["midpoints"], res["min_len_exp"], res["max_len_exp"])
     count = ncells.size
     _check_size(count ** 2, "('midpoints' x 'min_len_exp'..'max_len_exp') squared")
     lengths = ncells * TWO_PI / n
@@ -811,8 +810,7 @@ def _build_rect(desc: SpaceDescriptor):
             raise ConfigError("function does not match the family's torus grid")
         return _rect_values(F, starts, ncells, starts, ncells)
 
-    scales = TWO_PI * 2.0 ** -np.arange(kmin, kmax + 1, dtype=float)
-    return describe, remoteness, eval_all, scales
+    return describe, remoteness, eval_all
 
 
 # ---------------------------------------------------------------------------
@@ -822,13 +820,23 @@ def _build_rect(desc: SpaceDescriptor):
 class _Space(NamedTuple):
     """Everything one space is: its family builder, the one input
     representation it takes, its declared one-sided grid-resolution
-    allowance (a fraction of the estimate), and its resolution keys as
-    key -> (default, least value, cap)."""
+    allowance (a fraction of the estimate), its resolution keys as
+    key -> (default, least value, cap), and the keys its config block takes
+    besides 'space' and 'resolution'."""
 
     build: Callable
     representation: type
     allowance_rel: float
     resolution: dict
+    keys: tuple = ()
+
+
+def _space(tag) -> _Space:
+    """The record of the space `tag`, refused when there is none."""
+    # a list or dict tag is unhashable: check the type before the lookup
+    if not isinstance(tag, str) or tag not in _SPACES:
+        raise ConfigError(f"unknown space '{tag}'")
+    return _SPACES[tag]
 
 
 # counts are at least 1 and at most COUNT_CAP (2**24), dyadic exponents at
@@ -842,16 +850,17 @@ _DISC_RESOLUTION = {"uniform_radii": (128, 0, COUNT_CAP),
 _SPACES = {
     "bmo_circle": _Space(_build_bmo, PeriodicSamples, 0.05, {
         "n_samples": (131072, 1, COUNT_CAP), "midpoints": (128, 1, COUNT_CAP),
-        "min_len_exp": (2, 0, EXPONENT_CAP), "max_len_exp": (8, 0, EXPONENT_CAP)}),
+        "min_len_exp": (2, 0, EXPONENT_CAP), "max_len_exp": (8, 0, EXPONENT_CAP)},
+        ("p",)),
     "bloch": _Space(_build_bloch, TaylorFunction, 0.02, _DISC_RESOLUTION),
     "qk": _Space(_build_qk, TaylorFunction, 0.02, {
         "shell_from": (2, 0, EXPONENT_CAP), "shell_to": (7, 0, EXPONENT_CAP),
         "extra_radii": ((0.25, 0.5), 0, 1), "angles": (64, 1, COUNT_CAP),
-        "quad_nr": (48, 1, COUNT_CAP), "quad_ntheta": (256, 1, COUNT_CAP)}),
+        "quad_nr": (48, 1, COUNT_CAP), "quad_ntheta": (256, 1, COUNT_CAP)}, ("K",)),
     "weighted": _Space(_build_weighted, TaylorFunction, 0.02,
-                       dict(_DISC_RESOLUTION, box_nodes=(64, 1, COUNT_CAP))),
+                       dict(_DISC_RESOLUTION, box_nodes=(64, 1, COUNT_CAP)), ("weight",)),
     "lip": _Space(_build_lip, EuclideanSamples, 0.02,
-                  {"pair_cap": (1_000_000, 1, COUNT_CAP)}),
+                  {"pair_cap": (1_000_000, 1, COUNT_CAP)}, ("alpha", "domain")),
     "rect_bmo": _Space(_build_rect, TorusSamples, 0.05, {
         "n_samples": (1024, 1, math.isqrt(COUNT_CAP)), "midpoints": (64, 1, COUNT_CAP),
         "min_len_exp": (1, 0, EXPONENT_CAP), "max_len_exp": (6, 0, EXPONENT_CAP)}),

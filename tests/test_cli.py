@@ -534,6 +534,13 @@ def mutated_configs(draw):
 @example(("norm", _with(LIP_DEFAULTS, **{"space.space": ["lip"]})))
 @example(("distance", _with(BMO_STEP, **{"space.resolution.angles": 64})))
 @example(("distance", _with(BMO_STEP, **{"function.n": 8})))
+# keys no block takes: a misspelled top-level block, another space's key, a
+# misspelled builtin parameter and kernel key, and Taylor input off the disc
+@example(("distance", _with(BMO_STEP, aproximants={"kind": "poisson_circle"})))
+@example(("distance", _with(BLOCH_DISTANCE, **{"space.p": 7})))
+@example(("distance", _with(BLOCH_DISTANCE, **{"function.degre": 3})))
+@example(("distance", _with(QK_OUTPUT, **{"space.K.exp": 2})))
+@example(("distance", _with(BMO_STEP, function={"kind": "taylor", "coeffs": [1]})))
 def test_exit_code_contract(job):
     # exit 0 success, 2 configuration, 3 numerical, 4 failed check: never a
     # traceback or a warning, never the grid's own shape check (no input may
@@ -621,3 +628,56 @@ def test_weighted_ambient_norm_off_disc_exit_code(tmp_path, domain):
     assert code == 2
     assert "weighted ambient norm implemented on the disc only" in err.getvalue()
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    ("distance", _with(BLOCH_DISTANCE, aproximants={"kind": "dilation"}), "aproximants"),
+    ("norm", _with(BLOCH_NORM, space={"space": "bloch", "resolutoin": {"angles": 64}}),
+     "resolutoin"),
+    ("norm", _with(BLOCH_NORM, **{"space.p": 7}), "p"),
+    ("norm", _with(BMO_STEP, **{"space.alpha": 0.5}), "alpha"),
+    ("norm", _with(QK_OUTPUT, **{"space.K.exp": 2}), "exp"),
+    ("norm", _with(QK_OUTPUT, **{"space.K": {"name": "one", "exponent": 2}}), "exponent"),
+    ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.exponent": 2}), "exponent"),
+    ("norm", _with(WEIGHTED_ANNULUS, **{"space.weight.domain.x0": 0}), "x0"),
+    ("norm", _with(LIP_DEFAULTS, **{"space.domain": {"lo": [0], "hi": [1], "steps": 0.1}}),
+     "steps"),
+    ("check", _with(QK_INVARIANCE, **{"phi.b": [0, 0]}), "b"),
+    ("norm", _with(BLOCH_NORM, output={"reports": "r.json"}), "reports"),
+    ("distance", _with(BLOCH_DISTANCE, **{"approximants.levels": 4}), "levels"),
+    ("distance", _with(BLOCH_DISTANCE, **{"approximants.ladder.t0": 0.1}), "t0"),
+    ("check", _with(LIP_SMOOTH_CHECK, **{"family.ladder.pad_factor": 2}), "pad_factor"),
+    ("norm", _with(BLOCH_NORM, **{"function.degre": 3}), "degre"),
+    ("norm", _with(BLOCH_NORM, function={"kind": "taylor", "coeffs": [1], "values": [1]}),
+     "values"),
+    ("norm", _with(BMO_STEP, function={"kind": "samples", "values": [[0, 0]] * 1024,
+                                       "coeffs": [1]}), "coeffs"),
+    ("norm", _with(BMO_STEP, **{"function.freq": 2}), "freq"),
+    ("norm", {"space": SMALL_RECT, "function": {"kind": "builtin", "name": "additive",
+                                                "freq": 2}}, "freq"),
+    ("norm", _with(LIP_DEFAULTS, **{"function.alpha": 0.5}), "alpha"),
+], ids=["top-level", "space-block", "p-off-bmo", "alpha-off-lip", "kernel",
+        "kernel-one-exponent", "weight-one-minus-r2-exponent", "weight-domain",
+        "lip-domain", "phi", "output", "approximants-block", "ladder-t0-off-lip",
+        "ladder-pad-factor", "builtin-parameter", "taylor-block", "samples-block",
+        "circle-builtin", "torus-builtin", "box-builtin"])
+def test_unknown_key_exit_code(tmp_path, command, payload, key):
+    # a key no reader takes is refused by name, before any grid is built:
+    # ignored, it would leave the run on defaults it never asked for
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(tmp_path, command, payload)
+    assert code == 2
+    assert f"configuration error: unknown key '{key}'" in err.getvalue()
+    assert [p.name for p in tmp_path.iterdir()] == [f"{command}.json"]
+
+
+def test_taylor_input_refused_off_the_disc(tmp_path):
+    # refused when the function is made, not by the circle grid's evaluator
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(tmp_path, "norm", _with(BMO_STEP, function={"kind": "taylor",
+                                                               "coeffs": [1]}))
+    assert code == 2
+    assert ("configuration error: taylor input not supported for space 'bmo_circle'"
+            in err.getvalue())

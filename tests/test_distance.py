@@ -192,7 +192,7 @@ def _square_one_fine_entry(grid, f):
         return values
 
     return OperatorFamilyGrid(grid.space_tag, grid.describe, grid.remoteness,
-                              eval_all, grid.allowance_rel, grid.default_scales)
+                              eval_all, grid.allowance_rel)
 
 
 def _ladder(desc, f):

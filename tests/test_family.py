@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscillometer.errors import ConfigError, NumericalError
-from oscillometer.family import (OperatorFamilyGrid, TailProfile, dyadic_scales,
-                                 limsup_estimate, map_chunks, seminorm_sup,
-                                 tail_profile, thread_budget)
+from oscillometer.family import (OperatorFamilyGrid, TailProfile, limsup_estimate,
+                                 map_chunks, seminorm_sup, tail_profile,
+                                 thread_budget)
 from oscillometer.funcrep import PeriodicSamples
 from oscillometer.spaces import SpaceDescriptor, build_family
 from oscillometer.builtins import log_singular, step_half_values, taylor_builtin
@@ -50,7 +50,7 @@ class TestSeminormSup:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             OperatorFamilyGrid("x", by_index, np.array([]), lambda f: np.array([]),
-                               0.02, [1.0])
+                               0.02)
 
 
 class TestTailProfile:
@@ -76,40 +76,25 @@ class TestTailProfile:
         _, sups = prof.nonempty()
         assert np.all(np.diff(sups) <= 0.0)
 
-    def test_empty_levels_marked(self, bloch_grid):
-        deep = OperatorFamilyGrid(
-            "bloch", bloch_grid.describe, bloch_grid.remoteness, bloch_grid.evaluate_all,
-            0.02, 2.0 ** -np.arange(0, 16, dtype=float))  # deeper than the grid
-        prof = tail_profile(deep, taylor_builtin("monomial", degree=1))
-        assert np.isnan(prof.tail_sups[-1])
-
-    def test_requires_dyadic_scales(self, bloch_grid):
-        with pytest.raises(ConfigError, match="dyadic"):
-            OperatorFamilyGrid("bloch", bloch_grid.describe, bloch_grid.remoteness,
-                               bloch_grid.evaluate_all, 0.02, [1.0, 0.4])
-
-    def test_near_dyadic_ladder_refused(self, bloch_grid):
-        # levels come from binary exponents, which needs each level exactly
-        # half the last
-        with pytest.raises(ConfigError, match="dyadic"):
-            OperatorFamilyGrid("bloch", bloch_grid.describe, bloch_grid.remoteness,
-                               bloch_grid.evaluate_all, 0.02,
-                               (0.5 * (1 + 1e-10)) ** np.arange(8.0))
-
-    @pytest.mark.parametrize("scales", [[], [1.0, 0.5, -0.25]])
-    def test_requires_positive_scales(self, bloch_grid, scales):
-        with pytest.raises(ConfigError, match="positive"):
-            OperatorFamilyGrid("bloch", bloch_grid.describe, bloch_grid.remoteness,
-                               bloch_grid.evaluate_all, 0.02, scales)
+    def test_empty_levels_marked(self):
+        # a level no entry reaches is NaN in the profile: left out of its
+        # nonempty part and of the estimate, an empty cell in the CSV
+        prof = TailProfile(2.0 ** -np.arange(5.0), [1.0, 0.75, 0.5, 0.5, np.nan])
+        scales, sups = prof.nonempty()
+        assert np.array_equal(scales, 2.0 ** -np.arange(4.0))
+        assert np.array_equal(sups, [1.0, 0.75, 0.5, 0.5])
+        assert limsup_estimate(prof)[0] == 0.5
+        assert prof.to_csv().splitlines()[-1] == "0.0625,"
+        assert prof.to_rows()[-1] == [0.0625, None]
 
     def test_grid_holds_its_own_ladder(self, bloch_grid):
-        ladder = 2.0 ** -np.arange(0, 14, dtype=float)
-        grid = OperatorFamilyGrid("bloch", bloch_grid.describe, bloch_grid.remoteness,
-                                  bloch_grid.evaluate_all, 0.02, ladder)
-        ladder[:] = 1.0
-        assert not grid.default_scales.flags.writeable
-        prof = tail_profile(grid, taylor_builtin("monomial", degree=1))
-        assert np.array_equal(prof.scales, 2.0 ** -np.arange(0, 14, dtype=float))
+        # the halvings of the largest remoteness (the centre, 1) down to the
+        # deepest shell, 2^-12, frozen with the grid
+        assert not bloch_grid.default_scales.flags.writeable
+        with pytest.raises(ValueError):
+            bloch_grid.default_scales[0] = 2.0
+        prof = tail_profile(bloch_grid, taylor_builtin("monomial", degree=1))
+        assert np.array_equal(prof.scales, 2.0 ** -np.arange(0, 13, dtype=float))
 
     def test_csv_round_trip(self, bloch_grid):
         prof = tail_profile(bloch_grid, taylor_builtin("monomial", degree=1))
@@ -120,42 +105,38 @@ class TestTailProfile:
 
 
 @st.composite
-def remoteness_and_ladders(draw):
-    """Remoteness with many ties (a few mantissas times powers of two, so it
-    spans at least 6 dyadic bins), values, and two dyadic ladders whose tops
-    lie above, inside or below the remoteness range.  The remoteness also
-    holds every level's bound t (1 + 1e-12) and its two float neighbours, so
-    an off-by-one at a level boundary shows."""
+def remoteness_and_ladder(draw):
+    """Remoteness with many ties, values, and the dyadic ladder the grid
+    derives from it: top t0 (a few mantissas times a power of two) and at
+    least 6 levels, t0 and the last level t_K among the entries.  The
+    remoteness also holds every level's bound t (1 + 1e-12) and its two float
+    neighbours below t0, and the float just below t_K, so an off-by-one at a
+    level boundary, or a ladder that stops a level short or long, shows."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     size = draw(st.integers(1, 300))
-    ladders = [draw(st.sampled_from([1.0, 0.6, 0.75, 2 * np.pi]))
-               * 2.0 ** draw(st.integers(-14, 3)) * 0.5 ** np.arange(draw(st.integers(1, 20)))
-               for _ in range(2)]
-    bounds = np.concatenate(ladders) * (1 + 1e-12)
-    rho = rng.choice([1.0, 1.25, 1.5]) * 2.0 ** -rng.integers(0, 12, size)
-    rho = np.concatenate([2.0 ** -np.arange(6.0), rho, bounds,
-                          np.nextafter(bounds, 0), np.nextafter(bounds, np.inf)])
+    t0 = draw(st.sampled_from([1.0, 0.6, 0.75, 2 * np.pi])) * 2.0 ** draw(st.integers(-14, 3))
+    ladder = t0 * 0.5 ** np.arange(draw(st.integers(6, 20)))
+    bounds = ladder[1:] * (1 + 1e-12)
+    rho = t0 * rng.choice([0.5, 0.625, 0.75]) ** rng.integers(0, ladder.size, size)
+    rho = np.concatenate([ladder, rho[rho >= ladder[-1]], bounds, np.nextafter(bounds, 0),
+                          np.nextafter(bounds, np.inf), [np.nextafter(ladder[-1], 0)]])
     vals = rng.choice([0.0, 0.5, 1.0, 2.0], rho.size) + rng.uniform(0, 1, rho.size)
-    return rho, vals, ladders
+    return rho, vals, ladder
 
 
 class TestTailProfileProperty:
     @settings(max_examples=80, deadline=None)
-    @given(remoteness_and_ladders())
+    @given(remoteness_and_ladder())
     def test_levels_are_direct_maxima(self, case):
-        rho, vals, ladders = case
-        # two grids per remoteness vector, one per ladder; the sorted copy
-        # gives long runs of entries of one level
+        rho, vals, ladder = case
+        # the sorted copy gives long runs of entries of one level
         for remote in (rho, np.sort(rho)):
-            grids = [OperatorFamilyGrid("x", by_index, remote, lambda f: vals, 0.02,
-                                        scales) for scales in ladders]
-            for fam, scales in zip(grids + grids, ladders + ladders):
-                for values in (vals, vals[::-1].copy()):
-                    got = tail_profile(fam, None, values=values).tail_sups
-                    want = [values[remote <= t * (1 + 1e-12)].max()
-                            if np.any(remote <= t * (1 + 1e-12)) else np.nan
-                            for t in scales]
-                    assert np.array_equal(got, want, equal_nan=True)
+            fam = OperatorFamilyGrid("x", by_index, remote, lambda f: vals, 0.02)
+            assert np.array_equal(fam.default_scales, ladder)
+            for values in (vals, vals[::-1].copy()):
+                got = tail_profile(fam, None, values=values).tail_sups
+                want = [values[remote <= t * (1 + 1e-12)].max() for t in ladder]
+                assert np.array_equal(got, want)
 
 
 class TestLimsupEstimate:
@@ -208,7 +189,7 @@ class TestInvariants:
     def test_nonfinite_evaluations_rejected(self):
         fam = OperatorFamilyGrid(
             "x", by_index, 2.0 ** -np.arange(8, dtype=float),
-            lambda f: np.full(8, np.nan), 0.02, dyadic_scales(1.0, 2.0 ** -7))
+            lambda f: np.full(8, np.nan), 0.02)
         with pytest.raises(NumericalError):
             fam.evaluate_all(None)
 
@@ -285,9 +266,3 @@ def test_bmo_sorted_memory_bounded():
         tracemalloc.stop()
     assert peak <= 4 * 131072 * 8
 
-
-def test_dyadic_scales_ladder():
-    s = dyadic_scales(1.0, 2.0 ** -10)
-    assert s[0] == 1.0
-    assert np.allclose(s[1:] / s[:-1], 0.5)
-    assert s[-1] == 2.0 ** -10

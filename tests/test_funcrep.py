@@ -70,7 +70,7 @@ _HOLDERS = {
     "torus": (lambda v: TorusSamples(v).values, (16, 16), (float, complex)),
     "box": (lambda v: EuclideanSamples(_BOX, v, 0.5).values, (16, 16), (float,)),
     "taylor": (lambda v: TaylorFunction(v).coeffs, (16,), (float, complex)),
-    "grid": (lambda v: OperatorFamilyGrid("x", None, v, None, 0.02, [1.0]).remoteness,
+    "grid": (lambda v: OperatorFamilyGrid("x", None, v, None, 0.02).remoteness,
              (16,), (float,)),
 }
 

@@ -343,7 +343,7 @@ class TestLipQuotient:
         assert np.all(grid.remoteness > 0)
         with pytest.raises(ConfigError, match="positive"):
             OperatorFamilyGrid("lip", grid.describe, np.append(grid.remoteness, 0.0),
-                               grid.evaluate_all, 0.02, grid.default_scales)
+                               grid.evaluate_all, 0.02)
 
 
 class TestRectOscillation:
@@ -389,6 +389,90 @@ class TestRectOscillation:
               & (params.mid_lambda == 0.0) & (params.len_lambda == np.pi / 2))
         assert vals[at].item() == pytest.approx(want, rel=1e-10)
         assert want == pytest.approx(0.25, abs=2e-3)
+
+
+def builder_ladder(desc, grid):
+    """The tail ladder each builder used to compute from its resolution keys:
+    the closed forms of the arc and disc spaces, and the halvings of the
+    largest remoteness, at most 24 levels, down to the smallest for lip, or
+    for weighted no deeper than `shells` halvings."""
+    res = desc.resolution
+    if desc.tag in ("bmo_circle", "rect_bmo"):
+        return TWO_PI * 2.0 ** -np.arange(res["min_len_exp"], res["max_len_exp"] + 1,
+                                          dtype=float)
+    if desc.tag in ("bloch", "qk"):
+        deepest = res["shells" if desc.tag == "bloch" else "shell_to"]
+        return 2.0 ** -np.arange(0, deepest + 1, dtype=float)
+    t0, t_min = float(grid.remoteness.max()), float(grid.remoteness.min())
+    if desc.tag == "weighted":
+        t_min = max(t_min, t0 * 2.0 ** -res["shells"])
+    return t0 * 0.5 ** np.arange(min(int(np.floor(np.log2(t0 / t_min) + 1e-9)), 23) + 1)
+
+
+_ANNULUS = {"kind": "annulus", "r0": 0.25, "r1": 0.75}
+_BOX = {"kind": "box", "x0": -0.5, "x1": 0.5, "y0": -0.5, "y1": 0.5}
+# every space's default grid, and the grids bench/workloads.py builds
+LADDER_GRIDS = {
+    **{tag: (lambda tag=tag: SpaceDescriptor(tag)) for tag in spaces_module._SPACES},
+    "bmo_16384": lambda: SpaceDescriptor("bmo_circle", resolution={"n_samples": 16384}),
+    "bmo_all": lambda: SpaceDescriptor("bmo_circle", resolution={"midpoints": "all"}),
+    "qk_light": lambda: SpaceDescriptor("qk", resolution={
+        "shell_from": 2, "shell_to": 6, "extra_radii": (0.25, 0.5), "angles": 64,
+        "quad_nr": 32, "quad_ntheta": 64}),
+    "weighted_annulus": lambda: SpaceDescriptor(
+        "weighted", weight=weight_from_config({"domain": _ANNULUS})),
+    "weighted_box": lambda: SpaceDescriptor(
+        "weighted", weight=weight_from_config({"domain": _BOX})),
+    "lip_1e-4": lambda: SpaceDescriptor(
+        "lip", alpha=0.5, lip_domain=BoxDomain([-1.0], [1.0], 1e-4)),
+    "lip_1e-5": lambda: SpaceDescriptor(
+        "lip", alpha=0.5, lip_domain=BoxDomain([-1.0], [1.0], 1e-5)),
+    "lip_2d": lambda: SpaceDescriptor(
+        "lip", alpha=0.5, lip_domain=BoxDomain([-1.0, -1.0], [1.0, 1.0], 2.0 / 32)),
+    "rect_256": lambda: SpaceDescriptor("rect_bmo", resolution={
+        "n_samples": 256, "midpoints": 32}),
+}
+
+
+class TestTailLadder:
+    """Each grid derives its ladder from its remoteness: on every default and
+    benchmark grid it is the builders' former ladder, bit for bit."""
+
+    @pytest.mark.parametrize("key", sorted(LADDER_GRIDS))
+    def test_matches_builder_ladder(self, key):
+        desc = LADDER_GRIDS[key]()
+        grid = build_family(desc)
+        assert bitwise_equal(grid.default_scales, builder_ladder(desc, grid))
+
+    def test_disc_without_centre_starts_at_half(self):
+        # with no uniform fill the shallowest shell, |w| = 1/2, is the top:
+        # the former top row t = 1 held the same entries as t = 1/2
+        grid = build_family(SpaceDescriptor("bloch", resolution={
+            "uniform_radii": 0, "shells": 8, "angles": 64}))
+        assert bitwise_equal(grid.default_scales, 2.0 ** -np.arange(1, 9, dtype=float))
+
+    def test_qk_extra_radius_deepens_ladder(self):
+        # a centre ring at 1 - 2^-8, deeper than shell_to = 6
+        grid = build_family(SpaceDescriptor("qk", resolution={
+            "shell_to": 6, "extra_radii": (0.5, 1 - 2.0 ** -8), "angles": 16,
+            "quad_nr": 16, "quad_ntheta": 32}))
+        assert bitwise_equal(grid.default_scales, 2.0 ** -np.arange(0, 9, dtype=float))
+
+    def test_deep_ladder_not_cut(self):
+        # 30 shells give 31 levels, past the former cap of 24
+        grid = build_family(SpaceDescriptor("weighted", resolution={
+            "uniform_radii": 4, "shells": 30, "angles": 8}))
+        assert bitwise_equal(grid.default_scales, 2.0 ** -np.arange(0, 31, dtype=float))
+
+    def test_box_ladder_ignores_shells(self):
+        # the box grid has no shells: its 64 x 64 nodes reach 1/65 of the
+        # side from the boundary, 5 halvings below the top however small
+        # `shells` is (2 used to stop the ladder after 3 levels)
+        grid = build_family(SpaceDescriptor("weighted", resolution={"shells": 2},
+                                            weight=weight_from_config({"domain": _BOX})))
+        t0 = grid.remoteness.max()
+        assert bitwise_equal(grid.default_scales, t0 * 0.5 ** np.arange(6))
+        assert grid.remoteness.min() == pytest.approx(1 / 65, rel=1e-12)
 
 
 class TestBuildFamily:
