@@ -32,11 +32,31 @@ from .spaces import SpaceDescriptor, build_family
 # circle / torus smoothing
 # ---------------------------------------------------------------------------
 
+def _powers(r: float, top: int) -> np.ndarray:
+    """r ** float(j) for j = 0, 1, ..., top, the same pow calls as r ** k on
+    float exponents, stopped after the first power that is exactly 0: every
+    later one is 0 too.  `table.take(k, mode="clip")` then equals r ** k for
+    integer exponents k in [0, top], bit for bit, without the pow calls that
+    underflow, each over ten times as slow as one that does not."""
+    stop = top + 1
+    if 0.0 < r < 1.0:
+        # r^j falls below 2^-1075, half the least subnormal, and rounds to 0
+        # from about j = 1075 / -log2(r) on
+        stop = min(stop, int(1075.0 / -math.log2(r)) + 2)
+    table = r ** np.arange(float(stop))
+    if table[-1] != 0.0 and stop <= top:
+        # a pow that has not reached 0 there: the rest, so the table is exact
+        table = np.concatenate([table, r ** np.arange(float(stop), top + 1.0)])
+    zeros = np.flatnonzero(table == 0.0)
+    return table[:zeros[0] + 1] if zeros.size else table
+
+
 def _poisson_members(f, rs) -> list:
     """Poisson smoothing of circle or torus samples at each radius in rs: the
     multiplier r^(|k_1| + ... + |k_d|) applied to one forward transform, one
-    inverse per radius.  Real samples take the real transform, so their
-    members come out exactly real."""
+    inverse per radius, read from a table of the powers of r by the integer
+    frequency sum.  Real samples take the real transform, so their members
+    come out exactly real."""
     for r in rs:
         if not (0.0 <= r < 1.0):
             raise ConfigError(f"smoothing radius must lie in [0, 1), got {r}")
@@ -45,12 +65,14 @@ def _poisson_members(f, rs) -> list:
                         else (np.fft.fftn, np.fft.ifftn))
     shape = f.values.shape
     axes = tuple(range(len(shape)))
-    freqs = [np.abs(np.fft.fftfreq(n, d=1.0 / n)) for n in shape]
+    freqs = [np.minimum(np.arange(n), n - np.arange(n)) for n in shape]
     if real:
-        freqs[-1] = np.fft.rfftfreq(shape[-1], d=1.0 / shape[-1])
+        freqs[-1] = np.arange(shape[-1] // 2 + 1)
     k = sum(np.ix_(*freqs))
+    top = sum(n // 2 for n in shape)
     spectrum = forward(f.values, axes=axes)
-    return [type(f)(inverse(spectrum * r ** k, shape, axes=axes)) for r in rs]
+    return [type(f)(inverse(spectrum * _powers(r, top).take(k, mode="clip"),
+                            shape, axes=axes)) for r in rs]
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +87,8 @@ def dilate(f: TaylorFunction, r: float) -> TaylorFunction:
         return f
     coeffs = None
     if f.coeffs is not None:
-        coeffs = f.coeffs * r ** np.arange(1, f.coeffs.size + 1)
+        n = f.coeffs.size
+        coeffs = f.coeffs * _powers(r, n).take(np.arange(1, n + 1), mode="clip")
     vf = df = None
     if f.has_closed_form:
         vf = lambda z, g=f.value_fn: g(r * z)

@@ -74,6 +74,9 @@ def _dump_json(obj: dict) -> str:
 _RUN_KEYS = ("space", "function", "task", "family", "approximants", "phi",
              "tolerance", "slack", "x_tol_rel", "output", "seed")
 _LADDER_BLOCK_KEYS = ("kind", "ladder")
+# the one command or check task that reads each ladder or automorphism block
+_BLOCK_READERS = {"approximants": "distance", "family": "assumption-check",
+                  "phi": "invariance-check"}
 
 
 class RunConfig:
@@ -135,8 +138,21 @@ def _check_task(cfg: RunConfig, expected: str) -> None:
                           f"subcommand '{expected}'")
 
 
+def _refuse_unread(cfg: RunConfig, reader: str) -> None:
+    """Refuse a ladder or automorphism block that `reader`, the running
+    command or check task, does not read: the run would otherwise go on
+    without it, as if it had been taken."""
+    given = {"approximants": cfg.approximants_cfg, "family": cfg.family_cfg,
+             "phi": cfg.phi_cfg}
+    for key, owner in _BLOCK_READERS.items():
+        if given[key] and owner != reader:
+            raise ConfigError(f"block '{key}' is read only by {owner}, "
+                              f"not by {reader}")
+
+
 def cmd_norm(cfg: RunConfig) -> int:
     _check_task(cfg, "norm")
+    _refuse_unread(cfg, "norm")
     f = cfg.make_function()
     grid = build_family(cfg.desc)
     report = seminorm_sup(grid, f)
@@ -149,6 +165,7 @@ def cmd_norm(cfg: RunConfig) -> int:
 
 def cmd_distance(cfg: RunConfig) -> int:
     _check_task(cfg, "distance")
+    _refuse_unread(cfg, "distance")
     f = cfg.make_function()
     grid = build_family(cfg.desc)
     if cfg.approximants_cfg:
@@ -181,6 +198,7 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def _run_assumption(cfg: RunConfig) -> int:
+    _refuse_unread(cfg, "assumption-check")
     if not cfg.family_cfg:
         raise ConfigError("assumption-check needs a 'family' block")
     f = cfg.make_function()
@@ -199,6 +217,7 @@ def _run_assumption(cfg: RunConfig) -> int:
 def _run_invariance(cfg: RunConfig) -> int:
     if cfg.desc.tag != "qk":
         raise ConfigError("invariance-check runs on the invariant-integral space")
+    _refuse_unread(cfg, "invariance-check")
     if not cfg.phi_cfg:
         raise ConfigError("invariance-check needs a 'phi' block")
     a = complex(*config_numbers(cfg.phi_cfg, "a", [0.0, 0.0], 2))

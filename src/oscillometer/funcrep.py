@@ -17,7 +17,7 @@ one implementation of their linear arithmetic (`_Samples`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -117,30 +117,48 @@ class TorusSamples(_PeriodicGrid):
     ndim = 2
 
 
-def _window_means(values: np.ndarray, starts: np.ndarray, ncells: np.ndarray,
-                  axis: int) -> np.ndarray:
-    """Trapezoid means of `values` over the periodic arcs [starts, starts +
-    ncells] along `axis`, one per arc, with the arc axis first.
+class _WindowLayout(NamedTuple):
+    """Where the periodic arcs [starts, starts + ncells] of an n-node axis
+    sit: the distinct nodes their ends fall on (node 0 included), in
+    ascending order, each arc's start and end as an index into them, which
+    arcs wrap past node 0, and the arcs' cell counts.  It depends on the arcs
+    alone, so a grid lays it out once and `_window_means` reads it per call."""
+
+    nodes: np.ndarray
+    start_at: np.ndarray
+    end_at: np.ndarray
+    wraps: np.ndarray
+    ncells: np.ndarray
+
+
+def _window_layout(starts: np.ndarray, ncells: np.ndarray, n: int) -> _WindowLayout:
+    """The layout of the arcs [starts, starts + ncells] on an n-node axis."""
+    count = starts.size
+    starts = starts % n
+    nodes, at = np.unique(np.concatenate([[0], starts, (starts + ncells) % n]),
+                          return_inverse=True)
+    return _WindowLayout(nodes, at[1:count + 1], at[count + 1:],
+                        starts + ncells >= n, ncells)
+
+
+def _window_means(values: np.ndarray, arcs: _WindowLayout, axis: int) -> np.ndarray:
+    """Trapezoid means of `values` over the periodic arcs laid out in `arcs`
+    along `axis`, one per arc, with the arc axis first.
 
     Prefix sums are formed only at the arcs' end nodes: one reduceat gives
     the sums between consecutive nodes, their running total the prefix.  With
     q_k = prefix(node_k) + v[node_k] / 2 an arc's trapezoid sum is
     q[end] - q[start], plus the row total when the arc wraps past node 0.
     """
-    n = values.shape[axis]
-    count = starts.size
-    starts = starts % n
-    nodes, at = np.unique(np.concatenate([[0], starts, (starts + ncells) % n]),
-                          return_inverse=True)
-    segments = np.moveaxis(np.add.reduceat(values, nodes, axis=axis), axis, 0)
+    segments = np.moveaxis(np.add.reduceat(values, arcs.nodes, axis=axis), axis, 0)
     q = np.empty(segments.shape, dtype=segments.dtype)
     q[0] = 0
     np.cumsum(segments[:-1], axis=0, out=q[1:])
     total = q[-1] + segments[-1]
-    q += np.moveaxis(np.take(values, nodes, axis=axis), axis, 0) / 2
-    sums = q[at[count + 1:]] - q[at[1:count + 1]]
-    sums[starts + ncells >= n] += total
-    return sums / ncells.reshape((-1,) + (1,) * (sums.ndim - 1))
+    q += np.moveaxis(np.take(values, arcs.nodes, axis=axis), axis, 0) / 2
+    sums = q[arcs.end_at] - q[arcs.start_at]
+    sums[arcs.wraps] += total
+    return sums / arcs.ncells.reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +228,10 @@ class TaylorFunction:
                                         and self.radius_cap >= 1.0)
 
     def _check_radius(self, z: np.ndarray) -> None:
+        """Refuse z beyond the trusted radius; an exact polynomial (cap inf)
+        is trusted everywhere, and its z is not read."""
+        if self.radius_cap == np.inf:
+            return
         r = np.abs(z)
         if np.any(r > self.radius_cap + 1e-13):
             raise ConfigError(
@@ -217,26 +239,37 @@ class TaylorFunction:
                 f"{self.radius_cap:.6g} without closed form")
 
     def value(self, z):
-        """f(z), vectorised; prefers the closed form when present."""
+        """f(z), vectorised; prefers the closed form when present.
+
+        Horner's rule on the coefficients runs in two z-sized buffers: each
+        sum is taken in place, each product written to the other buffer.
+        That is the out-of-place loop's arithmetic bit for bit; an in-place
+        product would not be, since numpy rounds the complex product of a
+        one-element array differently in place."""
         z = np.asarray(z, dtype=complex)
         if self.value_fn is not None:
             return self.value_fn(z) + 0j
         self._check_radius(z)
-        acc = np.zeros_like(z)
+        acc, spare = np.zeros_like(z), np.empty_like(z)
         for a in self.coeffs[::-1]:
-            acc = (acc + a) * z
+            acc += a
+            np.multiply(acc, z, out=spare)
+            acc, spare = spare, acc
         return acc + self.const
 
     def deriv(self, z):
-        """f'(z), vectorised; prefers the closed form when present."""
+        """f'(z), vectorised; prefers the closed form when present, else
+        Horner's rule in two buffers as in `value`."""
         z = np.asarray(z, dtype=complex)
         if self.deriv_fn is not None:
             return self.deriv_fn(z) + 0j
         self._check_radius(z)
-        acc = np.zeros_like(z)
+        acc, spare = np.zeros_like(z), np.empty_like(z)
         for k in range(self.coeffs.size, 0, -1):
-            acc = acc * z + k * self.coeffs[k - 1]
-        return acc
+            np.multiply(acc, z, out=spare)
+            acc, spare = spare, acc
+            acc += k * self.coeffs[k - 1]
+        return acc[()]
 
     def scaled(self, c) -> "TaylorFunction":
         c = complex(c)

@@ -39,7 +39,8 @@ from .errors import (COUNT_CAP, EXPONENT_CAP, LENGTH_CAP, ConfigError,
 from .family import OperatorFamilyGrid, map_chunks
 from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
                       QuadratureRule, TaylorFunction, TorusSamples,
-                      _window_means, disk_quadrature, mobius_apply)
+                      _window_layout, _window_means, disk_quadrature,
+                      mobius_apply)
 
 # ---------------------------------------------------------------------------
 # kernels and weights
@@ -50,11 +51,15 @@ class KKernel:
 
     Construction checks (by sampling) that K is non-negative and
     non-decreasing, and that K(log 1/|z|) has a finite disc integral.
+    `exponent` is s when K is known to be t**s (the config's power kernel),
+    else None; the name is only a label.
     """
 
-    def __init__(self, eval_fn: Callable, name: str = "custom"):
+    def __init__(self, eval_fn: Callable, name: str = "custom",
+                 exponent: Optional[float] = None):
         self.eval_fn = eval_fn
         self.name = name
+        self.exponent = exponent
         t = np.concatenate([np.logspace(-6, 1, 200), [20.0, 50.0]])
         # a sample that overflows is refused below as non-finite
         with np.errstate(over="ignore", invalid="ignore"):
@@ -86,7 +91,7 @@ def kernel_from_config(cfg) -> KKernel:
         s = config_number(cfg, "exponent", 1.0)
         if s <= 0:
             raise ConfigError("power kernel needs a positive exponent")
-        return KKernel(lambda t, s=s: t ** s, name=f"power[{s}]")
+        return KKernel(lambda t, s=s: t ** s, name=f"power[{s}]", exponent=s)
     if name == "one":
         check_keys(cfg, ("name",), "for kernel 'one'")
         return KKernel(lambda t: np.ones_like(t), name="one")
@@ -273,10 +278,9 @@ def compose_mobius(f: TaylorFunction, a: complex, lam: complex = 1.0) -> TaylorF
 # rectangular oscillation
 # ---------------------------------------------------------------------------
 
-def _rect_values(F: TorusSamples, si: np.ndarray, ni: np.ndarray,
-                 sj: np.ndarray, nj: np.ndarray) -> np.ndarray:
-    """Rectangular oscillations of F over each arc pair I x J, with I of start
-    si and ni cells (zeta) and J of start sj and nj cells (lambda), J-major
+def _rect_values(F: TorusSamples, arcs_i, arcs_j) -> np.ndarray:
+    """Rectangular oscillations of F over each arc pair I x J, with the I
+    arcs (zeta) and J arcs (lambda) given by their `_window_layout`s, J-major
     order: the square root of the I x J mean of |F - F_J(zeta) - F_I(lambda)
     + F_IxJ|^2.
 
@@ -291,13 +295,13 @@ def _rect_values(F: TorusSamples, si: np.ndarray, ni: np.ndarray,
     rowm = vals.mean(axis=1, keepdims=True)
     colm = vals.mean(axis=0, keepdims=True)
     F = (vals - rowm) - (colm - colm.mean())
-    A = _window_means(F, sj, nj, axis=1)                  # F_J per zeta
-    U = _window_means(np.abs(F) ** 2, sj, nj, axis=1)     # J-mean of |F|^2
-    B = _window_means(F, si, ni, axis=0)                  # F_I per lambda
-    c = _window_means(A, si, ni, axis=1)                  # F_IxJ
-    m_sq = _window_means(U, si, ni, axis=1)               # E_{IxJ} |F|^2
-    e_a = _window_means(np.abs(A) ** 2, si, ni, axis=1)   # E_I |F_J|^2
-    e_b = _window_means(np.abs(B) ** 2, sj, nj, axis=1)   # E_J |F_I|^2
+    A = _window_means(F, arcs_j, axis=1)                  # F_J per zeta
+    U = _window_means(np.abs(F) ** 2, arcs_j, axis=1)     # J-mean of |F|^2
+    B = _window_means(F, arcs_i, axis=0)                  # F_I per lambda
+    c = _window_means(A, arcs_i, axis=1)                  # F_IxJ
+    m_sq = _window_means(U, arcs_i, axis=1)               # E_{IxJ} |F|^2
+    e_a = _window_means(np.abs(A) ** 2, arcs_i, axis=1)   # E_I |F_J|^2
+    e_b = _window_means(np.abs(B) ** 2, arcs_j, axis=1)   # E_J |F_I|^2
     q2 = m_sq.T - e_a.T - e_b + np.abs(c.T) ** 2
     return np.sqrt(np.maximum(q2, 0.0)).ravel()
 
@@ -380,6 +384,7 @@ def _build_bmo(desc: SpaceDescriptor):
         blocked = []
     direct = [level for level in levels if level not in blocked]
     sorted_osc = _sorted_levels(n, spacing, blocked, starts, ncells) if blocked else None
+    arcs = _window_layout(starts, ncells, n)
 
     def describe(idx: np.ndarray) -> np.recarray:
         return _records(midpoint=midpoint[idx], length=length[idx])
@@ -388,9 +393,9 @@ def _build_bmo(desc: SpaceDescriptor):
         if not isinstance(f, PeriodicSamples) or f.n != n:
             raise ConfigError("function does not match the family's circle grid")
         centred = f.values - f.values.mean()
-        mean = _window_means(centred, starts, ncells, 0)
+        mean = _window_means(centred, arcs, 0)
         if p == 2.0:
-            msq = _window_means(np.abs(centred) ** 2, starts, ncells, 0).real
+            msq = _window_means(np.abs(centred) ** 2, arcs, 0).real
             return np.sqrt(np.maximum(msq - np.abs(mean) ** 2, 0.0))
         out = np.empty(ncells.size)
         todo = levels
@@ -648,7 +653,7 @@ def _build_qk(desc: SpaceDescriptor):
     # polynomial's entries are Garsia's closed form; every other input takes
     # the quadrature, and so does a polynomial whose lag FFT would exceed
     # COUNT_CAP entries (GiBs; the quadrature reads its closed forms if any)
-    garsia = kernel.name == "power[1.0]"
+    garsia = kernel.exponent == 1.0
 
     def eval_all(f: TaylorFunction) -> np.ndarray:
         if not isinstance(f, TaylorFunction):
@@ -795,6 +800,7 @@ def _build_rect(desc: SpaceDescriptor):
         n, res["midpoints"], res["min_len_exp"], res["max_len_exp"])
     count = ncells.size
     _check_size(count ** 2, "('midpoints' x 'min_len_exp'..'max_len_exp') squared")
+    arcs = _window_layout(starts, ncells, n)
     lengths = ncells * TWO_PI / n
     remoteness = np.empty(count ** 2)
     np.minimum.outer(lengths, lengths, out=remoteness.reshape(count, -1))
@@ -808,7 +814,7 @@ def _build_rect(desc: SpaceDescriptor):
     def eval_all(F: TorusSamples) -> np.ndarray:
         if not isinstance(F, TorusSamples) or F.n != n:
             raise ConfigError("function does not match the family's torus grid")
-        return _rect_values(F, starts, ncells, starts, ncells)
+        return _rect_values(F, arcs, arcs)
 
     return describe, remoteness, eval_all
 

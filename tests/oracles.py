@@ -1,5 +1,6 @@
 """Single-entry references for the family kernels: one arc, one disc centre
-or one smoothing radius at a time.  Only the tests call them; the package
+or one smoothing radius at a time, and the out-of-place Horner loops the
+package's in-place ones must match.  Only the tests call them; the package
 evaluates whole grids at once."""
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import numpy as np
 from oscillometer.approx import _poisson_members
 from oscillometer.errors import ConfigError, NumericalError
 from oscillometer.funcrep import (TWO_PI, PeriodicSamples, QuadratureRule,
-                                  TaylorFunction, TorusSamples, _window_means,
-                                  mobius_apply)
+                                  TaylorFunction, TorusSamples, _window_layout,
+                                  _window_means, mobius_apply)
 from oscillometer.spaces import KKernel, _direct_osc
 
 
@@ -69,9 +70,10 @@ def bmo_oscillation(f: PeriodicSamples, arc: Arc, p: float) -> float:
     start, ncells = snap_arc(f, arc)
     starts, cells = np.array([start]), np.array([ncells])
     centred = f.values - f.values.mean()
-    mean = _window_means(centred, starts, cells, 0)
+    arcs = _window_layout(starts, cells, f.n)
+    mean = _window_means(centred, arcs, 0)
     if p == 2.0:
-        sq = _window_means(np.abs(centred) ** 2, starts, cells, 0).real
+        sq = _window_means(np.abs(centred) ** 2, arcs, 0).real
         return float(np.sqrt(max(sq[0] - abs(mean[0]) ** 2, 0.0)))
     window = centred[(start + np.arange(ncells + 1)) % f.n]
     return float(_direct_osc(window[None, :], mean, p)[0])
@@ -102,3 +104,17 @@ def qk_local(f: TaylorFunction, a: complex, kernel: KKernel,
 def poisson(f: PeriodicSamples | TorusSamples, r: float):
     """Poisson smoothing of circle or torus samples at the one radius r."""
     return _poisson_members(f, [r])[0]
+
+
+def horner(f: TaylorFunction, z) -> tuple:
+    """f(z) and f'(z) from f's coefficients by Horner's rule, each step a new
+    array: the same operations in the same order as TaylorFunction's
+    in-place loops, so their results agree bit for bit."""
+    z = np.asarray(z, dtype=complex)
+    value = np.zeros_like(z)
+    for a in f.coeffs[::-1]:
+        value = (value + a) * z
+    deriv = np.zeros_like(z)
+    for k in range(f.coeffs.size, 0, -1):
+        deriv = deriv * z + k * f.coeffs[k - 1]
+    return value + f.const, deriv

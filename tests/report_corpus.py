@@ -14,7 +14,8 @@ The jobs are norm, distance, distance with approximants (the sandwich) and
 the assumption check on all six spaces at light resolutions, the qk
 invariance check, weighted on an annulus and a box, lip in 2-d and on
 strata, bmo at p = 1.5 and on every midpoint, ladders that reach past their
-resolution keys, and configs refused for keys no reader takes.
+resolution keys, configs refused for keys no reader takes, and configs
+refused for blocks the command does not read.
 """
 
 import contextlib
@@ -132,6 +133,20 @@ JOBS += [
      {"space": BLOCH, "function": builtin("monomial", degre=3)}, 2),
     ("refused-taylor-on-circle", "norm",
      {"space": BMO, "function": {"kind": "taylor", "coeffs": [1]}}, 2),
+    # blocks another command or check task reads
+    ("refused-family-on-distance", "distance",
+     {"space": BLOCH, "function": builtin("log_singular"),
+      "family": ladder("dilation", 4)}, 2),
+    ("refused-phi-on-distance", "distance",
+     {"space": BLOCH, "function": builtin("log_singular"),
+      "phi": {"a": [0.3, 0.2], "lambda": [1.0, 0.0]}}, 2),
+    ("refused-approximants-on-check", "check",
+     {"space": BLOCH, "function": builtin("log_singular"), "task": "assumption-check",
+      "family": ladder("dilation", 4), "approximants": ladder("dilation", 4)}, 2),
+    ("refused-phi-on-assumption-check", "check",
+     {"space": BLOCH, "function": builtin("log_singular"), "task": "assumption-check",
+      "family": ladder("dilation", 4),
+      "phi": {"a": [0.3, 0.2], "lambda": [1.0, 0.0]}}, 2),
 ]
 
 

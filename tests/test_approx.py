@@ -6,7 +6,7 @@ from oscillometer.approx import (ApproxFamily, assumption_check, dilate,
                                  dilation_family, family_from_config,
                                  fejer_family, fejer_taylor, lip_smooth,
                                  lip_smooth_family, poisson_family,
-                                 poisson_torus_family, _smooth_axis)
+                                 poisson_torus_family, _powers, _smooth_axis)
 from oscillometer.builtins import (box_builtin, circle_builtin, log_singular,
                                    step_half_values, taylor_builtin,
                                    torus_builtin)
@@ -112,6 +112,59 @@ class TestPoissonLadder:
             assert member.values.dtype == np.float64
             old = np.fft.ifftn(spectrum * r ** k, axes=axes)
             assert np.abs(member.values - old).max() <= tol
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_table_is_pow_on_float_exponents(self, m):
+        # every ladder radius 1 - 2^-m, on the frequency sums of circles
+        # (0..n/2) and tori (0..n) of sizes 2^3..2^17, bit for bit; each
+        # radius is checked from 0 to 2^17, so the j on either side of its
+        # first zero (1075 for m = 1, 95004 for m = 7) are read
+        r = 1.0 - 2.0 ** -m
+        full = r ** np.arange(2.0 ** 17 + 1)
+        zeros = np.flatnonzero(full == 0.0)
+        assert not zeros.size or np.all(full[zeros[0]:] == 0.0)
+        for top in sorted({t for e in range(3, 18) for t in (2 ** e // 2, 2 ** e)}):
+            table = _powers(r, top)
+            # the table stops at the first zero, or at top when there is none
+            stop = zeros[0] if zeros.size and zeros[0] <= top else top
+            assert table.size == stop + 1
+            got = table.take(np.arange(top + 1), mode="clip")
+            assert got.tobytes() == full[:top + 1].tobytes()
+
+    def test_radius_zero(self):
+        assert _powers(0.0, 5).tobytes() == np.array([1.0, 0.0]).tobytes()
+
+    @pytest.mark.parametrize("n, ndim", [(8, 1), (1024, 1), (16, 2), (128, 2)])
+    def test_members_match_float_frequency_multiplier(self, n, ndim):
+        # the members against the multiplier r ** k on the float frequency
+        # sums, bit for bit, for real and complex samples
+        rng = np.random.default_rng(n + ndim)
+        shape = (n,) * ndim
+        cls = PeriodicSamples if ndim == 1 else TorusSamples
+        for values in (rng.normal(size=shape),
+                       rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+            real = not np.iscomplexobj(values)
+            forward, inverse = ((np.fft.rfftn, np.fft.irfftn) if real
+                                else (np.fft.fftn, np.fft.ifftn))
+            freqs = [np.abs(np.fft.fftfreq(n, d=1.0 / n)) for _ in shape]
+            if real:
+                freqs[-1] = np.fft.rfftfreq(n, d=1.0 / n)
+            k = sum(np.ix_(*freqs))
+            axes = tuple(range(ndim))
+            spectrum = forward(values, axes=axes)
+            fam = (poisson_family if ndim == 1 else poisson_torus_family)(cls(values), 12)
+            for r, member in zip(fam.parameters, fam.members):
+                want = inverse(spectrum * r ** k, shape, axes=axes)
+                assert member.values.tobytes() == want.tobytes()
+
+    def test_dilation_coefficients_match_pow(self):
+        coeffs = np.linspace(1.0, 2.0, 3000) * (1 - 1j)
+        f = TaylorFunction.polynomial(coeffs)
+        for r in (0.0, 0.5, 0.875, 0.999):
+            want = coeffs * r ** np.arange(1, coeffs.size + 1)
+            assert dilate(f, r).coeffs.tobytes() == want.tobytes()
 
 
 class TestDilate:

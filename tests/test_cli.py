@@ -541,6 +541,13 @@ def mutated_configs(draw):
 @example(("distance", _with(BLOCH_DISTANCE, **{"function.degre": 3})))
 @example(("distance", _with(QK_OUTPUT, **{"space.K.exp": 2})))
 @example(("distance", _with(BMO_STEP, function={"kind": "taylor", "coeffs": [1]})))
+# blocks the running command or check task does not read: a ladder for the
+# assumption check or an automorphism on distance, and distance's ladder or
+# an automorphism on the assumption check
+@example(("distance", _with(BLOCH_DISTANCE, family={"kind": "dilation"})))
+@example(("distance", _with(BLOCH_DISTANCE, phi={"a": [0.3, 0.2]})))
+@example(("check", _with(LIP_SMOOTH_CHECK, approximants={"kind": "lip_smooth"})))
+@example(("check", _with(LIP_SMOOTH_CHECK, phi={"a": [0.3, 0.2]})))
 def test_exit_code_contract(job):
     # exit 0 success, 2 configuration, 3 numerical, 4 failed check: never a
     # traceback or a warning, never the grid's own shape check (no input may
@@ -610,6 +617,34 @@ def test_unknown_resolution_key_exit_code(tmp_path, space, key):
     assert code == 2
     assert (f"unknown resolution key '{key}' for space '{space}'"
             in err.getvalue())
+
+
+PHI = {"a": [0.3, 0.2], "lambda": [1.0, 0.0]}
+DILATION4 = {"kind": "dilation", "ladder": {"levels": 4}}
+
+
+@pytest.mark.parametrize("command, payload, key, owner, reader", [
+    ("distance", _with(BLOCH_DISTANCE, family=DILATION4), "family",
+     "assumption-check", "distance"),
+    ("distance", _with(BLOCH_DISTANCE, phi=PHI), "phi", "invariance-check", "distance"),
+    ("norm", _with(BLOCH_NORM, approximants=DILATION4), "approximants", "distance", "norm"),
+    ("check", _with(LIP_SMOOTH_CHECK, approximants=DILATION4), "approximants",
+     "distance", "assumption-check"),
+    ("check", _with(LIP_SMOOTH_CHECK, phi=PHI), "phi", "invariance-check",
+     "assumption-check"),
+    ("check", _with(QK_INVARIANCE, family=DILATION4), "family", "assumption-check",
+     "invariance-check"),
+])
+def test_unread_block_exit_code(tmp_path, command, payload, key, owner, reader):
+    # a ladder or automorphism block the command or check task does not read
+    # would otherwise be dropped, and the run go on as if it had been taken
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(tmp_path, command, payload)
+    assert code == 2
+    assert (f"configuration error: block '{key}' is read only by {owner}, "
+            f"not by {reader}") in err.getvalue()
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("domain", [

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscillometer.approx import dilate
 from oscillometer.errors import ConfigError, NumericalError
 from oscillometer.funcrep import (BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
-                                  TaylorFunction, TorusSamples, _window_means,
-                                  disk_quadrature, mobius_apply, x_norm)
+                                  TaylorFunction, TorusSamples, _window_layout,
+                                  _window_means, disk_quadrature, mobius_apply,
+                                  x_norm)
 from oscillometer.builtins import lacunary, log_singular, step_half_values
 from oscillometer.family import OperatorFamilyGrid
 from oscillometer.spaces import SpaceDescriptor, weight_from_config
-from oracles import Arc, snap_arc
+from oracles import Arc, horner, snap_arc
 
 EPS = np.finfo(float).eps
 
@@ -115,7 +117,7 @@ def test_holders_adopt_read_only_owned_arrays(holder):
 def snapped_means(f, arcs):
     """_window_means over the given arcs, each snapped to f's grid."""
     starts, ncells = np.array([snap_arc(f, arc) for arc in arcs]).T
-    return _window_means(f.values, starts, ncells, 0)
+    return _window_means(f.values, _window_layout(starts, ncells, f.n), 0)
 
 
 class TestArcAverage:
@@ -166,7 +168,7 @@ class TestArcAverage:
                                             st.integers(2, n)),
                                   min_size=1, max_size=8))
         starts, ncells = (np.array(c, dtype=np.int64) for c in zip(*arcs))
-        got = _window_means(values, starts, ncells, 0)
+        got = _window_means(values, _window_layout(starts, ncells, n), 0)
         want = [direct_arc_average(values, s, c) for s, c in arcs]
         # a prefix sum of at most n terms with components below V = max|v| is
         # off by at most n^2 u V per component (u = eps / 2); a mean takes two
@@ -199,11 +201,37 @@ class TestEvalDeriv:
         assert f.deriv(0.9) == pytest.approx(10.0)
 
     def test_truncated_radius_guard(self):
-        # slowly decaying coefficients without closed forms: reject near the rim
+        # slowly decaying coefficients without closed forms: reject near the
+        # rim, in value and derivative, also once dilated (a finite cap / r)
         f = TaylorFunction(1.0 / np.arange(1, 257))
         assert f.radius_cap < 1.0
-        with pytest.raises(ConfigError, match="beyond trusted radius"):
-            f.deriv(0.999999)
+        for g in (f, dilate(f, 0.99)):
+            z = np.array([0.1, 0.999999j])
+            for read in (g.value, g.deriv):
+                with pytest.raises(ConfigError, match="beyond trusted radius"):
+                    read(z)
+                read(z[:1])
+
+    @pytest.mark.parametrize("kind", ["polynomial", "truncated", "dilated"])
+    def test_horner_matches_out_of_place(self, kind):
+        # the package's two-buffer loops against the out-of-place reference,
+        # bit for bit, with a nonzero constant, on a 2-d array, a one-element
+        # array and a 0-d point (numpy's in-place complex product of one
+        # element rounds differently, so these two pin the buffer swap)
+        rng = np.random.default_rng(23)
+        k = np.arange(1, 65)
+        coeffs = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 0.7 ** k
+        f = {"polynomial": TaylorFunction.polynomial(coeffs, const=0.75 - 0.5j),
+             "truncated": TaylorFunction(coeffs, const=0.75 - 0.5j),
+             "dilated": dilate(TaylorFunction(coeffs, const=0.75 - 0.5j), 0.9)}[kind]
+        assert (f.radius_cap == np.inf) == (kind == "polynomial")
+        reach = min(1.0, f.radius_cap)
+        z = (reach * np.sqrt(rng.uniform(size=(8, 16)))
+             * np.exp(2j * np.pi * rng.uniform(size=(8, 16))))
+        for point in (z, z[3, 5:6], z[3, 5]):
+            value, deriv = horner(f, point)
+            assert np.asarray(f.value(point)).tobytes() == np.asarray(value).tobytes()
+            assert np.asarray(f.deriv(point)).tobytes() == np.asarray(deriv).tobytes()
 
     def test_polynomial_evaluable_everywhere(self):
         f = TaylorFunction.polynomial(np.ones(8))

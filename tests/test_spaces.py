@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from oscillometer.errors import ConfigError
 from oscillometer.funcrep import (TWO_PI, BoxDomain, EuclideanSamples,
                                   PeriodicSamples, QuadratureRule,
-                                  TaylorFunction, TorusSamples, _window_means)
-from oscillometer.spaces import (_SORTED_MIN_SPACING, SpaceDescriptor,
+                                  TaylorFunction, TorusSamples,
+                                  _window_layout, _window_means)
+from oscillometer.spaces import (_SORTED_MIN_SPACING, KKernel, SpaceDescriptor,
                                  _arc_layout, _direct_osc, _disc_radii,
                                  _rect_values, _strata_pairs, build_family,
                                  compose_mobius, kernel_from_config,
@@ -692,6 +693,23 @@ class TestFamilyKernels:
                 tol = (16 * degree + n_nodes) * EPS * c_abs ** 2 * mass
                 assert abs(val ** 2 - want) <= tol
 
+    def test_qk_garsia_path_chosen_by_exponent_not_name(self):
+        # a kernel named like the config's K(t) = t but equal to 1 takes the
+        # quadrature, as K = 1 does: the display name chooses nothing
+        f = TaylorFunction.polynomial([1.0, 0.5])
+        named = KKernel(lambda t: np.ones_like(t), name="power[1.0]")
+        one = kernel_from_config({"name": "one"})
+        t = kernel_from_config({"name": "power", "exponent": 1})
+        assert (named.exponent, one.exponent, t.exponent) == (None, None, 1.0)
+
+        def entries(kernel):
+            desc = SpaceDescriptor("qk", resolution=QK_LIGHT_RES, kernel=kernel)
+            return build_family(desc).evaluate_all(f)
+
+        assert bitwise_equal(entries(named), entries(one))
+        # Garsia's K = t entries lie far below the K = 1 quadrature's
+        assert np.max(entries(t)) < 0.6 * np.max(entries(one))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
     def test_qk_exact_polynomials_match_littlewood_paley(self, qk_default, degree, seed):
@@ -750,7 +768,8 @@ class TestFamilyKernels:
         n = values.shape[0]
         F = TorusSamples(values)
         assert F.values.dtype == values.dtype    # real input stays float64
-        got = _rect_values(F, *np.array(arcs_i).T, *np.array(arcs_j).T)
+        got = _rect_values(F, *(_window_layout(*np.array(arcs).T, n)
+                                for arcs in (arcs_i, arcs_j)))
         want = [direct_rect_square(values, i, j) for j in arcs_j for i in arcs_i]
         # every moment is a window mean: a difference of prefix sums of at most
         # n terms, each at most 16 max|F|^2 after two-way centring, over
@@ -785,7 +804,7 @@ def direct_path_entries(values, res, p):
     mids = n if res["midpoints"] == "all" else res["midpoints"]
     starts, ncells, _, _ = _arc_layout(n, mids, res["min_len_exp"], res["max_len_exp"])
     centred = values - values.mean()
-    means = _window_means(centred, starts, ncells, 0)
+    means = _window_means(centred, _window_layout(starts, ncells, n), 0)
     out = np.empty(starts.size)
     for nc in np.unique(ncells):
         sel = np.flatnonzero(ncells == nc)
