@@ -294,7 +294,11 @@ def ambient_distance(desc: SpaceDescriptor, f, g) -> float:
 def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
                      slack: float = 1e-3, x_tol_rel: float = 1e-2,
                      grid=None) -> AssumptionReport:
-    """Run the approximation-property check for f against a generated ladder."""
+    """Run the approximation-property check for f against a generated ladder
+    of at least 3 members: the verdict reads the last three ambient distances."""
+    if len(fam.members) < 3:
+        raise ConfigError(f"assumption-check needs a ladder of at least 3 members, "
+                          f"got {len(fam.members)}")
     if grid is None:
         grid = build_family(desc)
     input_norm = float(np.max(grid.evaluate_all(f)))
@@ -303,7 +307,7 @@ def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
     for g in fam.members:
         vals = grid.evaluate_all(g)
         member_norms.append(float(np.max(vals)))
-        profile = tail_profile(grid, g, values=vals)
+        profile = tail_profile(grid, vals)
         est, _ = limsup_estimate(profile)
         member_tails.append(est)
         little_flags.append(bool(est <= threshold))
@@ -322,7 +326,7 @@ def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
         member_norms=member_norms,
         input_norm=input_norm,
         x_distances=x_distances,
-        verdict=bool(norms_ok and decreasing and converged and len(tail3) == 3),
+        verdict=bool(norms_ok and decreasing and converged),
         slack_used=slack_used,
         member_tails=member_tails,
         little_flags=little_flags,

@@ -37,7 +37,7 @@ def distance_estimate(desc: SpaceDescriptor, f,
     """
     grid = grid if grid is not None else build_family(desc)
     values = grid.evaluate_all(f)
-    profile = tail_profile(grid, f, values=values)
+    profile = tail_profile(grid, values)
     estimate, uncertainty = limsup_estimate(profile)
     return estimate, uncertainty, profile
 
@@ -85,7 +85,7 @@ def sandwich_check(desc: SpaceDescriptor, f, approximants, ids=None,
     """
     grid = grid if grid is not None else build_family(desc)
     values = grid.evaluate_all(f)
-    profile = tail_profile(grid, f, values=values)
+    profile = tail_profile(grid, values)
     estimate, uncertainty = limsup_estimate(profile)
     f_norm = float(np.max(values))
     threshold = certification_threshold(f_norm)
@@ -97,7 +97,7 @@ def sandwich_check(desc: SpaceDescriptor, f, approximants, ids=None,
     ok = True
     for gid, g in sorted(zip(ids, approximants), key=lambda t: str(t[0])):
         g_values = grid.evaluate_all(g)
-        g_est, _ = limsup_estimate(tail_profile(grid, g, values=g_values))
+        g_est, _ = limsup_estimate(tail_profile(grid, g_values))
         if g_est > threshold:
             rejected.append((gid, g_est, threshold))
             continue

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,45 +24,9 @@ from .funcrep import _owned
 
 
 def thread_budget() -> int:
-    """Worker count from OSCILLOMETER_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("OSCILLOMETER_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"OSCILLOMETER_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError("OSCILLOMETER_THREADS must be >= 0")
-    if n == 0:
-        return min(4, os.cpu_count() or 1)
-    return n
-
-
-def map_chunks(fn: Callable[[int, int], np.ndarray], size: int,
-               block: int) -> np.ndarray:
-    """fn(lo, hi) over contiguous blocks of at most `block` entries of
-    range(size), joined.
-
-    With one worker (thread_budget()) the blocks run in order in the caller,
-    otherwise on a pool of that many workers, so the working set is set by
-    `block`, not by `size`.  fn must compute each entry independently of the
-    block it is in, so the result depends on neither the block size nor the
-    thread count.
-    """
-    out = np.empty(size)
-    starts = range(0, size, block)
-
-    def run(lo):
-        hi = min(lo + block, size)
-        out[lo:hi] = fn(lo, hi)
-
-    workers = thread_budget()
-    if workers <= 1:
-        for lo in starts:
-            run(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
-    return out
+    """1: every family evaluator runs on the caller's thread.  Kept for
+    callers that record a worker count; no variable or option sets it."""
+    return 1
 
 
 class OperatorFamilyGrid:
@@ -193,29 +155,24 @@ class TailProfile:
                 for t, s in zip(self.scales, self.tail_sups)]
 
 
-def seminorm_sup(fam: OperatorFamilyGrid, f,
-                 values: Optional[np.ndarray] = None) -> SeminormReport:
+def seminorm_sup(fam: OperatorFamilyGrid, f) -> SeminormReport:
     """Exact maximum of the family evaluations over the grid.
 
-    Ties resolve to the first entry in grid order.  A precomputed value vector
-    may be passed to share work with tail_profile.
+    Ties resolve to the first entry in grid order.
     """
-    if len(fam) == 0:
-        raise ConfigError("empty family grid")
-    vals = fam.evaluate_all(f) if values is None else values
+    vals = fam.evaluate_all(f)
     idx = int(np.argmax(vals))
     return SeminormReport(float(vals[idx]), fam.describe(np.array([idx]))[0],
                           len(fam))
 
 
-def tail_profile(fam: OperatorFamilyGrid, f,
-                 values: Optional[np.ndarray] = None) -> TailProfile:
-    """Tail suprema of the family evaluations over the grid's dyadic ladder."""
-    vals = fam.evaluate_all(f) if values is None else values
+def tail_profile(fam: OperatorFamilyGrid, values: np.ndarray) -> TailProfile:
+    """Tail suprema over the grid's dyadic ladder of the value vector
+    `fam.evaluate_all(f)`."""
     scales = fam.default_scales
     maxima = np.full(scales.size + 1, -np.inf)
     np.maximum.at(maxima, fam._run_levels,
-                  np.maximum.reduceat(vals, fam._run_starts))
+                  np.maximum.reduceat(values, fam._run_starts))
     # an entry counts at its finest level and every coarser one: a running
     # max from the finest level outward (max is order-free, so exact)
     sups = np.maximum.accumulate(maxima[:0:-1])[::-1]

@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (COUNT_CAP, EXPONENT_CAP, LENGTH_CAP, ConfigError,
                      NumericalError, check_keys, config_block, config_number,
                      config_numbers)
-from .family import OperatorFamilyGrid, map_chunks
+from .family import OperatorFamilyGrid
 from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
                       QuadratureRule, TaylorFunction, TorusSamples,
                       _window_layout, _window_means, disk_quadrature,
@@ -585,7 +585,7 @@ def _build_qk(desc: SpaceDescriptor):
     centres = _disc_nodes(radii, n_ang, "'shell_from'..'shell_to' and "
                                         "'extra_radii' radii x 'angles'")
     # the Gauss-Legendre companion matrix; a template of the rule's nodes per
-    # radius, and one shell's rotations of a template at evaluation
+    # radius, and a ring's centres, one template's nodes each, at evaluation
     _check_size(rule.n_r ** 2, "'quad_nr' squared")
     _check_size(max(radii.size, n_ang) * rule.n_r * rule.n_theta,
                 "radii or 'angles' x 'quad_nr' x 'quad_ntheta'")
@@ -596,30 +596,22 @@ def _build_qk(desc: SpaceDescriptor):
     # e^{i beta} times the template for rho, with identical weights
     wn, wts = rule.nodes()
     k_vals = kernel(np.log(1.0 / np.abs(wn)))
-    templates = {}
+    angles = np.exp(1j * TWO_PI * np.arange(n_ang) / n_ang)
+    rows = []          # per radius: template nodes, weights, rotations
     for rho in radii:
         phi, dphi = mobius_apply(rho, 1.0, wn)
-        templates[rho] = (phi, wts * np.abs(dphi) ** 2 * k_vals)
-    rows = []          # (radius, rotations, entry offset)
-    offset = 0
-    angles = np.exp(1j * TWO_PI * np.arange(n_ang) / n_ang)
-    for rho in radii:
         rots = np.array([1.0 + 0.0j]) if rho == 0.0 else angles
-        rows.append((float(rho), rots, offset))
-        offset += rots.size
+        rows.append((phi, wts * np.abs(dphi) ** 2 * k_vals, rots))
 
-    def pointwise(f: TaylorFunction, lo: int, hi: int) -> np.ndarray:
-        """Entries lo..hi-1 from f' at every pulled-back node."""
-        out = np.empty(hi - lo)
-        for rho, rots, off in rows:
-            r_lo, r_hi = max(lo, off), min(hi, off + rots.size)
-            if r_lo >= r_hi:
-                continue
-            phi, jac = templates[rho]
-            sub = rots[r_lo - off:r_hi - off]
-            deriv_sq = np.abs(f.deriv(sub[:, None] * phi[None, :])) ** 2
-            # row-wise reduction: summation order independent of chunking
-            out[r_lo - lo:r_hi - lo] = (deriv_sq * jac[None, :]).sum(axis=1)
+    def pointwise(f: TaylorFunction) -> np.ndarray:
+        """Every entry from f' at its centre's pulled-back nodes, one centre
+        at a time, so the working set is one template."""
+        out = np.empty(centres.size)
+        k = 0
+        for phi, jac, rots in rows:
+            for rot in rots:
+                out[k] = (np.abs(f.deriv(rot * phi)) ** 2 * jac).sum()
+                k += 1
         return out
 
     ring_powers = radii[:, None] ** np.arange(n_ang)
@@ -644,11 +636,8 @@ def _build_qk(desc: SpaceDescriptor):
         lag_sum, value = np.fft.ifft(folded * ring_powers) * n_ang
         local = 2.0 * lag_sum.real - series[0, 0].real - np.abs(value) ** 2
         return 0.5 * np.pi * np.concatenate(
-            [ring[:rots.size] for ring, (_, rots, _) in zip(local, rows)])
+            [ring[:rots.size] for ring, (_, _, rots) in zip(local, rows)])
 
-    # centres per pointwise block: about 2^16 nodes, so every temporary of
-    # a block is about 1 MiB of complex on any thread count
-    block = max(1, 2 ** 16 // wn.size)
     # with K(t) = t (the default kernel) the space is BMOA, and an exact
     # polynomial's entries are Garsia's closed form; every other input takes
     # the quadrature, and so does a polynomial whose lag FFT would exceed
@@ -662,7 +651,7 @@ def _build_qk(desc: SpaceDescriptor):
                 and f.coeffs.size < COUNT_CAP // 2):
             vals = littlewood_paley(f.coeffs)
         else:
-            vals = map_chunks(lambda lo, hi: pointwise(f, lo, hi), centres.size, block)
+            vals = pointwise(f)
         if not np.all(np.isfinite(vals)):
             raise NumericalError("singular node")
         return np.sqrt(np.maximum(vals, 0.0))

@@ -14,8 +14,9 @@ The jobs are norm, distance, distance with approximants (the sandwich) and
 the assumption check on all six spaces at light resolutions, the qk
 invariance check, weighted on an annulus and a box, lip in 2-d and on
 strata, bmo at p = 1.5 and on every midpoint, ladders that reach past their
-resolution keys, configs refused for keys no reader takes, and configs
-refused for blocks the command does not read.
+resolution keys, configs refused for keys no reader takes, configs
+refused for blocks the command does not read, and an assumption check on a
+ladder too short for its verdict.
 """
 
 import contextlib
@@ -147,6 +148,10 @@ JOBS += [
      {"space": BLOCH, "function": builtin("log_singular"), "task": "assumption-check",
       "family": ladder("dilation", 4),
       "phi": {"a": [0.3, 0.2], "lambda": [1.0, 0.0]}}, 2),
+    # an assumption check reads the last three ambient distances
+    ("refused-two-member-ladder", "check",
+     {"space": BLOCH, "function": builtin("monomial", degree=2),
+      "task": "assumption-check", "family": ladder("dilation", 2)}, 2),
 ]
 
 

@@ -109,7 +109,7 @@ def test_criterion_3_bmo_step(bmo):
     f = circle_builtin("step_half", BMO_N)
     vals = grid.evaluate_all(f)
     norm = float(vals.max())
-    est, _ = limsup_estimate(tail_profile(grid, f, values=vals))
+    est, _ = limsup_estimate(tail_profile(grid, vals))
     ok = abs(norm - 0.5) <= 0.02 and abs(est - 0.5) <= 0.02
     announce(3, ok, f"bmo(p=1) step norm {norm:.5f}, distance {est:.5f} "
                     "(both 0.5 +- 0.02)")
@@ -120,7 +120,7 @@ def test_criterion_4_rect_step_tensor(rect):
     F = torus_builtin("step_tensor", RECT_N)
     vals = grid.evaluate_all(F)
     norm = float(vals.max())
-    est, _ = limsup_estimate(tail_profile(grid, F, values=vals))
+    est, _ = limsup_estimate(tail_profile(grid, vals))
     G = torus_builtin("one_variable", RECT_N)
     onevar = float(grid.evaluate_all(G).max())
     ok = (abs(norm - 0.25) <= 0.02 and abs(est - 0.25) <= 0.02
@@ -134,7 +134,7 @@ def test_criterion_5_lip_cusp(lip):
     f = box_builtin("holder_cusp", desc.lip_domain, 0.5)
     vals = grid.evaluate_all(f)
     norm = float(vals.max())
-    est, _ = limsup_estimate(tail_profile(grid, f, values=vals))
+    est, _ = limsup_estimate(tail_profile(grid, vals))
     ok = abs(norm - 1.0) <= 0.01 and abs(est - 1.0) <= 0.02
     announce(5, ok, f"lip(1/2) cusp norm {norm:.5f} (1 +- 0.01), "
                     f"distance {est:.5f} (1 +- 0.02)")
@@ -145,7 +145,7 @@ def test_criterion_6_weighted_cauchy(weighted):
     f = taylor_builtin("cauchy_kernel")
     vals = grid.evaluate_all(f)
     norm = float(vals.max())
-    est, _ = limsup_estimate(tail_profile(grid, f, values=vals))
+    est, _ = limsup_estimate(tail_profile(grid, vals))
     ok = 1.95 <= norm <= 2.02 and 1.95 <= est <= 2.02
     announce(6, ok, f"weighted (1-|z|^2) Cauchy-kernel norm {norm:.5f}, "
                     f"distance {est:.5f} (both in [1.95, 2.02])")
@@ -308,12 +308,12 @@ def test_criterion_12_metamorphic_micro_suite(bloch, bmo, rect, lip, weighted,
         v1 = grid.evaluate_all(f)
         v2 = grid.evaluate_all(f * c)
         n1, n2 = float(v1.max()), float(v2.max())
-        e1, _ = limsup_estimate(tail_profile(grid, f, values=v1))
-        e2, _ = limsup_estimate(tail_profile(grid, f * c, values=v2))
+        e1, _ = limsup_estimate(tail_profile(grid, v1))
+        e2, _ = limsup_estimate(tail_profile(grid, v2))
         if abs(n2 - c * n1) > 1e-12 * c * n1 or abs(e2 - c * e1) > 1e-12 * c * max(e1, 1e-300):
             ok = False
             notes.append(f"homogeneity broke for {desc.tag}")
-        sups = tail_profile(grid, f, values=v1).tail_sups
+        sups = tail_profile(grid, v1).tail_sups
         filled = sups[~np.isnan(sups)]
         if np.any(np.diff(filled) > 0):
             ok = False

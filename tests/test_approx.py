@@ -438,10 +438,10 @@ class TestDilationLittleness:
         desc = SpaceDescriptor("bloch")
         grid = build_family(desc)
         f = log_singular()
-        prof_f = tail_profile(grid, f)
+        prof_f = tail_profile(grid, grid.evaluate_all(f))
         for r in (0.5, 0.75, 0.875):
             g = dilate(f, r)
-            est, _ = limsup_estimate(tail_profile(grid, g))
+            est, _ = limsup_estimate(tail_profile(grid, grid.evaluate_all(g)))
             # the dilated tail at the finest level is controlled by f's
             # profile near scale 1 - r, and vanishes as the tail refines
             scales, sups = prof_f.nonempty()

@@ -198,6 +198,10 @@ BLOCH_NORM = {"space": BLOCH_LIGHT,
               "function": {"kind": "builtin", "name": "monomial", "degree": 1}}
 BLOCH_DISTANCE = dict(BLOCH_NORM, approximants={"kind": "dilation",
                                                 "ladder": {"levels": 4}})
+BLOCH_ASSUMPTION = {"space": BLOCH_LIGHT,
+                    "function": {"kind": "builtin", "name": "monomial", "degree": 2},
+                    "task": "assumption-check",
+                    "family": {"kind": "dilation", "ladder": {"levels": 3}}}
 QK_INVARIANCE = {"space": QK_LIGHT,
                  "function": {"kind": "builtin", "name": "monomial", "degree": 2},
                  "task": "invariance-check",
@@ -340,6 +344,9 @@ def run_process(tmp_path, command, payload, out=None):
     ("check", _with(QK_INVARIANCE, **{"space.K": {"name": "power", "exponent": 1e6}})),
     ("distance", _with(BLOCH_DISTANCE, output={"report": "r.json",
                                                "profile": "./r.json"})),
+    # the verdict reads the last three ambient distances
+    ("check", _with(BLOCH_ASSUMPTION, **{"family.ladder.levels": 1})),
+    ("check", _with(BLOCH_ASSUMPTION, **{"family.ladder.levels": 2})),
 ], ids=["lip-dilation", "t0-text", "t0-nan", "slack-text",
         "x-tol-rel-text", "levels-text", "tolerance-text", "seed-text",
         "ladder-number", "family-text", "output-text", "space-number",
@@ -358,7 +365,8 @@ def run_process(tmp_path, command, payload, out=None):
         "coeffs-int-huge", "samples-huge", "samples-int-huge",
         "cusp-exponent-negative", "cusp-exponent-huge", "phi-a-huge",
         "phi-lambda-huge", "extra-radii-negative", "kernel-exponent-1000",
-        "kernel-exponent-1e6", "profile-is-report"])
+        "kernel-exponent-1e6", "profile-is-report", "ladder-levels-1",
+        "ladder-levels-2"])
 def test_bad_config_exit_code(tmp_path, command, payload):
     proc, out = run_process(tmp_path, command, payload)
     assert proc.returncode == 2, proc.stderr

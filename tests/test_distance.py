@@ -27,7 +27,7 @@ def triangle_gap(grid, f, g):
     fv, gv, dv = (grid.evaluate_all(h) for h in (f, g, f - g))
 
     def est(values):
-        return limsup_estimate(tail_profile(grid, None, values=values))[0]
+        return limsup_estimate(tail_profile(grid, values))[0]
 
     gap = est(fv) - float(dv.max()) - est(gv)
     return gap, 2.0 ** -26 * float(fv.max() + dv.max() + gv.max())
@@ -229,7 +229,7 @@ class TestTranslationByLittle:
         desc, grid = bloch
         f = log_singular()
         g = dilate(f, 0.875)  # certified little on this grid
-        g_est, _ = limsup_estimate(tail_profile(grid, g))
+        g_est, _ = limsup_estimate(tail_profile(grid, grid.evaluate_all(g)))
         est_f, _, _ = distance_estimate(desc, f, grid=grid)
         est_sum, _, _ = distance_estimate(desc, f - g, grid=grid)
         allowance = grid.allowance_rel * max(est_f, est_sum)

@@ -1,4 +1,4 @@
-import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,11 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from oscillometer.errors import ConfigError, NumericalError
 from oscillometer.family import (OperatorFamilyGrid, TailProfile, limsup_estimate,
-                                 map_chunks, seminorm_sup, tail_profile,
-                                 thread_budget)
-from oscillometer.funcrep import PeriodicSamples
-from oscillometer.spaces import SpaceDescriptor, build_family
+                                 seminorm_sup, tail_profile)
+from oscillometer.funcrep import TWO_PI, PeriodicSamples, QuadratureRule, mobius_apply
+from oscillometer.spaces import (SpaceDescriptor, _disc_radii, build_family,
+                                 kernel_from_config)
 from oscillometer.builtins import log_singular, step_half_values, taylor_builtin
+
+
+def profile_of(grid, f):
+    return tail_profile(grid, grid.evaluate_all(f))
 
 
 def by_index(idx):
@@ -55,7 +59,7 @@ class TestSeminormSup:
 
 class TestTailProfile:
     def test_bloch_z_profile_follows_shells(self, bloch_grid):
-        prof = tail_profile(bloch_grid, taylor_builtin("monomial", degree=1))
+        prof = profile_of(bloch_grid, taylor_builtin("monomial", degree=1))
         scales, sups = prof.nonempty()
         # S(t) = max over 1-|w| <= t of (1-|w|^2): attained at the shallowest
         # qualifying shell, so S(t) = 2t - t^2 for dyadic t matching shells
@@ -66,13 +70,13 @@ class TestTailProfile:
         # jump-centred arcs at every scale: the trapezoid drops the single
         # interior jump node, so S(t_k) = 0.5 (n_k - 1)/n_k for n_k cells
         f = PeriodicSamples(step_half_values(4096))
-        prof = tail_profile(bmo_grid, f)
+        prof = profile_of(bmo_grid, f)
         scales, sups = prof.nonempty()
         ncells = np.rint(scales / f.step)
         assert np.allclose(sups, 0.5 * (ncells - 1) / ncells, rtol=1e-12)
 
     def test_monotone_exact(self, bloch_grid):
-        prof = tail_profile(bloch_grid, log_singular())
+        prof = profile_of(bloch_grid, log_singular())
         _, sups = prof.nonempty()
         assert np.all(np.diff(sups) <= 0.0)
 
@@ -93,11 +97,11 @@ class TestTailProfile:
         assert not bloch_grid.default_scales.flags.writeable
         with pytest.raises(ValueError):
             bloch_grid.default_scales[0] = 2.0
-        prof = tail_profile(bloch_grid, taylor_builtin("monomial", degree=1))
+        prof = profile_of(bloch_grid, taylor_builtin("monomial", degree=1))
         assert np.array_equal(prof.scales, 2.0 ** -np.arange(0, 13, dtype=float))
 
     def test_csv_round_trip(self, bloch_grid):
-        prof = tail_profile(bloch_grid, taylor_builtin("monomial", degree=1))
+        prof = profile_of(bloch_grid, taylor_builtin("monomial", degree=1))
         text = prof.to_csv()
         lines = text.strip().splitlines()
         assert lines[0] == "scale,tail_sup"
@@ -134,7 +138,7 @@ class TestTailProfileProperty:
             fam = OperatorFamilyGrid("x", by_index, remote, lambda f: vals, 0.02)
             assert np.array_equal(fam.default_scales, ladder)
             for values in (vals, vals[::-1].copy()):
-                got = tail_profile(fam, None, values=values).tail_sups
+                got = tail_profile(fam, values).tail_sups
                 want = [values[remote <= t * (1 + 1e-12)].max() for t in ladder]
                 assert np.array_equal(got, want)
 
@@ -148,12 +152,12 @@ class TestLimsupEstimate:
         assert unc == pytest.approx(0.02 * 0.5)
 
     def test_bloch_z_estimate_small(self, bloch_grid):
-        prof = tail_profile(bloch_grid, taylor_builtin("monomial", degree=1))
+        prof = profile_of(bloch_grid, taylor_builtin("monomial", degree=1))
         est, _ = limsup_estimate(prof)
         assert est <= 2.0 * 2.0 ** -12
 
     def test_bloch_log_singular_estimate(self, bloch_grid):
-        prof = tail_profile(bloch_grid, log_singular())
+        prof = profile_of(bloch_grid, log_singular())
         est, unc = limsup_estimate(prof)
         assert est == pytest.approx(2.0, abs=0.01)
         assert unc < 0.05
@@ -168,12 +172,12 @@ class TestInvariants:
     def test_tail_never_exceeds_sup(self, bloch_grid, bmo_grid):
         f = log_singular()
         vals = bloch_grid.evaluate_all(f)
-        prof = tail_profile(bloch_grid, f, values=vals)
+        prof = tail_profile(bloch_grid, vals)
         est, _ = limsup_estimate(prof)
         assert est <= vals.max()
         g = PeriodicSamples(step_half_values(4096))
         gvals = bmo_grid.evaluate_all(g)
-        gprof = tail_profile(bmo_grid, g, values=gvals)
+        gprof = tail_profile(bmo_grid, gvals)
         gest, _ = limsup_estimate(gprof)
         assert gest <= gvals.max()
 
@@ -195,60 +199,59 @@ class TestInvariants:
 
 
 class TestThreads:
-    def test_budget_parsing(self, monkeypatch):
-        monkeypatch.setenv("OSCILLOMETER_THREADS", "3")
-        assert thread_budget() == 3
-        monkeypatch.setenv("OSCILLOMETER_THREADS", "0")
-        assert thread_budget() >= 1
-        monkeypatch.setenv("OSCILLOMETER_THREADS", "x")
-        with pytest.raises(ConfigError):
-            thread_budget()
+    """qk's quadrature runs on the caller's thread, one centre at a time."""
 
-    def test_results_independent_of_parallelism(self, monkeypatch):
-        grid = build_family(SpaceDescriptor("qk", resolution={
-            "shell_from": 2, "shell_to": 7, "extra_radii": (0.5,),
-            "angles": 16, "quad_nr": 16, "quad_ntheta": 32}))
-        # a polynomial takes Garsia's closed form, a closed-form input the
-        # blocked pointwise path
-        for f in (taylor_builtin("monomial", degree=2), log_singular()):
-            monkeypatch.setenv("OSCILLOMETER_THREADS", "1")
-            serial = grid.evaluate_all(f)
-            monkeypatch.setenv("OSCILLOMETER_THREADS", "4")
-            parallel = grid.evaluate_all(f)
-            assert np.array_equal(serial, parallel)
-        # map_chunks itself: row sums of 101 rows, each reduced on its own
-        rows = np.random.default_rng(3).normal(size=(101, 37))
-        want = rows.sum(axis=1)
-        for block in (1, 7, rows.shape[0]):
-            seen = []
+    def test_results_independent_of_parallelism(self):
+        # each entry is reduced on its own template row, so the per-centre
+        # loop gives the bits that a whole ring of centres at once gives,
+        # rows reduced along their axis as a block or a worker pool would
+        res = {"shell_from": 2, "shell_to": 7, "extra_radii": (0.5,),
+               "angles": 16, "quad_nr": 16, "quad_ntheta": 32}
+        kernel = kernel_from_config({"name": "one"})
+        grid = build_family(SpaceDescriptor("qk", resolution=res, kernel=kernel))
+        wn, wts = QuadratureRule(16, 32).nodes()
+        k_vals = kernel(np.log(1.0 / np.abs(wn)))
+        turns = np.exp(1j * TWO_PI * np.arange(16) / 16)
+        # a closed form, and a polynomial, which takes the quadrature under K = 1
+        for f in (log_singular(), taylor_builtin("monomial", degree=2)):
+            rings = []
+            for rho in _disc_radii(0, 7, 2, extra=(0.0, 0.5)):
+                phi, dphi = mobius_apply(rho, 1.0, wn)
+                rots = turns if rho > 0 else np.ones(1, dtype=complex)
+                jac = wts * np.abs(dphi) ** 2 * k_vals
+                deriv_sq = np.abs(f.deriv(rots[:, None] * phi[None, :])) ** 2
+                rings.append((deriv_sq * jac[None, :]).sum(axis=1))
+            want = np.sqrt(np.maximum(np.concatenate(rings), 0.0))
+            assert grid.evaluate_all(f).tobytes() == want.tobytes()
 
-            def fn(lo, hi):
-                seen.append((lo, hi))
-                return rows[lo:hi].sum(axis=1)
-
-            for threads in ("1", "4"):
-                monkeypatch.setenv("OSCILLOMETER_THREADS", threads)
-                seen.clear()
-                got = map_chunks(fn, rows.shape[0], block)
-                assert got.tobytes() == want.tobytes()
-                assert sorted(seen) == [(lo, min(lo + block, rows.shape[0]))
-                                        for lo in range(0, rows.shape[0], block)]
-
-    @pytest.mark.parametrize("threads", ["1", "4"])
-    def test_qk_pointwise_memory_bounded(self, monkeypatch, threads):
-        # the pointwise path runs a fixed number of centres per block: its
-        # traced peak must not grow with the shell size or the thread count
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_qk_pointwise_memory_bounded(self, threads):
+        # the pointwise path holds one centre's template at a time (12,288
+        # nodes, about 200 KiB complex per temporary): its traced peak must
+        # not grow with the shell size, only with the number of callers that
+        # evaluate at once, and concurrent callers get the serial bits
         grid = build_family(SpaceDescriptor("qk"))
         f = log_singular()
-        monkeypatch.setenv("OSCILLOMETER_THREADS", threads)
-        grid.evaluate_all(f)
+        want = grid.evaluate_all(f)
+        got = [None] * threads
+
+        def call(i):
+            got[i] = grid.evaluate_all(f)
+
         tracemalloc.start()
         try:
-            grid.evaluate_all(f)
+            callers = [threading.Thread(target=call, args=(i,))
+                       for i in range(threads)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        assert peak <= threads * 2 * 2 ** 20
+        for vals in got:
+            assert vals.tobytes() == want.tobytes()
 
 
 def test_bmo_sorted_memory_bounded():

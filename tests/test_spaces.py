@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -1126,8 +1127,121 @@ class TestHomogeneityProperty:
         else:
             assert np.array_equal(scaled, abs(c) * values)
         for vals in (values, scaled):
-            _, sups = tail_profile(grid, None, values=vals).nonempty()
+            _, sups = tail_profile(grid, vals).nonempty()
             assert np.all(np.diff(sups) <= 0)
+
+
+def _within_rounding(key, got, want):
+    """got equals want entry by entry to 1e-13 of the largest entry; rect_bmo
+    to 1e-12, since it reads each entry from moments of windows as small as
+    3 x 3 nodes (measured up to 1.5e-13 over 1000 random inputs)."""
+    bound = 1e-12 if key == "rect_bmo" else 1e-13
+    return np.all(np.abs(got - want) <= bound * want.max())
+
+
+def _ring_turn(grid, key):
+    """The permutation taking each disc grid entry to the entry one grid
+    angle further round its ring (the centre point stays), and that angle."""
+    nodes = grid.describe(np.arange(len(grid)))[{"bloch": "w", "qk": "a",
+                                                 "weighted": "z"}[key]]
+    n_ang = _SMALL_SPACES[key].resolution["angles"]
+    head = int(nodes[0] == 0)
+    rings = np.arange(head, len(grid)).reshape(-1, n_ang)
+    perm = np.concatenate([np.arange(head), np.roll(rings, -1, axis=1).ravel()])
+    turn = np.exp(1j * TWO_PI / n_ang)
+    assert np.max(np.abs(nodes[perm] - turn * nodes)) <= 1e-15
+    return perm, turn
+
+
+class TestInvarianceProperties:
+    """Symmetries of the spaces that each grid carries over to its entries,
+    checked to rounding (`_within_rounding`) on every `_SMALL_SPACES` grid
+    they apply to."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["bloch", "weighted", "qk", "qk-closed-form"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_rotation_by_one_grid_angle(self, small_grids, case, seed):
+        # f(turn z), with coefficients a_k turn^k, has at w the entry f has at
+        # turn w: on qk both as an exact polynomial (Garsia's form) and read
+        # through its closed forms, which takes the quadrature
+        key = case.split("-")[0]
+        _, grid = small_grids[key]
+        perm, turn = _ring_turn(grid, key)
+        rng = np.random.default_rng(seed)
+        degree = int(rng.integers(1, 13))
+        coeffs = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+        f, g = (TaylorFunction.polynomial(c) for c in
+                (coeffs, coeffs * turn ** np.arange(1, degree + 1)))
+        if case == "qk-closed-form":
+            f, g = (TaylorFunction(None, value_fn=h.value, deriv_fn=h.deriv)
+                    for h in (f, g))
+        assert _within_rounding(key, grid.evaluate_all(g), grid.evaluate_all(f)[perm])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["bmo_p1.0", "bmo_p1.5", "bmo_p2.0", "rect_bmo"]),
+           st.sampled_from(["real", "complex"]), st.integers(0, 2 ** 32 - 1))
+    def test_roll_by_midpoint_spacing(self, small_grids, key, kind, seed):
+        # samples rolled by the midpoint spacing (on both axes of the torus)
+        # move every arc's midpoint to the next: each level's entries roll by
+        # one, and on the torus each pair's two arcs do
+        desc, grid = small_grids[key]
+        f = _random_input(desc, kind, np.random.default_rng(seed))
+        mids = desc.resolution["midpoints"]
+        spacing = desc.resolution["n_samples"] // mids
+        axes = tuple(range(f.values.ndim))
+        g = type(f)(np.roll(f.values, (spacing,) * len(axes), axis=axes))
+        narcs = math.isqrt(len(grid)) if key == "rect_bmo" else len(grid)
+        perm = np.roll(np.arange(narcs).reshape(-1, mids), 1, axis=1).ravel()
+        if key == "rect_bmo":
+            perm = (perm[:, None] * narcs + perm[None, :]).ravel()
+        assert _within_rounding(key, grid.evaluate_all(g), grid.evaluate_all(f)[perm])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["lip_1d", "lip_2d"]), st.integers(0, 2 ** 32 - 1))
+    def test_lip_reflection(self, small_grids, key, seed):
+        # x -> -x maps the grid of the box [-1, 1]^d onto itself and its pair
+        # set onto itself: the same quotients, so the same sorted entries and
+        # the same tail profile, to the bit (as measured)
+        desc, grid = small_grids[key]
+        f = _random_input(desc, "real", np.random.default_rng(seed))
+        g = EuclideanSamples(desc.lip_domain, np.flip(f.values), desc.alpha)
+        vf, vg = grid.evaluate_all(f), grid.evaluate_all(g)
+        assert bitwise_equal(np.sort(vg), np.sort(vf))
+        assert bitwise_equal(tail_profile(grid, vg).tail_sups,
+                             tail_profile(grid, vf).tail_sups)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(set(_SMALL_SPACES) - {"weighted"})),
+           st.sampled_from(["real", "complex", "log_singular"]),
+           st.floats(-4.0, 4.0), st.integers(0, 2 ** 32 - 1))
+    def test_adding_a_constant(self, small_grids, key, kind, shift, seed):
+        # every space but weighted (where f(0) counts) acts modulo constants;
+        # the constant is drawn at the samples' own scale, since rounding
+        # f + shift loses bits of f in proportion to |shift|
+        desc, grid = small_grids[key]
+        f = _random_input(desc, kind, np.random.default_rng(seed))
+        if isinstance(f, TaylorFunction):
+            g = TaylorFunction(f.coeffs, f.value_fn, f.deriv_fn,
+                               const=f.const + shift, radius_cap=f.radius_cap)
+        elif isinstance(f, EuclideanSamples):
+            g = EuclideanSamples(desc.lip_domain, f.values + shift, desc.alpha)
+        else:
+            g = type(f)(f.values + shift)
+        assert _within_rounding(key, grid.evaluate_all(g), grid.evaluate_all(f))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_SMALL_SPACES)),
+           st.sampled_from(["real", "complex", "log_singular"]),
+           st.floats(0.1, 10.0), st.sampled_from([1.0, -1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_general_scaling(self, small_grids, key, kind, size, sign, seed):
+        # c f has |c| times every entry of f, for any real c
+        desc, grid = small_grids[key]
+        f = _random_input(desc, kind, np.random.default_rng(seed))
+        c = sign * size
+        assert _within_rounding(key, grid.evaluate_all(f * c),
+                                abs(c) * grid.evaluate_all(f))
 
 
 class TestMobiusInvariance:
