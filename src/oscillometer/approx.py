@@ -271,19 +271,7 @@ class AssumptionReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "member_norms": self.member_norms,
-            "input_norm": self.input_norm,
-            "x_distances": self.x_distances,
-            "verdict": "pass" if self.verdict else "fail",
-            "slack_used": self.slack_used,
-            "member_tails": self.member_tails,
-            "little_flags": self.little_flags,
-            "little_threshold": self.little_threshold,
-            "x_reference": self.x_reference,
-            "x_tolerance": self.x_tolerance,
-            "notes": self.notes,
-        }
+        return dict(vars(self), verdict="pass" if self.verdict else "fail")
 
 
 def ambient_distance(desc: SpaceDescriptor, f, g) -> float:
@@ -305,9 +293,9 @@ def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
     threshold = certification_threshold(input_norm)
     member_norms, member_tails, little_flags, x_distances = [], [], [], []
     for g in fam.members:
-        vals = grid.evaluate_all(g)
-        member_norms.append(float(np.max(vals)))
-        profile = tail_profile(grid, vals)
+        # every entry counts at level 0, so its tail sup is the seminorm
+        profile = tail_profile(grid, grid.evaluate_all(g))
+        member_norms.append(float(profile.tail_sups[0]))
         est, _ = limsup_estimate(profile)
         member_tails.append(est)
         little_flags.append(bool(est <= threshold))

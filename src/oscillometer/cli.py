@@ -3,11 +3,13 @@ reports.
 
     oscillometer <norm|distance|check> --config path.json [--out dir] [--seed n]
 
-Exit codes: 0 success, 2 configuration error, 4 failed check (a tail estimate
-breaking the grid triangle inequality signals an implementation bug, never a
-mathematical possibility), 3 numerical failure.  Reports are JSON with sorted
-keys, tail profiles additionally CSV; all writes go through a temp file and an
-atomic rename so failures never leave partial output.
+`norm` and `distance` run the task of their name, `check` the config's task.
+One table, `_TASKS`, gives each task its command, its block and its body.
+Exit codes: 0 success, 2 configuration error, 4 failed check (a tail
+estimate breaking the grid triangle inequality signals an implementation
+bug, never a mathematical possibility), 3 numerical failure.  Reports are
+JSON with sorted keys, tail profiles additionally CSV; all writes go through
+a temp file and an atomic rename so failures never leave partial output.
 """
 
 from __future__ import annotations
@@ -66,17 +68,12 @@ def _atomic_write(*files: tuple[str, str]) -> None:
         raise
 
 
-def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-# the keys a run configuration takes, and those of its ladder blocks
+# the keys a run configuration takes, and those of its optional blocks, each
+# read by one task (`_TASKS`)
 _RUN_KEYS = ("space", "function", "task", "family", "approximants", "phi",
              "tolerance", "slack", "x_tol_rel", "output", "seed")
-_LADDER_BLOCK_KEYS = ("kind", "ladder")
-# the one command or check task that reads each ladder or automorphism block
-_BLOCK_READERS = {"approximants": "distance", "family": "assumption-check",
-                  "phi": "invariance-check"}
+_BLOCK_KEYS = {"family": ("kind", "ladder"), "approximants": ("kind", "ladder"),
+               "phi": ("a", "lambda")}
 
 
 class RunConfig:
@@ -95,9 +92,8 @@ class RunConfig:
         self.desc = SpaceDescriptor.from_config(space_block)
         self.function_cfg = config_block(raw, "function")
         self.task = raw.get("task")
-        self.family_cfg = config_block(raw, "family", _LADDER_BLOCK_KEYS)
-        self.approximants_cfg = config_block(raw, "approximants", _LADDER_BLOCK_KEYS)
-        self.phi_cfg = config_block(raw, "phi", ("a", "lambda"))
+        self.blocks = {key: config_block(raw, key, keys)
+                       for key, keys in _BLOCK_KEYS.items()}
         self.tolerance = config_number(raw, "tolerance", 0.02)
         self.slack = config_number(raw, "slack", 1e-3)   # assumption-check only
         self.x_tol_rel = config_number(raw, "x_tol_rel", 1e-2)
@@ -107,9 +103,6 @@ class RunConfig:
         if os.path.abspath(self.report_path) == os.path.abspath(self.profile_path):
             raise ConfigError("output 'report' and 'profile' name the same file")
         self.seed = config_number(raw, "seed", seed, int)
-
-    def make_function(self):
-        return fn_registry.make_function(self.function_cfg, self.desc)
 
 
 def _output_path(out_dir: str, output: dict, key: str, default: str) -> str:
@@ -132,117 +125,100 @@ def _load_config(args) -> RunConfig:
     return RunConfig(raw, args.out, args.seed)
 
 
-def _check_task(cfg: RunConfig, expected: str) -> None:
-    if cfg.task is not None and cfg.task != expected:
-        raise ConfigError(f"config task '{cfg.task}' does not match "
-                          f"subcommand '{expected}'")
+def _norm(cfg: RunConfig):
+    f = fn_registry.make_function(cfg.function_cfg, cfg.desc)
+    return seminorm_sup(build_family(cfg.desc), f).to_dict(), True, None
 
 
-def _refuse_unread(cfg: RunConfig, reader: str) -> None:
-    """Refuse a ladder or automorphism block that `reader`, the running
-    command or check task, does not read: the run would otherwise go on
-    without it, as if it had been taken."""
-    given = {"approximants": cfg.approximants_cfg, "family": cfg.family_cfg,
-             "phi": cfg.phi_cfg}
-    for key, owner in _BLOCK_READERS.items():
-        if given[key] and owner != reader:
-            raise ConfigError(f"block '{key}' is read only by {owner}, "
-                              f"not by {reader}")
-
-
-def cmd_norm(cfg: RunConfig) -> int:
-    _check_task(cfg, "norm")
-    _refuse_unread(cfg, "norm")
-    f = cfg.make_function()
+def _distance(cfg: RunConfig):
+    f = fn_registry.make_function(cfg.function_cfg, cfg.desc)
     grid = build_family(cfg.desc)
-    report = seminorm_sup(grid, f)
-    payload = report.to_dict()
-    payload["space"] = cfg.desc.tag
-    payload["seed"] = cfg.seed
-    _atomic_write((cfg.report_path, _dump_json(payload)))
-    return EXIT_OK
-
-
-def cmd_distance(cfg: RunConfig) -> int:
-    _check_task(cfg, "distance")
-    _refuse_unread(cfg, "distance")
-    f = cfg.make_function()
-    grid = build_family(cfg.desc)
-    if cfg.approximants_cfg:
-        fam = approx.family_from_config(cfg.approximants_cfg, f)
-        ids = [f"{fam.kind}[{p}]" for p in fam.parameters]
-        report = dist_mod.sandwich_check(cfg.desc, f, fam.members, ids=ids,
-                                         grid=grid)
-        payload = report.to_dict()
-        profile = report.tail_profile
-        ok = report.sandwich_ok
-    else:
+    if not cfg.blocks["approximants"]:
         estimate, uncertainty, profile = dist_mod.distance_estimate(
             cfg.desc, f, grid=grid)
-        payload = {"limsup_estimate": estimate, "uncertainty": uncertainty,
-                   "tail_profile": profile.to_rows()}
-        ok = True
-    payload["space"] = cfg.desc.tag
-    payload["seed"] = cfg.seed
-    _atomic_write((cfg.report_path, _dump_json(payload)),
-                  (cfg.profile_path, profile.to_csv()))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        return ({"limsup_estimate": estimate, "uncertainty": uncertainty,
+                 "tail_profile": profile.to_rows()}, True, profile)
+    fam = approx.family_from_config(cfg.blocks["approximants"], f)
+    report = dist_mod.sandwich_check(cfg.desc, f, fam.members, grid=grid,
+                                     ids=[f"{fam.kind}[{p}]" for p in fam.parameters])
+    return report.to_dict(), report.sandwich_ok, report.tail_profile
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    if cfg.task == "assumption-check":
-        return _run_assumption(cfg)
-    if cfg.task == "invariance-check":
-        return _run_invariance(cfg)
-    raise ConfigError("check needs task 'assumption-check' or 'invariance-check'")
-
-
-def _run_assumption(cfg: RunConfig) -> int:
-    _refuse_unread(cfg, "assumption-check")
-    if not cfg.family_cfg:
-        raise ConfigError("assumption-check needs a 'family' block")
-    f = cfg.make_function()
-    fam = approx.family_from_config(cfg.family_cfg, f)
+def _assumption(cfg: RunConfig):
+    f = fn_registry.make_function(cfg.function_cfg, cfg.desc)
+    fam = approx.family_from_config(cfg.blocks["family"], f)
     report = approx.assumption_check(cfg.desc, f, fam, slack=cfg.slack,
                                      x_tol_rel=cfg.x_tol_rel)
-    payload = report.to_dict()
-    payload["space"] = cfg.desc.tag
-    payload["family"] = fam.kind
-    payload["parameters"] = [float(p) for p in fam.parameters]
-    payload["seed"] = cfg.seed
-    _atomic_write((cfg.report_path, _dump_json(payload)))
-    return EXIT_OK if report.verdict else EXIT_CHECK_FAILED
+    payload = dict(report.to_dict(), family=fam.kind,
+                   parameters=[float(p) for p in fam.parameters])
+    return payload, report.verdict, None
 
 
-def _run_invariance(cfg: RunConfig) -> int:
-    if cfg.desc.tag != "qk":
-        raise ConfigError("invariance-check runs on the invariant-integral space")
-    _refuse_unread(cfg, "invariance-check")
-    if not cfg.phi_cfg:
-        raise ConfigError("invariance-check needs a 'phi' block")
-    a = complex(*config_numbers(cfg.phi_cfg, "a", [0.0, 0.0], 2))
-    lam_re, lam_im = config_numbers(cfg.phi_cfg, "lambda", [1.0, 0.0], 2)
-    f = cfg.make_function()
+def _invariance(cfg: RunConfig):
+    a = complex(*config_numbers(cfg.blocks["phi"], "a", [0.0, 0.0], 2))
+    lam_re, lam_im = config_numbers(cfg.blocks["phi"], "lambda", [1.0, 0.0], 2)
+    f = fn_registry.make_function(cfg.function_cfg, cfg.desc)
+    # composing validates phi, before the grid is built or f evaluated on it
+    composed = compose_mobius(f, a, complex(lam_re, lam_im))
     grid = build_family(cfg.desc)
     # the composition has closed forms only, so f is read through its own
     # closed forms too: an exact polynomial would otherwise take the exact
     # Garsia entries and the check would measure the quadrature's error
     closed = TaylorFunction(None, value_fn=f.value, deriv_fn=f.deriv)
     base = seminorm_sup(grid, closed).value
-    composed = compose_mobius(f, a, complex(lam_re, lam_im))
     moved = seminorm_sup(grid, composed).value
     deviation = abs(moved - base) / base if base > 0 else abs(moved)
-    payload = {
-        "space": cfg.desc.tag,
-        "sup_original": base,
-        "sup_composed": moved,
-        "relative_deviation": deviation,
-        "tolerance": cfg.tolerance,
-        "phi": {"a": [a.real, a.imag], "lambda": [lam_re, lam_im]},
-        "seed": cfg.seed,
-    }
-    _atomic_write((cfg.report_path, _dump_json(payload)))
-    return EXIT_OK if deviation <= cfg.tolerance else EXIT_CHECK_FAILED
+    payload = {"sup_original": base, "sup_composed": moved,
+               "relative_deviation": deviation, "tolerance": cfg.tolerance,
+               "phi": {"a": [a.real, a.imag], "lambda": [lam_re, lam_im]}}
+    return payload, deviation <= cfg.tolerance, None
+
+
+# every task: the command it runs under, the one block it reads (None for
+# none) and its body, which returns the report's payload, whether the run
+# passed, and the tail profile written beside the report (None for none)
+_TASKS = {
+    "norm": ("norm", None, _norm),
+    "distance": ("distance", "approximants", _distance),
+    "assumption-check": ("check", "family", _assumption),
+    "invariance-check": ("check", "phi", _invariance),
+}
+
+
+def run(command: str, cfg: RunConfig) -> int:
+    """Run the config's task under `command`, write its report (and its tail
+    profile, if it has one) and return 0, or 4 when the check fails.
+
+    Refused first, in this order: a task the command does not run, an
+    invariance check off qk, a block the task does not read (the run would
+    otherwise go on without it, as if it had been taken), and a check task
+    without the block it reads."""
+    checks = [task for task, (under, _, _) in _TASKS.items() if under == "check"]
+    if command != "check":
+        if cfg.task not in (None, command):
+            raise ConfigError(f"config task '{cfg.task}' does not match "
+                              f"subcommand '{command}'")
+        task = command
+    elif cfg.task in checks:
+        task = cfg.task
+    else:
+        raise ConfigError(f"check needs task {' or '.join(map(repr, checks))}")
+    _, block, body = _TASKS[task]
+    if task == "invariance-check" and cfg.desc.tag != "qk":
+        raise ConfigError("invariance-check runs on the invariant-integral space")
+    for owner, (_, key, _) in _TASKS.items():
+        if key not in (None, block) and cfg.blocks[key]:
+            raise ConfigError(f"block '{key}' is read only by {owner}, "
+                              f"not by {task}")
+    if command == "check" and not cfg.blocks[block]:
+        raise ConfigError(f"{task} needs a '{block}' block")
+    payload, ok, profile = body(cfg)
+    payload.update(space=cfg.desc.tag, seed=cfg.seed)
+    files = [(cfg.report_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")]
+    if profile is not None:
+        files.append((cfg.profile_path, profile.to_csv()))
+    _atomic_write(*files)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
@@ -260,10 +236,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=0,
                        help="seed recorded in reports and used by randomized suites")
     args = parser.parse_args(argv)
-    handler = {"norm": cmd_norm, "distance": cmd_distance, "check": cmd_check}
     try:
-        cfg = _load_config(args)
-        return handler[args.command](cfg)
+        return run(args.command, _load_config(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

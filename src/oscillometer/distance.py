@@ -56,17 +56,10 @@ class DistanceReport:
     rejected: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "limsup_estimate": self.limsup_estimate,
-            "uncertainty": self.uncertainty,
-            "tail_profile": self.tail_profile.to_rows(),
-            "upper_bounds": [{"id": i, "value": v} for i, v in self.upper_bounds],
-            "best_upper": self.best_upper,
-            "sandwich_ok": self.sandwich_ok,
-            "seminorm": self.seminorm,
-            "rejected": [{"id": i, "tail": t, "threshold": thr}
-                         for i, t, thr in self.rejected],
-        }
+        return dict(vars(self), tail_profile=self.tail_profile.to_rows(),
+                    upper_bounds=[{"id": i, "value": v} for i, v in self.upper_bounds],
+                    rejected=[{"id": i, "tail": t, "threshold": thr}
+                              for i, t, thr in self.rejected])
 
 
 def sandwich_check(desc: SpaceDescriptor, f, approximants, ids=None,
@@ -84,10 +77,10 @@ def sandwich_check(desc: SpaceDescriptor, f, approximants, ids=None,
     up to sqrt(e): about sqrt(eps) of the function's scale (its seminorm).
     """
     grid = grid if grid is not None else build_family(desc)
-    values = grid.evaluate_all(f)
-    profile = tail_profile(grid, values)
+    # every entry counts at level 0, so its tail sup is the seminorm
+    profile = tail_profile(grid, grid.evaluate_all(f))
     estimate, uncertainty = limsup_estimate(profile)
-    f_norm = float(np.max(values))
+    f_norm = float(profile.tail_sups[0])
     threshold = certification_threshold(f_norm)
     if ids is None:
         ids = [f"g{i}" for i in range(len(approximants))]
@@ -96,14 +89,14 @@ def sandwich_check(desc: SpaceDescriptor, f, approximants, ids=None,
     upper_bounds, rejected = [], []
     ok = True
     for gid, g in sorted(zip(ids, approximants), key=lambda t: str(t[0])):
-        g_values = grid.evaluate_all(g)
-        g_est, _ = limsup_estimate(tail_profile(grid, g_values))
+        g_profile = tail_profile(grid, grid.evaluate_all(g))
+        g_est, _ = limsup_estimate(g_profile)
         if g_est > threshold:
             rejected.append((gid, g_est, threshold))
             continue
         diff_norm = float(np.max(grid.evaluate_all(f - g)))
         upper_bounds.append((gid, diff_norm))
-        rounding = 2.0 ** -26 * (f_norm + diff_norm + float(np.max(g_values)))
+        rounding = 2.0 ** -26 * (f_norm + diff_norm + float(g_profile.tail_sups[0]))
         ok = ok and estimate <= diff_norm + g_est + rounding
     best = min((ub for _, ub in upper_bounds), default=None)
     return DistanceReport(

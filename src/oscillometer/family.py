@@ -106,8 +106,7 @@ class SeminormReport:
     grid_size: int
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "argmax_param": _param_dict(self.argmax_param),
-                "grid_size": self.grid_size}
+        return dict(vars(self), argmax_param=_param_dict(self.argmax_param))
 
 
 def _param_dict(param: np.record) -> dict:

@@ -15,8 +15,10 @@ the assumption check on all six spaces at light resolutions, the qk
 invariance check, weighted on an annulus and a box, lip in 2-d and on
 strata, bmo at p = 1.5 and on every midpoint, ladders that reach past their
 resolution keys, configs refused for keys no reader takes, configs
-refused for blocks the command does not read, and an assumption check on a
-ladder too short for its verdict.
+refused for blocks the command does not read, an assumption check on a
+ladder too short for its verdict, and configs refused for the task they
+name or lack, for an invariance check off qk and for a centre outside the
+disc.
 """
 
 import contextlib
@@ -152,6 +154,18 @@ JOBS += [
     ("refused-two-member-ladder", "check",
      {"space": BLOCH, "function": builtin("monomial", degree=2),
       "task": "assumption-check", "family": ladder("dilation", 2)}, 2),
+    # tasks the command does not run, and automorphisms the check cannot use
+    ("refused-task-mismatch", "norm",
+     {"space": BLOCH, "function": builtin("log_singular"), "task": "distance"}, 2),
+    ("refused-check-without-task", "check",
+     {"space": BLOCH, "function": builtin("log_singular"),
+      "family": ladder("dilation", 4)}, 2),
+    ("refused-invariance-off-qk", "check",
+     {"space": BLOCH, "function": builtin("monomial", degree=2),
+      "task": "invariance-check", "phi": {"a": [0.3, 0.2], "lambda": [1.0, 0.0]}}, 2),
+    ("refused-centre-outside-disc", "check",
+     {"space": QK, "function": builtin("log_singular"),
+      "task": "invariance-check", "phi": {"a": [1.5, 0.0]}}, 2),
 ]
 
 

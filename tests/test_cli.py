@@ -629,6 +629,8 @@ def test_unknown_resolution_key_exit_code(tmp_path, space, key):
 
 PHI = {"a": [0.3, 0.2], "lambda": [1.0, 0.0]}
 DILATION4 = {"kind": "dilation", "ladder": {"levels": 4}}
+CHECK_TASKS = "check needs task 'assumption-check' or 'invariance-check'"
+NO_FAMILY = {key: v for key, v in BLOCH_ASSUMPTION.items() if key != "family"}
 
 
 @pytest.mark.parametrize("command, payload, key, owner, reader", [
@@ -642,6 +644,8 @@ DILATION4 = {"kind": "dilation", "ladder": {"levels": 4}}
      "assumption-check"),
     ("check", _with(QK_INVARIANCE, family=DILATION4), "family", "assumption-check",
      "invariance-check"),
+    # the unread block is named before the missing one
+    ("check", _with(NO_FAMILY, phi=PHI), "phi", "invariance-check", "assumption-check"),
 ])
 def test_unread_block_exit_code(tmp_path, command, payload, key, owner, reader):
     # a ladder or automorphism block the command or check task does not read
@@ -653,6 +657,64 @@ def test_unread_block_exit_code(tmp_path, command, payload, key, owner, reader):
     assert (f"configuration error: block '{key}' is read only by {owner}, "
             f"not by {reader}") in err.getvalue()
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("norm", _with(BLOCH_NORM, task="distance"),
+     "config task 'distance' does not match subcommand 'norm'"),
+    ("distance", _with(BLOCH_DISTANCE, task="assumption-check"),
+     "config task 'assumption-check' does not match subcommand 'distance'"),
+    ("check", BLOCH_NORM, CHECK_TASKS),
+    ("check", _with(BLOCH_NORM, task="norm"), CHECK_TASKS),
+    ("check", _with(BLOCH_NORM, task="invariance"), CHECK_TASKS),
+    # off qk, before the block the invariance check does not read
+    ("check", _with(QK_INVARIANCE, space=BLOCH_LIGHT, family=DILATION4),
+     "invariance-check runs on the invariant-integral space"),
+    ("check", NO_FAMILY, "assumption-check needs a 'family' block"),
+    ("check", _with(QK_INVARIANCE, phi={}), "invariance-check needs a 'phi' block"),
+], ids=["norm-task-mismatch", "distance-task-mismatch", "check-no-task",
+        "check-norm-task", "check-unknown-task", "invariance-off-qk-first",
+        "missing-family", "missing-phi"])
+def test_task_refusal_messages(tmp_path, command, payload, message):
+    # the refusals come in a fixed order, each before any function is made
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(tmp_path, command, payload)
+    assert code == 2
+    assert err.getvalue() == f"configuration error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [f"{command}.json"]
+
+
+@pytest.mark.parametrize("space", [
+    {"space": "qk"},
+    {"space": "qk", "resolution": {"shell_from": 2, "shell_to": 4, "extra_radii": [],
+                                   "angles": 8, "quad_nr": 8, "quad_ntheta": 16}},
+], ids=["default-grid", "grid-too-coarse"])
+def test_invariance_refuses_phi_before_evaluating_f(tmp_path, monkeypatch, space):
+    # a centre outside the disc is refused before the grid is built or f's
+    # derivative read anywhere: no grid entry is computed first, and a grid
+    # that could not be built is not the one named
+    from oscillometer import builtins as fn_registry
+    calls = []
+    make = fn_registry.make_function
+
+    def counting_make(cfg, desc):
+        f = make(cfg, desc)
+        deriv = f.deriv
+        f.deriv = lambda z: calls.append(1) or deriv(z)
+        return f
+
+    monkeypatch.setattr(fn_registry, "make_function", counting_make)
+    payload = _with(QK_INVARIANCE, space=space,
+                    function={"kind": "builtin", "name": "log_singular"},
+                    phi={"a": [1.5, 0]})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(tmp_path, "check", payload)
+    assert code == 2
+    assert err.getvalue() == ("configuration error: automorphism centre must lie "
+                              "inside the disc\n")
+    assert calls == []
 
 
 @pytest.mark.parametrize("domain", [

@@ -1131,6 +1131,18 @@ class TestHomogeneityProperty:
             assert np.all(np.diff(sups) <= 0)
 
 
+@pytest.mark.parametrize("key", sorted(_SMALL_SPACES))
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["real", "complex", "log_singular"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_level_zero_is_the_seminorm(small_grids, key, kind, seed):
+    # the ladder starts at the largest remoteness, so every entry counts at
+    # level 0: the seminorm readers take it from there, not from a max pass
+    desc, grid = small_grids[key]
+    values = grid.evaluate_all(_random_input(desc, kind, np.random.default_rng(seed)))
+    assert bitwise_equal(tail_profile(grid, values).tail_sups[:1], values.max(keepdims=True))
+
+
 def _within_rounding(key, got, want):
     """got equals want entry by entry to 1e-13 of the largest entry; rect_bmo
     to 1e-12, since it reads each entry from moments of windows as small as
