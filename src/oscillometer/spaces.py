@@ -696,7 +696,7 @@ def _build_weighted(desc: SpaceDescriptor):
 
 def lip_pair_indices(dom: BoxDomain, cap: int):
     """Flat-index pairs sampling the quotient family: all pairs when they fit
-    under the cap, otherwise dyadic-offset strata (see _strata_pairs).
+    under the cap, otherwise dyadic-offset strata (see _strata).
 
     Returns (ia, ib, dist) with dist the Euclidean node separations, step
     times the norm of each pair's integer offset: pairs of one offset have
@@ -704,34 +704,96 @@ def lip_pair_indices(dom: BoxDomain, cap: int):
     (differences of rounded coordinates scatter by a few ulps of the
     coordinates, enough to move a pair one level coarser).
     """
-    n_total = math.prod(dom.shape)
-    if n_total * (n_total - 1) // 2 <= cap:
+    if _stratified(dom, cap):
+        ia, ib, reach = _strata_pairs(dom, cap)
+    else:
+        n_total = math.prod(dom.shape)
         ia, ib = np.triu_indices(n_total, k=1)
         nodes = np.stack(np.unravel_index(np.arange(n_total), dom.shape), axis=1)
         offsets = nodes[ib]
         offsets -= nodes[ia]
         reach = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
-    else:
-        ia, ib, reach = _strata_pairs(dom, cap)
     return ia, ib, dom.step * reach
+
+
+def _stratified(dom: BoxDomain, cap: int) -> bool:
+    """Whether the grid has more node pairs than the cap takes."""
+    n_total = math.prod(dom.shape)
+    return n_total * (n_total - 1) // 2 > cap
 
 
 def _build_lip(desc: SpaceDescriptor):
     dom = desc.lip_domain
-    ia, ib, dist = lip_pair_indices(dom, desc.resolution["pair_cap"])
+    cap = desc.resolution["pair_cap"]
     coords = _grid_coords(dom)
+    if _stratified(dom, cap):
+        return _build_lip_strata(dom, cap, desc.alpha, coords)
+    # every pair: one gather of the pair indices.  Slicing per offset vector
+    # is slower here (2112 offsets on 33 x 33 nodes: 12-16 against 2.4-3.2 ms)
+    ia, ib, dist = lip_pair_indices(dom, cap)
     denom = dist ** desc.alpha
 
     def describe(idx: np.ndarray) -> np.recarray:
         return _records(x=coords[ia[idx]], y=coords[ib[idx]])
 
     def eval_all(f: EuclideanSamples) -> np.ndarray:
-        if not isinstance(f, EuclideanSamples) or f.domain.shape != dom.shape:
-            raise ConfigError("function does not match the family's box grid")
-        flat = f.values.ravel()
+        flat = _box_values(f, dom)
         return np.abs(flat[ia] - flat[ib]) / denom
 
     return describe, dist, eval_all
+
+
+def _build_lip_strata(dom: BoxDomain, cap: int, alpha: float, coords: np.ndarray):
+    """The strata family: each stratum's quotients come from strided views
+    of the samples (or, where its views would be many and small, from its
+    sources), divided by the stratum's one denominator."""
+    strata = _strata(dom, cap)
+    sizes = [st.size for st in strata]
+    n = sum(sizes)
+    dists = dom.step * np.array([st.reach for st in strata])
+    # one power per stratum, taken over an array as the per-pair powers
+    # were: a Python float's ** can differ from numpy's in the last bit
+    denoms = dists ** alpha
+    firsts = np.array([st.first for st in strata])
+    offs = np.array([st.off for st in strata])
+
+    def describe(idx: np.ndarray) -> np.recarray:
+        idx = np.asarray(idx, dtype=np.int64)
+        idx = idx + n * (idx < 0)
+        if np.any((idx < 0) | (idx >= n)):
+            raise IndexError(f"pair index out of range for {n} pairs")
+        which = np.searchsorted(firsts, idx, side="right") - 1
+        ia = np.empty(idx.shape, np.int64)
+        for k in np.unique(which):
+            at = which == k
+            ia[at] = strata[k].sources(idx[at] - firsts[k], dom.shape)
+        return _records(x=coords[ia], y=coords[ia + offs[which]])
+
+    def eval_all(f: EuclideanSamples) -> np.ndarray:
+        flat = _box_values(f, dom)
+        out = np.empty(n)
+        # the differences, then each stratum's over its denominator, then
+        # one abs: d > 0 and division rounds symmetrically, so this is
+        # |f(x) - f(x + off)| / d bit for bit
+        for st, d in zip(strata, denoms):
+            gap = 8 * st.off
+            for shape, at, strides, src, src_strides in st.views:
+                np.subtract(np.ndarray(shape, flat.dtype, flat, src, src_strides),
+                            np.ndarray(shape, flat.dtype, flat, src + gap, src_strides),
+                            out=np.ndarray(shape, out.dtype, out, at, strides))
+            at, src = st.gather
+            out[at] = flat[src] - flat[src + st.off]
+            out[st.first:st.first + st.size] /= d
+        return np.abs(out, out=out)
+
+    return describe, np.repeat(dists, sizes), eval_all
+
+
+def _box_values(f: EuclideanSamples, dom: BoxDomain) -> np.ndarray:
+    """f's samples in flat (C) order, refused unless on the family's grid."""
+    if not isinstance(f, EuclideanSamples) or f.domain.shape != dom.shape:
+        raise ConfigError("function does not match the family's box grid")
+    return f.values.ravel()
 
 
 def _grid_coords(dom: BoxDomain) -> np.ndarray:
@@ -740,7 +802,47 @@ def _grid_coords(dom: BoxDomain) -> np.ndarray:
                     axis=1)
 
 
-def _strata_pairs(dom: BoxDomain, cap: int):
+# a stratum whose strided views would hold fewer than this many picks each,
+# on average, is gathered through its sources instead: setting up a view
+# (about 4.5 us) costs about what gathering a thousand picks saves
+_MIN_VIEW_PICKS = 1024
+
+
+class _Stratum(NamedTuple):
+    """The pairs (x, x + off) of one dyadic offset, entries first ..
+    first + size - 1, in the flat order of x.
+
+    The main picks are every stride-th node of the sub-grid `sub` of the
+    sources (the nodes x with x + off on the grid), in C order.  The anchor
+    extras, with sources `extra_src`, sit among them at the stratum
+    positions `extra_at`.  `views` lays the main picks out as strided blocks
+    (shape, entry, entry strides, source, source strides), counted in
+    bytes of float64; `gather` is (entries, sources) of the rest: the
+    extras, or every entry when the stratum has no views."""
+
+    first: int
+    size: int
+    off: int
+    reach: float
+    stride: int
+    sub: tuple
+    extra_at: np.ndarray
+    extra_src: np.ndarray
+    views: tuple
+    gather: tuple
+
+    def sources(self, pos: np.ndarray, shape: tuple) -> np.ndarray:
+        """Flat indices of the sources x of the entries at stratum positions
+        pos, on the grid of the given shape."""
+        before = np.searchsorted(self.extra_at, pos)
+        extra = np.isin(pos, self.extra_at)
+        picks = np.where(extra, 0, pos - before)
+        src = np.ravel_multi_index(np.unravel_index(picks * self.stride, self.sub), shape)
+        src[extra] = self.extra_src[before[extra]]
+        return src
+
+
+def _strata(dom: BoxDomain, cap: int) -> tuple:
     """Dyadic-offset pair strata with per-stratum striding under the cap.
 
     Offsets are 2^j times each axis, then the diagonal (in 1-D the same
@@ -748,7 +850,7 @@ def _strata_pairs(dom: BoxDomain, cap: int):
     stride-th node x, in C order over the nodes with x + off on the grid,
     with x + off.  Every stratum keeps the pairs anchored at the node
     nearest the origin so cusp-type extremal quotients survive subsampling.
-    Returns (ia, ib, reach), reach the norm of each pair's integer offset.
+    Returns one `_Stratum` per offset, in entry order.
     """
     shape = np.array(dom.shape)
     units = dict.fromkeys([*map(tuple, np.eye(dom.ndim, dtype=np.int64)),
@@ -760,26 +862,92 @@ def _strata_pairs(dom: BoxDomain, cap: int):
     # on a tensor grid the first node nearest the origin is the first node
     # nearest 0 on each axis
     anchor = np.array([np.argmin(np.abs(axis)) for axis in dom.axes()])
-    ia_all, ib_all, sizes = [], [], []
+    strata, first = [], 0
     for off in offsets:
-        sub = tuple(shape - off)
+        sub = tuple(int(s) for s in shape - off)
         count = math.prod(sub)
         stride = max(1, int(math.ceil(count / budget)))
-        picked = np.ravel_multi_index(np.unravel_index(
-            np.arange(0, count, stride, dtype=np.int64), sub), dom.shape)
-        # the picks are sorted and unique; the anchor extras, ascending, go
-        # in at their sorted places unless already picked
+        picks = -(-count // stride)
+        # the anchor extras, ascending, go in at their sorted places unless
+        # already picked: ceil(pos / stride) picks come before sub-grid
+        # position pos, and each earlier extra moves it one place on
         extras = np.array([anchor - off, anchor])
         extras = extras[np.all((extras >= 0) & (extras < sub), axis=1)]
-        flat = np.ravel_multi_index(tuple(extras.T), dom.shape)
-        at = np.searchsorted(picked, flat)
-        new = picked[np.minimum(at, picked.size - 1)] != flat
-        sel = np.insert(picked, at[new], flat[new])
-        ia_all.append(sel)
-        ib_all.append(sel + np.ravel_multi_index(tuple(off), dom.shape))
-        sizes.append(sel.size)
-    reach = np.repeat(np.sqrt([off @ off for off in offsets]), sizes)
-    return np.concatenate(ia_all), np.concatenate(ib_all), reach
+        pos = np.ravel_multi_index(tuple(extras.T), sub)
+        new = pos % stride != 0
+        at = -(-pos[new] // stride)
+        extra_at = at + np.arange(at.size)
+        extra_src = np.ravel_multi_index(tuple(extras[new].T), dom.shape)
+        views = _pick_views(first, sub, dom.shape[-1], stride, at.tolist())
+        size = picks + at.size
+        st = _Stratum(first, size, int(np.ravel_multi_index(tuple(off), dom.shape)),
+                      float(np.sqrt(off @ off)), stride, sub, extra_at, extra_src,
+                      views, (first + extra_at, extra_src))
+        if len(views) * _MIN_VIEW_PICKS > picks:
+            st = st._replace(views=(), gather=(slice(first, first + size),
+                                               st.sources(np.arange(size), dom.shape)))
+        strata.append(st)
+        first += size
+    return tuple(strata)
+
+
+def _pick_views(first: int, sub: tuple, n1: int, stride: int, at: list) -> tuple:
+    """The `views` of the stratum from entry `first` (see _Stratum): its
+    main picks, sub-grid positions 0, stride, 2 stride, ... in C order on a
+    grid of rows of n1 nodes, as strided blocks, each entry moved on by the
+    extras inserted before picks `at`.
+
+    A sub-grid row r's first pick sits at column (-r s1) mod stride, s1 the
+    sub-grid row length, so rows equal mod P = stride / gcd(stride, s1) start
+    at one column: each such class of rows is one block, its rows P apart in
+    the samples and s1 / gcd(stride, s1) picks apart in the entries.
+    """
+    s1 = sub[-1]
+    rows = math.prod(sub[:-1])
+    period = stride // math.gcd(stride, s1)
+    step = s1 // math.gcd(stride, s1)
+    # a block: (first pick, rows, picks a row, first source, source row
+    # step); its rows lie `step` picks apart, its picks `stride` nodes apart
+    blocks = [((r * s1 + c) // stride, -(-(rows - r) // period), -(-(s1 - c) // stride),
+               r * n1 + c, period * n1)
+              for r, c in ((r, -r * s1 % stride) for r in range(min(period, rows)))
+              if c < s1]
+    # split the blocks at each extra's place: the picks from `a` on move one
+    # entry further on for every extra before them
+    parts = [(b, 0) for b in blocks]
+    for a in at:
+        parts = [(part, shift + moved) for b, shift in parts
+                 for part, moved in _split(b, step, stride, a)]
+    return tuple(((nr, nc), 8 * (first + k + shift), (8 * step, 8), 8 * src,
+                  (8 * rs, 8 * stride))
+                 for (k, nr, nc, src, rs), shift in parts)
+
+
+def _split(block: tuple, step: int, stride: int, a: int) -> list:
+    """A block's non-empty parts as (part, 0) before pick a and (part, 1)
+    from pick a on.  Only the last row that starts before a can hold picks
+    on both sides of it."""
+    k, rows, cols, src, rs = block
+    q = min(max(-(-(a - k) // step), 0), rows)
+    j = min(a - k - (q - 1) * step, cols) if q else cols
+
+    def part(q0, q1, c0, c1, moved):
+        return ((k + q0 * step + c0, q1 - q0, c1 - c0, src + q0 * rs + c0 * stride, rs),
+                moved)
+
+    parts = [part(0, q - 1, 0, cols, 0), part(q - 1, q, 0, j, 0),
+             part(q - 1, q, j, cols, 1), part(q, rows, 0, cols, 1)] if q else [(block, 1)]
+    return [(p, moved) for p, moved in parts if p[1] > 0 and p[2] > 0]
+
+
+def _strata_pairs(dom: BoxDomain, cap: int):
+    """The strata's pairs spelled out: (ia, ib, reach), reach the norm of
+    each pair's integer offset."""
+    strata = _strata(dom, cap)
+    sizes = [st.size for st in strata]
+    ia = np.concatenate([st.sources(np.arange(st.size), dom.shape) for st in strata])
+    ib = ia + np.repeat([st.off for st in strata], sizes)
+    return ia, ib, np.repeat([st.reach for st in strata], sizes)
 
 
 def _build_rect(desc: SpaceDescriptor):

@@ -13,7 +13,7 @@ exit code is not the one listed for it here.
 The jobs are norm, distance, distance with approximants (the sandwich) and
 the assumption check on all six spaces at light resolutions, the qk
 invariance check, weighted on an annulus and a box, lip in 2-d and on
-strata, bmo at p = 1.5 and on every midpoint, ladders that reach past their
+strata in 1-d and 2-d, bmo at p = 1.5 and on every midpoint, ladders that reach past their
 resolution keys, configs refused for keys no reader takes, configs
 refused for blocks the command does not read, an assumption check on a
 ladder too short for its verdict, and configs refused for the task they
@@ -101,6 +101,17 @@ JOBS += [
     ("lip-strata", "distance",
      {"space": dict(LIP, domain={"lo": [-1], "hi": [1], "step": 0.001},
                     resolution={"pair_cap": 100000}),
+      "function": builtin("holder_cusp")}, 0),
+    # 2-d strata: under a cap of 20000 the 21 offsets of [-1, 1]^2 at step
+    # 1/32 stride by 1-5 and, their views being small, are gathered from
+    # their sources; at step 1/128 under the default cap they stride by 1-2
+    # and 24 of the 27 are read as strided views
+    ("lip-2d-strata", "distance",
+     {"space": dict(LIP, domain={"lo": [-1, -1], "hi": [1, 1], "step": 0.03125},
+                    resolution={"pair_cap": 20000}),
+      "function": builtin("holder_cusp")}, 0),
+    ("lip-2d-strata-views", "distance",
+     {"space": dict(LIP, domain={"lo": [-1, -1], "hi": [1, 1], "step": 0.0078125}),
       "function": builtin("holder_cusp")}, 0),
     ("bmo-p1.5", "distance",
      {"space": dict(BMO, p=1.5), "function": builtin("triangle")}, 0),

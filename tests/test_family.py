@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from oscillometer.errors import ConfigError, NumericalError
 from oscillometer.family import (OperatorFamilyGrid, TailProfile, limsup_estimate,
                                  seminorm_sup, tail_profile)
-from oscillometer.funcrep import TWO_PI, PeriodicSamples, QuadratureRule, mobius_apply
+from oscillometer.funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
+                                  QuadratureRule, mobius_apply)
 from oscillometer.spaces import (SpaceDescriptor, _disc_radii, build_family,
                                  kernel_from_config)
 from oscillometer.builtins import log_singular, step_half_values, taylor_builtin
@@ -268,4 +269,22 @@ def test_bmo_sorted_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 131072 * 8
+
+
+def test_lip_strata_memory_bounded():
+    # each stratum is read as strided views of the samples straight into the
+    # output vector: besides it, an evaluation allocates only the family's
+    # finiteness and sign masks, an eighth of it each and one at a time
+    # (1.125 measured; a gather through per-pair index vectors peaks at 2.0)
+    dom = BoxDomain([-1.0], [1.0], 1e-5)
+    grid = build_family(SpaceDescriptor("lip", alpha=0.5, lip_domain=dom))
+    f = EuclideanSamples(dom, np.abs(dom.axes()[0]) ** 0.5, 0.5)
+    grid.evaluate_all(f)
+    tracemalloc.start()
+    try:
+        grid.evaluate_all(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * len(grid)
 

@@ -14,10 +14,11 @@ from oscillometer.funcrep import (TWO_PI, BoxDomain, EuclideanSamples,
                                   TaylorFunction, TorusSamples,
                                   _window_layout, _window_means)
 from oscillometer.spaces import (_SORTED_MIN_SPACING, KKernel, SpaceDescriptor,
-                                 _arc_layout, _direct_osc, _disc_radii,
-                                 _rect_values, _strata_pairs, build_family,
-                                 compose_mobius, kernel_from_config,
-                                 lip_pair_indices, weight_from_config)
+                                 _arc_layout, _build_lip_strata, _direct_osc,
+                                 _disc_radii, _grid_coords, _rect_values,
+                                 _strata_pairs, build_family, compose_mobius,
+                                 kernel_from_config, lip_pair_indices,
+                                 weight_from_config)
 from oscillometer.family import OperatorFamilyGrid, seminorm_sup, tail_profile
 from oscillometer import spaces as spaces_module
 from oscillometer.builtins import (circle_builtin, lacunary, log_singular,
@@ -985,6 +986,35 @@ class TestStrataPairsProperty:
         assert bitwise_equal(reach, np.sqrt(np.sum(offsets ** 2, axis=0)))
 
 
+class TestStrataEvaluationProperty:
+    # the strata family reads each stratum as strided views of the samples,
+    # or, where its views would be many and small, gathers it from its
+    # sources; each way must give the pair-list quotients bit for bit
+    @pytest.mark.parametrize("min_view_picks", [1, 2 ** 62], ids=["views", "gathered"])
+    @settings(max_examples=80, deadline=None)
+    @given(case=strata_grids(), alpha=st.sampled_from([0.5, 1.0]) | st.floats(0.01, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_pair_gather(self, min_view_picks, case, alpha, seed):
+        dom, cap = case
+        coords = _grid_coords(dom)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces_module, "_MIN_VIEW_PICKS", min_view_picks)
+            describe, dist, eval_all = _build_lip_strata(dom, cap, alpha, coords)
+        ia, ib, reach = _strata_pairs(dom, cap)
+        assert bitwise_equal(dist, dom.step * reach)
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=dom.shape)
+        flat = values.ravel()
+        want = np.abs(flat[ia] - flat[ib]) / (dom.step * reach) ** alpha
+        assert bitwise_equal(eval_all(EuclideanSamples(dom, values, 0.5)), want)
+        for idx in (np.arange(ia.size), rng.integers(-ia.size, ia.size, 9)):
+            got = describe(idx)
+            assert bitwise_equal(got.x, coords[ia[idx]])
+            assert bitwise_equal(got.y, coords[ib[idx]])
+        with pytest.raises(IndexError):
+            describe(np.array([ia.size]))
+
+
 class TestHomogeneity:
     CASES = {
         "bmo_circle": lambda: (SpaceDescriptor(
@@ -1083,6 +1113,30 @@ class TestDescribe:
         params = fam.params
         assert all(type(p) is tuple and type(p[0]) is complex for p in params)
         assert bitwise_equal(np.array([p[0] for p in params]), nodes)
+
+
+# lip grids with more pairs than their cap: the strata branch of the builder
+_STRATA_SPACES = {
+    "lip_1d_strata": SpaceDescriptor("lip", alpha=0.5, resolution={"pair_cap": 1000},
+                                     lip_domain=BoxDomain([-1.0], [1.0], 0.02)),
+    "lip_2d_strata": SpaceDescriptor("lip", alpha=0.5, resolution={"pair_cap": 20000},
+                                     lip_domain=BoxDomain([-1.0, -1.0], [1.0, 1.0], 0.0625)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_SMALL_SPACES) + sorted(_STRATA_SPACES))
+def test_evaluator_closure_cells_are_bound(small_grids, key):
+    # whatever branch built it, every name the evaluator closes over is
+    # bound: reading the cells (as the benchmark's array count does) must not
+    # raise "Cell is empty"
+    desc, grid = small_grids.get(key) or (_STRATA_SPACES[key],
+                                          build_family(_STRATA_SPACES[key]))
+    if desc.tag == "lip":
+        # the small lip grids take every pair, the strata grids fewer
+        nodes = math.prod(desc.lip_domain.shape)
+        assert (len(grid) == nodes * (nodes - 1) // 2) == (key in _SMALL_SPACES)
+    for cell in grid._eval_all.__closure__ or ():
+        cell.cell_contents
 
 
 def _random_input(desc, kind: str, rng):
