@@ -804,7 +804,8 @@ def _grid_coords(dom: BoxDomain) -> np.ndarray:
 
 # a stratum whose strided views would hold fewer than this many picks each,
 # on average, is gathered through its sources instead: setting up a view
-# (about 4.5 us) costs about what gathering a thousand picks saves
+# (about 4.5 us) costs about what slicing a thousand picks instead of
+# gathering them saves
 _MIN_VIEW_PICKS = 1024
 
 
