@@ -293,15 +293,17 @@ class TaylorFunction:
             coeffs = np.zeros(n, dtype=complex)
             coeffs[:self.coeffs.size] = self.coeffs
             coeffs[:other.coeffs.size] -= other.coeffs
+        cap = min(self.radius_cap, other.radius_cap)
         if ((self.has_closed_form or other.has_closed_form)
                 and self.evaluable_on_disc and other.evaluable_on_disc):
-            # route through the methods so exact polynomials mix with closed forms
+            # route through the methods so exact polynomials mix with closed
+            # forms; the difference of two exact polynomials stays exact
             vf = lambda z, a=self, b=other: a.value(z) - b.value(z)
             df = lambda z, a=self, b=other: a.deriv(z) - b.deriv(z)
-            return TaylorFunction(coeffs, vf, df,
-                                  const=self.const - other.const, radius_cap=1.0)
-        return TaylorFunction(coeffs, const=self.const - other.const,
-                              radius_cap=min(self.radius_cap, other.radius_cap))
+            exact = coeffs is not None and cap == np.inf
+            return TaylorFunction(coeffs, vf, df, const=self.const - other.const,
+                                  radius_cap=np.inf if exact else 1.0)
+        return TaylorFunction(coeffs, const=self.const - other.const, radius_cap=cap)
 
 
 # ---------------------------------------------------------------------------

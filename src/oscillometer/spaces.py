@@ -552,14 +552,18 @@ _DISC_KEYS = "'uniform_radii' and 'shells' radii x 'angles'"
 
 def _build_bloch(desc: SpaceDescriptor):
     res = desc.resolution
+    n_ang = res["angles"]
     radii = _disc_radii(res["uniform_radii"], res["shells"])
-    w = _disc_nodes(radii, res["angles"], _DISC_KEYS)
+    w = _disc_nodes(radii, n_ang, _DISC_KEYS)
     modulus = np.abs(w)
     weight = 1.0 - modulus ** 2
 
     def eval_all(f: TaylorFunction) -> np.ndarray:
         if not isinstance(f, TaylorFunction):
             raise ConfigError("the analytic family needs a TaylorFunction")
+        if _folds(f, n_ang):
+            slopes = np.arange(1, f.coeffs.size + 1) * f.coeffs    # f' = sum k a_k z^(k-1)
+            return weight * np.abs(_ring_fold(slopes, radii, n_ang))
         return weight * np.abs(f.deriv(w))
 
     return (lambda idx: _records(w=w[idx])), 1.0 - modulus, eval_all
@@ -572,6 +576,56 @@ def _disc_nodes(radii: np.ndarray, n_ang: int, keys: str) -> np.ndarray:
     rest = radii[radii > 0]
     pts.append((rest[:, None] * np.exp(1j * angles)[None, :]).ravel())
     return np.concatenate(pts)
+
+
+# an input with closed forms as well as exact coefficients folds up to this
+# many whole turns: the fold costs a pass over the grid per turn, lacunary's
+# closed forms one squaring per doubling of the degree, and they cross at 8
+# turns on 64 angles, 16 on 128 and 32 on 512 (measured on bloch grids)
+_CLOSED_FORM_TURNS = 8
+
+
+def _folds(f: TaylorFunction, n_ang: int) -> bool:
+    """Whether bloch or weighted rings of n_ang angles read f by `_ring_fold`:
+    exact coefficients (trusted radius inf), at least log2(n_ang) of them
+    (Horner's rule keeps fewer), and no closed forms cheaper than the fold."""
+    if f.coeffs is None or not np.isinf(f.radius_cap) or f.coeffs.size < math.log2(n_ang):
+        return False
+    return not f.has_closed_form or f.coeffs.size <= _CLOSED_FORM_TURNS * n_ang
+
+
+def _ring_fold(series: np.ndarray, radii: np.ndarray, n_ang: int) -> np.ndarray:
+    """The power series sum_j s_j z^j of each row of `series` at every node of
+    `_disc_nodes(radii, n_ang)`, radii in [0, 1].  On the ring
+    z = rho e^{2 pi i m / n_ang}, term j = q n_ang + r folds into slot r with
+    weight rho^(q n_ang) rho^r: Horner's rule in rho^n_ang sums the whole
+    turns q (a BLAS product stalled 16 ms a call on its threads), and one
+    unnormalised inverse FFT per ring reads the ring off.  The powers rho^r
+    are taken per call, one turn's worth at most, so a grid that never folds
+    pays nothing for them, and none past the first exact 0 (as in
+    `approx._powers`: an underflowing pow costs ten normal ones).  A centre
+    (radius 0) holds s_0 at every angle; the output starts at the last."""
+    lead, size = series.shape[:-1], series.shape[-1]
+    slots = np.arange(float(min(size, n_ang)))
+    with np.errstate(divide="ignore"):
+        stop = 2.0 + 1075.0 / np.abs(np.log2(radii))
+    ring = np.power(radii[:, None], slots, out=np.zeros((radii.size, slots.size)),
+                    where=slots < stop[:, None])
+    if size <= n_ang:
+        folded = series[..., None, :] * ring
+    else:
+        turns = -(-size // n_ang)
+        whole = np.zeros(lead + (turns, 1, n_ang), complex)
+        whole.reshape(lead + (-1,))[..., :size] = series
+        step = radii[:, None] ** float(n_ang)
+        folded = whole[..., -1, :, :] * step
+        for q in range(turns - 2, 0, -1):
+            folded += whole[..., q, :, :]
+            folded *= step
+        folded += whole[..., 0, :, :]
+        folded *= ring
+    flat = np.fft.ifft(folded, n_ang, norm="forward").reshape(lead + (-1,))
+    return flat[..., n_ang - 1:] if radii[0] == 0.0 else flat
 
 
 def _build_qk(desc: SpaceDescriptor):
@@ -614,29 +668,18 @@ def _build_qk(desc: SpaceDescriptor):
                 k += 1
         return out
 
-    ring_powers = radii[:, None] ** np.arange(n_ang)
-
     def littlewood_paley(coeffs: np.ndarray) -> np.ndarray:
         """Every entry of the exact polynomial sum_k a_k z^k under K(t) = t,
         where the local integral is (pi/2) (P[|f|^2](a) - |f(a)|^2): P the
         Poisson extension of |f|^2 = sum_m l_m e^{im theta} + conj, with the
         lags l_m = sum_k a_{k+m} conj(a_k) from one FFT long enough not to
-        wrap.  On a ring a = rho e^{2 pi i j / angles} each sum folds modulo
-        the angle count, term q angles + r into slot r with weight
-        rho^(q angles) rho^r, and one inverse FFT per ring reads it off."""
+        wrap.  Both sums, sum_m l_m a^m and f(a), are read on the centres'
+        rings by `_ring_fold`."""
         a = np.concatenate([[0.0], coeffs])     # constants do not count
         spectrum = np.fft.fft(a, 1 << (2 * a.size - 1).bit_length())
-        # the lags and the coefficients, zero-padded to whole turns
-        turns = -(-a.size // n_ang)
-        series = np.zeros((2, turns * n_ang), dtype=complex)
-        series[0, :a.size] = np.fft.ifft(np.abs(spectrum) ** 2)[:a.size]
-        series[1, :a.size] = a
-        folded = (radii[:, None] ** (n_ang * np.arange(turns))
-                  @ series.reshape(2, turns, n_ang))
-        lag_sum, value = np.fft.ifft(folded * ring_powers) * n_ang
-        local = 2.0 * lag_sum.real - series[0, 0].real - np.abs(value) ** 2
-        return 0.5 * np.pi * np.concatenate(
-            [ring[:rots.size] for ring, (_, _, rots) in zip(local, rows)])
+        lags = np.fft.ifft(np.abs(spectrum) ** 2)[:a.size]
+        lag_sum, value = _ring_fold(np.stack([lags, a]), radii, n_ang)
+        return 0.5 * np.pi * (2.0 * lag_sum.real - lags[0].real - np.abs(value) ** 2)
 
     # with K(t) = t (the default kernel) the space is BMOA, and an exact
     # polynomial's entries are Garsia's closed form; every other input takes
@@ -663,9 +706,10 @@ def _build_weighted(desc: SpaceDescriptor):
     res = desc.resolution
     v = desc.weight
     kind = v.domain["kind"]
+    n_ang = res["angles"]
     if kind == "disc":
         radii = _disc_radii(res["uniform_radii"], res["shells"])
-        z = _disc_nodes(radii, res["angles"], _DISC_KEYS)
+        z = _disc_nodes(radii, n_ang, _DISC_KEYS)
     elif kind == "annulus":
         r0, r1 = v.domain["r0"], v.domain["r1"]
         gap = (r1 - r0) / 2.0
@@ -674,8 +718,9 @@ def _build_weighted(desc: SpaceDescriptor):
         offs = (1.0 - _disc_radii(res["uniform_radii"], res["shells"])) * gap
         offs = offs[offs < gap]
         radii = np.unique(np.concatenate([r0 + offs, r1 - offs, [r0 + gap]]))
-        z = _disc_nodes(radii, res["angles"], _DISC_KEYS)
+        z = _disc_nodes(radii, n_ang, _DISC_KEYS)
     else:
+        radii = None
         m = res["box_nodes"]
         _check_size(m * m, "'box_nodes' squared")
         x = np.linspace(v.domain["x0"], v.domain["x1"], m + 2)[1:-1]
@@ -685,10 +730,16 @@ def _build_weighted(desc: SpaceDescriptor):
     if np.any(vv <= 0):
         raise ConfigError("weight must be strictly positive on the grid")
     remoteness = v.boundary_remoteness(z)
+    # rings within |z| <= 1 may fold; past it the powers of the radii
+    # overflow, and inf times a zero coefficient is NaN
+    rings = radii is not None and radii[-1] <= 1.0
 
     def eval_all(f: TaylorFunction) -> np.ndarray:
         if not isinstance(f, TaylorFunction):
             raise ConfigError("the weighted family needs a TaylorFunction")
+        if rings and _folds(f, n_ang):
+            series = np.concatenate([[f.const], f.coeffs])
+            return vv * np.abs(_ring_fold(series, radii, n_ang))
         return vv * np.abs(f.value(z))
 
     return (lambda idx: _records(z=z[idx])), remoteness, eval_all

@@ -13,8 +13,10 @@ exit code is not the one listed for it here.
 The jobs are norm, distance, distance with approximants (the sandwich) and
 the assumption check on all six spaces at light resolutions, the qk
 invariance check, weighted on an annulus and a box, lip in 2-d and on
-strata in 1-d and 2-d, bmo at p = 1.5 and on every midpoint, ladders that reach past their
-resolution keys, configs refused for keys no reader takes, configs
+strata in 1-d and 2-d, a bloch lacunary sandwich and a degree-16 weighted
+norm (both read through the ring fold), bmo at p = 1.5 and on every
+midpoint, ladders that reach past their resolution keys, configs refused
+for keys no reader takes, configs
 refused for blocks the command does not read, an assumption check on a
 ladder too short for its verdict, and configs refused for the task they
 name or lack, for an invariance check off qk and for a centre outside the
@@ -113,6 +115,17 @@ JOBS += [
     ("lip-2d-strata-views", "distance",
      {"space": dict(LIP, domain={"lo": [-1, -1], "hi": [1, 1], "step": 0.0078125}),
       "function": builtin("holder_cusp")}, 0),
+    # exact polynomials the bloch and weighted rings read through the ring
+    # fold: lacunary (1024 coefficients, and closed forms) with its dilation
+    # members and their differences, and a degree-16 polynomial
+    ("bloch-lacunary-sandwich", "distance",
+     {"space": BLOCH, "function": builtin("lacunary"),
+      "approximants": ladder("dilation", 5)}, 0),
+    ("weighted-taylor-16", "norm",
+     {"space": WEIGHTED, "function": {"kind": "taylor", "coeffs": [
+         [1, 0], [0.5, -0.5], [0, 0.25], [-0.75, 0], [0.25, 0.25], [0, -0.5],
+         [0.125, 0], [0.5, 0.5], [-0.25, 0], [0, 0.125], [0.375, -0.25],
+         [0, 0], [-0.125, 0.5], [0.25, 0], [0, -0.25], [0.5, 0.125]]}}, 0),
     ("bmo-p1.5", "distance",
      {"space": dict(BMO, p=1.5), "function": builtin("triangle")}, 0),
     ("bmo-all-midpoints", "distance",

@@ -251,6 +251,24 @@ class TestTaylorFunction:
         assert d.value(z) == pytest.approx(-np.log(1 - z) - 0.5 * z)
         assert d.deriv(z) == pytest.approx(1 / (1 - z) - 0.5)
 
+    def test_difference_of_exact_polynomials_with_closed_forms_stays_exact(self):
+        # lacunary and its dilations hold complete coefficients and closed
+        # forms: their difference keeps both, and trusts the coefficients
+        # everywhere, so the ring grids may read it exactly
+        f = lacunary() * 1.5
+        g = dilate(f, 0.75)
+        d = f - g
+        assert d.has_closed_form and d.radius_cap == np.inf
+        z = np.array([0.3 + 0.2j, -0.6j])
+        assert np.array_equal(d.deriv(z), f.deriv(z) - g.deriv(z))
+        assert np.array_equal(d.coeffs, f.coeffs - g.coeffs)
+
+    def test_difference_with_a_truncated_series_keeps_cap_one(self):
+        # log_singular's coefficients are truncated: the difference is
+        # trusted on the disc through its closed forms only
+        d = log_singular() - TaylorFunction.polynomial([0.5, 0.25])
+        assert d.has_closed_form and d.radius_cap == 1.0
+
     def test_difference_of_polynomials_stays_coefficient_only(self):
         rng = np.random.default_rng(11)
         p = TaylorFunction.polynomial(rng.normal(size=12) + 1j * rng.normal(size=12),
