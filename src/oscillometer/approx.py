@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import certification_threshold
+from .distance import certification_threshold, distance_estimate
 from .errors import (EXPONENT_CAP, LENGTH_CAP, ConfigError, config_block,
                      config_number)
-from .family import limsup_estimate, tail_profile
+from .family import tail_profile
 from .funcrep import (EuclideanSamples, PeriodicSamples, TaylorFunction,
                       TorusSamples, x_norm)
 from .spaces import SpaceDescriptor, build_family
@@ -131,7 +131,9 @@ def _smooth_axis(values: np.ndarray, axis: int, t: float,
     v = np.moveaxis(values, axis, -1)
     n = v.shape[-1]
     x = step * np.arange(n)
-    w = math.tanh(math.pi * t / step) * t * step / (math.pi * (t * t + x * x))
+    # t * t and t * step underflow on a tiny box: 0/0, refused by the profile
+    with np.errstate(invalid="ignore"):
+        w = math.tanh(math.pi * t / step) * t * step / (math.pi * (t * t + x * x))
     size = 1 << (2 * n - 2).bit_length()       # 2^ceil(log2(2n - 1))
     kernel = np.zeros(size)
     kernel[:n] = w
@@ -289,14 +291,13 @@ def assumption_check(desc: SpaceDescriptor, f, fam: ApproxFamily,
                           f"got {len(fam.members)}")
     if grid is None:
         grid = build_family(desc)
-    input_norm = float(np.max(grid.evaluate_all(f)))
+    # every entry counts at level 0, so its tail sup is the seminorm
+    input_norm = float(tail_profile(grid, grid.evaluate_all(f)).tail_sups[0])
     threshold = certification_threshold(input_norm)
     member_norms, member_tails, little_flags, x_distances = [], [], [], []
     for g in fam.members:
-        # every entry counts at level 0, so its tail sup is the seminorm
-        profile = tail_profile(grid, grid.evaluate_all(g))
+        est, _, profile = distance_estimate(desc, g, grid)
         member_norms.append(float(profile.tail_sups[0]))
-        est, _ = limsup_estimate(profile)
         member_tails.append(est)
         little_flags.append(bool(est <= threshold))
         x_distances.append(ambient_distance(desc, f, g))

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .errors import ConfigError
 from .family import (OperatorFamilyGrid, TailProfile, limsup_estimate,
                      tail_profile)
@@ -36,8 +34,7 @@ def distance_estimate(desc: SpaceDescriptor, f,
     Returns (estimate, uncertainty, profile).
     """
     grid = grid if grid is not None else build_family(desc)
-    values = grid.evaluate_all(f)
-    profile = tail_profile(grid, values)
+    profile = tail_profile(grid, grid.evaluate_all(f))
     estimate, uncertainty = limsup_estimate(profile)
     return estimate, uncertainty, profile
 
@@ -77,9 +74,8 @@ def sandwich_check(desc: SpaceDescriptor, f, approximants, ids=None,
     up to sqrt(e): about sqrt(eps) of the function's scale (its seminorm).
     """
     grid = grid if grid is not None else build_family(desc)
+    estimate, uncertainty, profile = distance_estimate(desc, f, grid)
     # every entry counts at level 0, so its tail sup is the seminorm
-    profile = tail_profile(grid, grid.evaluate_all(f))
-    estimate, uncertainty = limsup_estimate(profile)
     f_norm = float(profile.tail_sups[0])
     threshold = certification_threshold(f_norm)
     if ids is None:
@@ -89,12 +85,11 @@ def sandwich_check(desc: SpaceDescriptor, f, approximants, ids=None,
     upper_bounds, rejected = [], []
     ok = True
     for gid, g in sorted(zip(ids, approximants), key=lambda t: str(t[0])):
-        g_profile = tail_profile(grid, grid.evaluate_all(g))
-        g_est, _ = limsup_estimate(g_profile)
+        g_est, _, g_profile = distance_estimate(desc, g, grid)
         if g_est > threshold:
             rejected.append((gid, g_est, threshold))
             continue
-        diff_norm = float(np.max(grid.evaluate_all(f - g)))
+        diff_norm = float(tail_profile(grid, grid.evaluate_all(f - g)).tail_sups[0])
         upper_bounds.append((gid, diff_norm))
         rounding = 2.0 ** -26 * (f_norm + diff_norm + float(g_profile.tail_sups[0]))
         ok = ok and estimate <= diff_norm + g_est + rounding

@@ -19,8 +19,8 @@ class NumericalError(RuntimeError):
 # 1), 24 for lacunary's top_exp (2**top_exp coefficients)
 COUNT_CAP, EXPONENT_CAP, TOP_EXP_CAP = 2 ** 24, 53, 24
 # the largest magnitude taken for a length or a coordinate (box corners and
-# step, a smoothing scale): its square and cube stay far inside the float
-# range, so the kernels and distances built from it stay finite
+# step, a smoothing scale): its square and cube stay inside the float range.
+# A tiny step or scale can still make an entry non-finite (exit 3, see family)
 LENGTH_CAP = 2.0 ** 64
 
 

@@ -8,6 +8,8 @@ rho <= t for a shrinking dyadic ladder of scales t, and its last level is the
 reported limit estimate.  Each grid derives its ladder from its own
 remoteness when it is built, the halvings of the largest rho down to the
 smallest, and with it the level at which every entry enters the profile.
+The readers `seminorm_sup` and `tail_profile` refuse a non-finite value; no
+evaluator can give a negative one (each ends in abs or sqrt(max(., 0))).
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ class OperatorFamilyGrid:
     entries are exposed as parallel arrays: `describe(idx)` returns the
     parameters of entries idx as an `np.recarray`, `remoteness[i]` is entry
     i's scale, and `evaluate_all(f)` returns the vector of per-entry values
-    ||L_i f||; `remoteness` is held under the sample objects' ownership rule
-    (`funcrep._owned`).  `default_scales` is the grid's dyadic tail ladder,
-    read-only: t0 2^-k for k = 0..K, from t0 = max rho down to the last
-    halving not below min rho.
+    ||L_i f||, checked for its shape only; `remoteness` is held under the
+    sample objects' ownership rule (`funcrep._owned`).  `default_scales` is
+    the grid's dyadic tail ladder, read-only: t0 2^-k for k = 0..K, from
+    t0 = max rho down to the last halving not below min rho.
     """
 
     def __init__(self, space_tag: str,
@@ -89,10 +91,6 @@ class OperatorFamilyGrid:
         vals = np.asarray(self._eval_all(f), dtype=float)
         if vals.shape != (len(self),):
             raise NumericalError("family evaluation returned a malformed vector")
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError("family evaluation produced non-finite values")
-        if np.any(vals < 0):
-            raise NumericalError("family evaluation produced negative values")
         return vals
 
 
@@ -160,7 +158,9 @@ def seminorm_sup(fam: OperatorFamilyGrid, f) -> SeminormReport:
     Ties resolve to the first entry in grid order.
     """
     vals = fam.evaluate_all(f)
-    idx = int(np.argmax(vals))
+    idx = int(np.argmax(vals))      # the first NaN if any, else the first inf
+    if not np.isfinite(vals[idx]):
+        raise NumericalError("family evaluation produced non-finite values")
     return SeminormReport(float(vals[idx]), fam.describe(np.array([idx]))[0],
                           len(fam))
 
@@ -169,9 +169,12 @@ def tail_profile(fam: OperatorFamilyGrid, values: np.ndarray) -> TailProfile:
     """Tail suprema over the grid's dyadic ladder of the value vector
     `fam.evaluate_all(f)`."""
     scales = fam.default_scales
+    # a NaN or inf carries into its run's max: refused there, before .at warns
+    runs = np.maximum.reduceat(values, fam._run_starts)
+    if not np.all(np.isfinite(runs)):
+        raise NumericalError("family evaluation produced non-finite values")
     maxima = np.full(scales.size + 1, -np.inf)
-    np.maximum.at(maxima, fam._run_levels,
-                  np.maximum.reduceat(values, fam._run_starts))
+    np.maximum.at(maxima, fam._run_levels, runs)
     # an entry counts at its finest level and every coarser one: a running
     # max from the finest level outward (max is order-free, so exact)
     sups = np.maximum.accumulate(maxima[:0:-1])[::-1]

@@ -34,8 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (COUNT_CAP, EXPONENT_CAP, LENGTH_CAP, ConfigError,
-                     NumericalError, check_keys, config_block, config_number,
-                     config_numbers)
+                     check_keys, config_block, config_number, config_numbers)
 from .family import OperatorFamilyGrid
 from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
                       QuadratureRule, TaylorFunction, TorusSamples,
@@ -695,8 +694,7 @@ def _build_qk(desc: SpaceDescriptor):
             vals = littlewood_paley(f.coeffs)
         else:
             vals = pointwise(f)
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError("singular node")
+        # a NaN stays NaN through max(., 0), and the profile refuses it
         return np.sqrt(np.maximum(vals, 0.0))
 
     return (lambda idx: _records(a=centres[idx])), 1.0 - np.abs(centres), eval_all
@@ -789,7 +787,8 @@ def _build_lip(desc: SpaceDescriptor):
 
     def eval_all(f: EuclideanSamples) -> np.ndarray:
         flat = _box_values(f, dom)
-        return np.abs(flat[ia] - flat[ib]) / denom
+        with np.errstate(over="ignore"):    # inf, refused by the profile
+            return np.abs(flat[ia] - flat[ib]) / denom
 
     return describe, dist, eval_all
 
@@ -834,7 +833,8 @@ def _build_lip_strata(dom: BoxDomain, cap: int, alpha: float, coords: np.ndarray
                             out=np.ndarray(shape, out.dtype, out, at, strides))
             at, src = st.gather
             out[at] = flat[src] - flat[src + st.off]
-            out[st.first:st.first + st.size] /= d
+            with np.errstate(over="ignore"):    # inf, refused by the profile
+                out[st.first:st.first + st.size] /= d
         return np.abs(out, out=out)
 
     return describe, np.repeat(dists, sizes), eval_all

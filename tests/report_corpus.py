@@ -12,15 +12,14 @@ exit code is not the one listed for it here.
 
 The jobs are norm, distance, distance with approximants (the sandwich) and
 the assumption check on all six spaces at light resolutions, the qk
-invariance check, weighted on an annulus and a box, lip in 2-d and on
-strata in 1-d and 2-d, a bloch lacunary sandwich and a degree-16 weighted
-norm (both read through the ring fold), bmo at p = 1.5 and on every
-midpoint, ladders that reach past their resolution keys, configs refused
-for keys no reader takes, configs
-refused for blocks the command does not read, an assumption check on a
-ladder too short for its verdict, and configs refused for the task they
-name or lack, for an invariance check off qk and for a centre outside the
-disc.
+invariance check, weighted on an annulus and a box, lip in 2-d, on strata
+in 1-d and 2-d and with entries past the float range (exit 3), a bloch
+lacunary sandwich and a degree-16 weighted norm (both read through the ring
+fold), bmo at p = 1.5 and on every midpoint, ladders that reach past their
+resolution keys, configs refused for keys no reader takes, configs refused
+for blocks the command does not read, an assumption check on a ladder too
+short for its verdict, and configs refused for the task they name or lack,
+for an invariance check off qk and for a centre outside the disc.
 """
 
 import contextlib
@@ -115,6 +114,11 @@ JOBS += [
     ("lip-2d-strata-views", "distance",
      {"space": dict(LIP, domain={"lo": [-1, -1], "hi": [1, 1], "step": 0.0078125}),
       "function": builtin("holder_cusp")}, 0),
+    # a jump of 2**64 over one step of 1e-302: the quotient is past the float
+    # range, and the profile refuses it
+    ("lip-nonfinite", "norm",
+     {"space": dict(LIP, alpha=1.0, domain={"lo": [0], "hi": [1e-300], "step": 1e-302}),
+      "function": {"kind": "samples", "values": [0, 2 ** 64] + [0] * 99}}, 3),
     # exact polynomials the bloch and weighted rings read through the ring
     # fold: lacunary (1024 coefficients, and closed forms) with its dilation
     # members and their differences, and a degree-16 polynomial

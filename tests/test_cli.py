@@ -437,6 +437,17 @@ LIP_DEFAULTS = {"space": {"space": "lip"},
 SMALL_BMO = {"space": "bmo_circle", "p": 1,
              "resolution": {"n_samples": 1024, "midpoints": 32,
                             "min_len_exp": 1, "max_len_exp": 7}}
+# numerical failures on a box 1e-300 wide at step 1e-302: a jump of 2**64
+# over one step is a quotient past the float range, and a smoothing scale of
+# 1e-301 squares to 0, so its weights are 0/0
+TINY_BOX = {"space": "lip", "alpha": 1.0,
+            "domain": {"lo": [0], "hi": [1e-300], "step": 1e-302}}
+TINY_BOX_JUMP = {"space": TINY_BOX,
+                 "function": {"kind": "samples", "values": [0, 2 ** 64] + [0] * 99}}
+TINY_BOX_SMOOTHING = {"space": dict(TINY_BOX, alpha=0.5),
+                      "function": {"kind": "samples", "values": [0, 1] + [0] * 99},
+                      "task": "assumption-check",
+                      "family": {"kind": "lip_smooth", "ladder": {"t0": 1e-301}}}
 BMO_STEP = {"space": SMALL_BMO, "function": {"kind": "builtin", "name": "step_half"}}
 SMALL_RECT = {"space": "rect_bmo",
               "resolution": {"n_samples": 128, "midpoints": 16,
@@ -556,6 +567,11 @@ def mutated_configs(draw):
 @example(("distance", _with(BLOCH_DISTANCE, phi={"a": [0.3, 0.2]})))
 @example(("check", _with(LIP_SMOOTH_CHECK, approximants={"kind": "lip_smooth"})))
 @example(("check", _with(LIP_SMOOTH_CHECK, phi={"a": [0.3, 0.2]})))
+# non-finite entries, on all pairs and on strata, and non-finite smoothing
+# members: exit 3, with no numpy warning on the way
+@example(("norm", TINY_BOX_JUMP))
+@example(("norm", _with(TINY_BOX_JUMP, **{"space.resolution": {"pair_cap": 1000}})))
+@example(("check", TINY_BOX_SMOOTHING))
 def test_exit_code_contract(job):
     # exit 0 success, 2 configuration, 3 numerical, 4 failed check: never a
     # traceback or a warning, never the grid's own shape check (no input may

@@ -1200,10 +1200,17 @@ class TestHomogeneityProperty:
        seed=st.integers(0, 2 ** 32 - 1))
 def test_level_zero_is_the_seminorm(small_grids, key, kind, seed):
     # the ladder starts at the largest remoteness, so every entry counts at
-    # level 0: the seminorm readers take it from there, not from a max pass
+    # level 0: the seminorm readers take it from there, not from a max pass.
+    # No reader checks signs: every kernel ends in abs or sqrt(max(., 0)), so
+    # no entry is negative, and seminorm_sup's argmax is the vector's max
     desc, grid = small_grids[key]
-    values = grid.evaluate_all(_random_input(desc, kind, np.random.default_rng(seed)))
+    f = _random_input(desc, kind, np.random.default_rng(seed))
+    values = grid.evaluate_all(f)
+    assert values.min() >= 0
     assert bitwise_equal(tail_profile(grid, values).tail_sups[:1], values.max(keepdims=True))
+    rep = seminorm_sup(grid, f)
+    assert bitwise_equal(np.array([rep.value]), values.max(keepdims=True))
+    assert rep.argmax_param.tobytes() == grid.describe(np.array([np.argmax(values)])).tobytes()
 
 
 def _within_rounding(key, got, want):
