@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (COUNT_CAP, LENGTH_CAP, TOP_EXP_CAP, ConfigError,
                      check_keys, config_number, is_number)
 from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
-                      TaylorFunction, TorusSamples)
+                      TaylorFunction, TorusSamples, _frozen)
 from .spaces import SpaceDescriptor
 
 
@@ -161,11 +161,11 @@ def torus_builtin(name: str, n: int, /, **params) -> TorusSamples:
     if name == "step_tensor":
         _takes(params, name)
         g = step_half_values(n)
-        return TorusSamples(np.outer(g, g))
+        return TorusSamples(_frozen(np.outer(g, g)))
     if name == "triangle_tensor":
         _takes(params, name)
         g = triangle_values(n)
-        return TorusSamples(np.outer(g, g))
+        return TorusSamples(_frozen(np.outer(g, g)))
     if name == "one_variable":
         _takes(params, name, "profile")
         g = circle_builtin(params.get("profile", "step_half"), n).values
@@ -173,7 +173,7 @@ def torus_builtin(name: str, n: int, /, **params) -> TorusSamples:
     if name == "additive":
         _takes(params, name, "profile")
         g = circle_builtin(params.get("profile", "step_half"), n).values
-        return TorusSamples(g[:, None] + g[None, :])
+        return TorusSamples(_frozen(g[:, None] + g[None, :]))
     raise ConfigError(f"unknown torus builtin '{name}'")
 
 

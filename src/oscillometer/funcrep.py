@@ -49,6 +49,13 @@ def _owned(values, dtype) -> np.ndarray:
     return values
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """A fresh result that nothing else holds, made read-only so that
+    `_owned` adopts it instead of copying it."""
+    values.setflags(write=False)
+    return values
+
+
 def _held_samples(values) -> np.ndarray:
     """The storage rule for circle and torus samples: float64 when every
     imaginary part is exactly 0, else complex128, held by `_owned`.  The
@@ -69,7 +76,7 @@ class _Samples:
         return type(self)(values)
 
     def scaled(self, c) -> "_Samples":
-        return self._like(self.values * c)
+        return self._like(_frozen(self.values * c))
 
     def __mul__(self, c) -> "_Samples":
         return self.scaled(c)
@@ -77,10 +84,10 @@ class _Samples:
     __rmul__ = __mul__
 
     def __add__(self, other: "_Samples") -> "_Samples":
-        return self._like(self.values + self._same_grid(other).values)
+        return self._like(_frozen(self.values + self._same_grid(other).values))
 
     def __sub__(self, other: "_Samples") -> "_Samples":
-        return self._like(self.values - self._same_grid(other).values)
+        return self._like(_frozen(self.values - self._same_grid(other).values))
 
     def _same_grid(self, other) -> "_Samples":
         if not isinstance(other, type(self)) or other.values.shape != self.values.shape:
@@ -145,20 +152,39 @@ def _window_means(values: np.ndarray, arcs: _WindowLayout, axis: int) -> np.ndar
     """Trapezoid means of `values` over the periodic arcs laid out in `arcs`
     along `axis`, one per arc, with the arc axis first.
 
-    Prefix sums are formed only at the arcs' end nodes: one reduceat gives
-    the sums between consecutive nodes, their running total the prefix.  With
-    q_k = prefix(node_k) + v[node_k] / 2 an arc's trapezoid sum is
-    q[end] - q[start], plus the row total when the arc wraps past node 0.
+    Prefix sums are formed only at the arcs' end nodes: `_node_sums` gives
+    the sums between consecutive nodes and the values at them,
+    `_node_prefix` the prefix and `_arc_means` each arc's mean.
     """
-    segments = np.moveaxis(np.add.reduceat(values, arcs.nodes, axis=axis), axis, 0)
-    q = np.empty(segments.shape, dtype=segments.dtype)
+    return _arc_means(_node_prefix(*_node_sums(values, arcs.nodes, axis)), arcs)
+
+
+def _node_sums(values: np.ndarray, nodes: np.ndarray,
+               axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of `values` along `axis` between consecutive `nodes`, the
+    last running to the end of the axis (one reduceat), and its values at
+    the nodes, node axis first."""
+    return (np.moveaxis(np.add.reduceat(values, nodes, axis=axis), axis, 0),
+            np.moveaxis(np.take(values, nodes, axis=axis), axis, 0))
+
+
+def _node_prefix(segments: np.ndarray, at_nodes: np.ndarray) -> np.ndarray:
+    """q_k = prefix(node_k) + v[node_k] / 2 at every node k from the
+    `_node_sums` of an axis, with the axis total appended as a last row."""
+    q = np.empty((len(segments) + 1,) + segments.shape[1:], dtype=segments.dtype)
     q[0] = 0
-    np.cumsum(segments[:-1], axis=0, out=q[1:])
-    total = q[-1] + segments[-1]
-    q += np.moveaxis(np.take(values, arcs.nodes, axis=axis), axis, 0) / 2
-    sums = q[arcs.end_at] - q[arcs.start_at]
-    sums[arcs.wraps] += total
-    return sums / arcs.ncells.reshape((-1,) + (1,) * (sums.ndim - 1))
+    np.cumsum(segments, axis=0, out=q[1:])
+    q[:-1] += at_nodes / 2
+    return q
+
+
+def _arc_means(q: np.ndarray, arcs: _WindowLayout, sel=slice(None)) -> np.ndarray:
+    """Trapezoid means of the arcs `sel` of the layout from its `_node_prefix`:
+    an arc's sum is q[end] - q[start], plus the axis total when it wraps past
+    node 0."""
+    sums = q[arcs.end_at[sel]] - q[arcs.start_at[sel]]
+    sums[arcs.wraps[sel]] += q[-1]
+    return sums / arcs.ncells[sel].reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +401,7 @@ class EuclideanSamples(_Samples):
         return EuclideanSamples(self.domain, values, self.alpha)
 
     def scaled(self, c) -> "EuclideanSamples":
-        return self._like(self.values * float(c))
+        return self._like(_frozen(self.values * float(c)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from .errors import (COUNT_CAP, EXPONENT_CAP, LENGTH_CAP, ConfigError,
 from .family import OperatorFamilyGrid
 from .funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicSamples,
                       QuadratureRule, TaylorFunction, TorusSamples,
-                      _window_layout, _window_means, disk_quadrature,
-                      mobius_apply)
+                      _arc_means, _node_prefix, _node_sums, _window_layout,
+                      _window_means, disk_quadrature, mobius_apply)
 
 # ---------------------------------------------------------------------------
 # kernels and weights
@@ -277,7 +277,17 @@ def compose_mobius(f: TaylorFunction, a: complex, lam: complex = 1.0) -> TaylorF
 # rectangular oscillation
 # ---------------------------------------------------------------------------
 
-def _rect_values(F: TorusSamples, arcs_i, arcs_j) -> np.ndarray:
+# about this many values of the torus are centred and reduced at a time
+_RECT_BLOCK = 1 << 16
+
+
+def _joined(parts: list) -> np.ndarray:
+    """Per-block pieces joined along their first axis; one piece is taken as
+    it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _rect_values(F: TorusSamples, arcs_i, arcs_j, block: int = _RECT_BLOCK) -> np.ndarray:
     """Rectangular oscillations of F over each arc pair I x J, with the I
     arcs (zeta) and J arcs (lambda) given by their `_window_layout`s, J-major
     order: the square root of the I x J mean of |F - F_J(zeta) - F_I(lambda)
@@ -289,20 +299,51 @@ def _rect_values(F: TorusSamples, arcs_i, arcs_j) -> np.ndarray:
     identically.  Every pair comes from four moments of I x J means:
     q^2 = E|F|^2 - E_I |F_J|^2 - E_J |F_I|^2 + |F_IxJ|^2, where F_J(zeta)
     and F_I(lambda) are the one-variable means.
+
+    One pass reads the torus in blocks of whole zeta-segments (the rows
+    between consecutive I-arc end nodes): each block is centred into one
+    buffer, its J means A and U are taken, and F, A, U and |A|^2 are
+    reduced per segment (`_node_sums`).  These are the pieces of the tables
+    `_window_means` reduces over the whole torus, so the I means come out
+    bit for bit, whatever `block` is, and one block is the whole-torus
+    sequence.  No n x n temporary is formed: F_I(lambda) is formed a
+    block's worth of I arcs at a time.
     """
     vals = F.values
+    n = vals.shape[0]
     rowm = vals.mean(axis=1, keepdims=True)
     colm = vals.mean(axis=0, keepdims=True)
-    F = (vals - rowm) - (colm - colm.mean())
-    A = _window_means(F, arcs_j, axis=1)                  # F_J per zeta
-    U = _window_means(np.abs(F) ** 2, arcs_j, axis=1)     # J-mean of |F|^2
-    B = _window_means(F, arcs_i, axis=0)                  # F_I per lambda
-    c = _window_means(A, arcs_i, axis=1)                  # F_IxJ
-    m_sq = _window_means(U, arcs_i, axis=1)               # E_{IxJ} |F|^2
-    e_a = _window_means(np.abs(A) ** 2, arcs_i, axis=1)   # E_I |F_J|^2
-    e_b = _window_means(np.abs(B) ** 2, arcs_j, axis=1)   # E_J |F_I|^2
-    q2 = m_sq.T - e_a.T - e_b + np.abs(c.T) ** 2
-    return np.sqrt(np.maximum(q2, 0.0)).ravel()
+    colm = colm - colm.mean()
+    nodes = arcs_i.nodes
+    rows = max(1, block // n)
+    # a block holds the segments whose first rows lie in one span of `rows`
+    cuts = [0, *(np.flatnonzero(np.diff(nodes // rows)) + 1), nodes.size]
+    ends = np.append(nodes, n)
+    buf = np.empty((max(np.diff(ends[cuts])), n), vals.dtype)
+    sums = [[], [], [], []]         # per block: the node sums of F, A, U, |A|^2
+    for k0, k1 in zip(cuts[:-1], cuts[1:]):
+        r0, r1 = ends[k0], ends[k1]
+        at = nodes[k0:k1] - r0
+        Fb = np.subtract(vals[r0:r1], rowm[r0:r1], out=buf[:r1 - r0])
+        Fb -= colm
+        A = _window_means(Fb, arcs_j, axis=1)                  # F_J per zeta
+        U = _window_means(np.abs(Fb) ** 2, arcs_j, axis=1)     # J-mean of |F|^2
+        for got, x, axis in zip(sums, (Fb, A, U, np.abs(A) ** 2), (0, 1, 1, 1)):
+            got.append(_node_sums(x, at, axis))
+    del buf, Fb, A, U
+    # each quantity's pieces are joined into its prefix, then let go
+    q_f, q_a, q_u, q_e = (_node_prefix(*map(_joined, zip(*sums.pop(0))))
+                          for _ in range(4))
+    # E_{IxJ} |F|^2 - E_I |F_J|^2 - E_J |F_I|^2 + |F_IxJ|^2, J-major
+    q2 = np.subtract(_arc_means(q_u, arcs_i).T, _arc_means(q_e, arcs_i).T, order="C")
+    del q_u, q_e
+    # E_J |F_I|^2, from `rows` I arcs (a block's size) at a time
+    for lo in range(0, arcs_i.ncells.size, rows):
+        B = _arc_means(q_f, arcs_i, slice(lo, lo + rows))      # F_I per lambda
+        q2[:, lo:lo + rows] -= _window_means(np.abs(B) ** 2, arcs_j, axis=1)
+    del q_f, B
+    q2 += np.abs(_arc_means(q_a, arcs_i).T) ** 2
+    return np.sqrt(np.maximum(q2, 0.0, out=q2), out=q2).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,17 @@ lacunary sandwich and a degree-16 weighted norm (both read through the ring
 fold), bmo at p = 1.5 and on every midpoint, ladders that reach past their
 resolution keys, configs refused for keys no reader takes, configs refused
 for blocks the command does not read, an assumption check on a ladder too
-short for its verdict, and configs refused for the task they name or lack,
-for an invariance check off qk and for a centre outside the disc.
+short for its verdict, configs refused for the task they name or lack,
+for an invariance check off qk and for a centre outside the disc, and
+rect_bmo at default resolution (its torus read in 16 blocks) and on seeded
+complex samples.
 """
 
 import contextlib
 import io
 import json
 import os
+import random
 import sys
 
 BMO = {"space": "bmo_circle", "p": 1,
@@ -43,6 +46,10 @@ RECT = {"space": "rect_bmo",
         "resolution": {"n_samples": 128, "midpoints": 16, "min_len_exp": 1,
                        "max_len_exp": 6}}
 ANNULUS = {"kind": "annulus", "r0": 0.25, "r1": 0.75}
+# [re, im] pairs on the 128 x 128 torus of RECT, from a fixed seed
+_rng = random.Random(0)
+RECT_SAMPLES = [[[round(_rng.uniform(-1, 1), 3) for _ in range(2)] for _ in range(128)]
+                for _ in range(128)]
 BOX = {"kind": "box", "x0": -0.5, "x1": 0.5, "y0": -0.5, "y1": 0.5}
 
 
@@ -194,6 +201,12 @@ JOBS += [
     ("refused-centre-outside-disc", "check",
      {"space": QK, "function": builtin("log_singular"),
       "task": "invariance-check", "phi": {"a": [1.5, 0.0]}}, 2),
+    # rect_bmo's blocked pass: 16 blocks of real samples at the default
+    # n = 1024, and complex samples in one block
+    ("rect-default", "distance",
+     {"space": {"space": "rect_bmo"}, "function": builtin("step_tensor")}, 0),
+    ("rect-samples", "distance",
+     {"space": RECT, "function": {"kind": "samples", "values": RECT_SAMPLES}}, 0),
 ]
 
 

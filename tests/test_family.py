@@ -14,7 +14,8 @@ from oscillometer.funcrep import (TWO_PI, BoxDomain, EuclideanSamples, PeriodicS
                                   QuadratureRule, mobius_apply)
 from oscillometer.spaces import (SpaceDescriptor, _disc_radii, build_family,
                                  kernel_from_config)
-from oscillometer.builtins import log_singular, step_half_values, taylor_builtin
+from oscillometer.builtins import (log_singular, step_half_values, taylor_builtin,
+                                   torus_builtin)
 
 
 def profile_of(grid, f):
@@ -306,6 +307,26 @@ def test_bmo_sorted_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 131072 * 8
+
+
+@pytest.mark.parametrize("scale, bound_mib", [(1.0, 7.5), (1 + 1j, 12.5)],
+                         ids=["real", "complex"])
+def test_rect_memory_bounded(scale, bound_mib):
+    # the torus is read in blocks of about 2**16 values (16 at n = 1024), so
+    # an evaluation holds the per-segment tables, the count^2 moments and
+    # one block, never an n x n temporary: under one 16 MiB complex input
+    # (6.62 and 11.28 MiB measured, bounds 13% and 11% above; the
+    # whole-torus form read 27.1 and 41.6 MiB)
+    grid = build_family(SpaceDescriptor("rect_bmo"))
+    f = torus_builtin("step_tensor", 1024) * scale
+    grid.evaluate_all(f)
+    tracemalloc.start()
+    try:
+        grid.evaluate_all(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20 < 1024 ** 2 * 16
 
 
 def test_lip_strata_memory_bounded():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,8 @@ from oscillometer.funcrep import (BoxDomain, EuclideanSamples,
                                   TaylorFunction, TorusSamples, _window_layout,
                                   _window_means, disk_quadrature, mobius_apply,
                                   x_norm)
-from oscillometer.builtins import lacunary, log_singular, step_half_values
+from oscillometer.builtins import (lacunary, log_singular, step_half_values,
+                                   torus_builtin)
 from oscillometer.family import OperatorFamilyGrid
 from oscillometer.spaces import SpaceDescriptor, weight_from_config
 from oracles import Arc, horner, snap_arc
@@ -112,6 +115,55 @@ def test_holders_adopt_read_only_owned_arrays(holder):
     assert make(frozen) is frozen
     # a read-only view is still copied: its base may be written elsewhere
     assert make(frozen[:]) is not frozen
+
+
+def _operands(kind):
+    """Two sample objects of one kind on a 2**16-node grid."""
+    rng = np.random.default_rng(12)
+    if kind == "box":
+        dom = BoxDomain([0.0, 0.0], [1.0, 1.0], 1.0 / 255)
+        return [EuclideanSamples(dom, rng.normal(size=dom.shape), 0.5) for _ in range(2)]
+    cls, shape = (PeriodicSamples, (2 ** 16,)) if kind == "circle" else (TorusSamples, (256, 256))
+    unit = 1j if kind == "torus_complex" else 0.0
+    return [cls(rng.normal(size=shape) + unit * rng.normal(size=shape)) for _ in range(2)]
+
+
+def _peak_of(make):
+    """What `make` returns and the traced peak of making it."""
+    tracemalloc.start()
+    try:
+        made = make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return made, peak
+
+
+_ARITHMETIC = {"scaled": lambda f, g: f.scaled(3.0), "rmul": lambda f, g: 3.0 * f,
+               "add": lambda f, g: f + g, "sub": lambda f, g: f - g}
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus", "torus_complex", "box"])
+@pytest.mark.parametrize("op", sorted(_ARITHMETIC))
+def test_arithmetic_results_are_adopted(op, kind):
+    # the result array is fresh and nothing else holds it: the new object
+    # takes it read-only, with no second copy
+    f, g = _operands(kind)
+    h, peak = _peak_of(lambda: _ARITHMETIC[op](f, g))
+    assert type(h) is type(f) and h.values.dtype == f.values.dtype
+    assert h.values.flags.owndata and not h.values.flags.writeable
+    assert not np.shares_memory(h.values, f.values)
+    assert not np.shares_memory(h.values, g.values)
+    assert peak <= 1.0625 * h.values.nbytes
+
+
+@pytest.mark.parametrize("name", ["step_tensor", "triangle_tensor", "additive"])
+def test_torus_builtins_are_adopted(name):
+    # at the default n = 1024: the product's own ufunc buffers (128 KiB)
+    # stay under the margin there
+    f, peak = _peak_of(lambda: torus_builtin(name, 1024))
+    assert f.values.flags.owndata and not f.values.flags.writeable
+    assert peak <= 1.0625 * f.values.nbytes
 
 
 def snapped_means(f, arcs):

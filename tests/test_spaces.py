@@ -791,6 +791,20 @@ class TestFamilyKernels:
         assert np.all(np.abs(got ** 2 - np.array(want)) <= tol)
 
 
+@settings(max_examples=40, deadline=None)
+@given(torus_arc_pairs())
+def test_rect_values_independent_of_block(case):
+    # a block of 1 value holds one zeta-segment (it is smaller than any), a
+    # quarter of the torus holds the segments that start in a quarter of its
+    # rows, and 2**16 values hold the whole torus of at most 64 x 64
+    values, arcs_i, arcs_j = case
+    n = values.shape[0]
+    layouts = [_window_layout(*np.array(arcs).T, n) for arcs in (arcs_i, arcs_j)]
+    results = [_rect_values(TorusSamples(values), *layouts, block=block)
+               for block in (1, n * n // 4, 2 ** 16)]
+    assert all(bitwise_equal(got, results[0]) for got in results[1:])
+
+
 @pytest.mark.parametrize("p", [1.0, 2.5])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_direct_osc_independent_of_chunk(p, real):
@@ -1133,13 +1147,18 @@ _STRATA_SPACES = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(_SMALL_SPACES) + sorted(_STRATA_SPACES))
+# the default rect_bmo grid reads its torus in 16 blocks
+_BLOCKED_SPACES = {"rect_bmo_default": SpaceDescriptor("rect_bmo")}
+
+
+@pytest.mark.parametrize("key", sorted(_SMALL_SPACES) + sorted(_STRATA_SPACES)
+                         + sorted(_BLOCKED_SPACES))
 def test_evaluator_closure_cells_are_bound(small_grids, key):
     # whatever branch built it, every name the evaluator closes over is
     # bound: reading the cells (as the benchmark's array count does) must not
     # raise "Cell is empty"
-    desc, grid = small_grids.get(key) or (_STRATA_SPACES[key],
-                                          build_family(_STRATA_SPACES[key]))
+    desc = {**_STRATA_SPACES, **_BLOCKED_SPACES}.get(key)
+    desc, grid = small_grids.get(key) or (desc, build_family(desc))
     if desc.tag == "lip":
         # the small lip grids take every pair, the strata grids fewer
         nodes = math.prod(desc.lip_domain.shape)
