@@ -50,34 +50,38 @@ class OperatorFamilyGrid:
         remoteness = _owned(remoteness, float)
         if remoteness.ndim != 1 or remoteness.size == 0:
             raise ConfigError("empty family grid: remoteness must be a non-empty vector")
-        if not np.all((remoteness > 0) & (remoteness < np.inf)):
+        lo, t0 = remoteness.min(), remoteness.max()
+        if not (lo > 0 and t0 < np.inf):    # a NaN fails both
             raise ConfigError("remoteness scales must be positive and finite")
-        # remoteness = mant 2^exps with mant in [0.5, 1): exps numbers the
-        # power-of-two bin of each entry, for the coarseness check and the levels
-        mant, exps = np.frexp(remoteness)
-        if np.count_nonzero(np.bincount(exps - exps.min())) < 6:
-            raise ConfigError("family resolution too coarse: fewer than 6 dyadic levels")
         self.space_tag = space_tag
         self.describe = describe
         self.remoteness = remoteness
         self._eval_all = eval_all
         self.allowance_rel = float(allowance_rel)
-        t0 = remoteness.max()
-        depth = int(np.floor(np.log2(t0 / remoteness.min()) + 1e-9))
+        depth = int(np.floor(np.log2(t0 / lo) + 1e-9))
         scales = t0 * 0.5 ** np.arange(depth + 1)
         scales.setflags(write=False)
         self.default_scales = scales
-        # per entry, 1 + the finest level k with remoteness <= scales[k]
-        # (1 + 1e-12), 0 if none: the level it enters the tail profile at.
+        # remoteness = mant 2^exps, mant in [0.5, 1): exps numbers each entry's
+        # power-of-two bin, for the coarseness check, and gives its level, 1 +
+        # the finest k with remoteness <= scales[k] (1 + 1e-12), 0 if none.
         # That bound is top_mant 2^(top_exp - k) exactly, so k qualifies iff
-        # exps + k < top_exp, or exps + k == top_exp and mant <= top_mant
+        # exps + k < top_exp, or exps + k == top_exp and mant <= top_mant.  The
+        # grid keeps the runs of equal level, found 2^16 entries at a time
         top_mant, top_exp = np.frexp(scales[0] * (1 + 1e-12))
-        levels = np.clip(top_exp - exps - (mant > top_mant) + 1, 0, scales.size)
-        # the grid keeps the runs of entries of equal level, not every
-        # entry's level: a tail profile takes one max per run
-        self._run_starts = np.flatnonzero(np.diff(levels, prepend=-1))
-        self._run_levels = levels[self._run_starts].astype(
-            np.min_scalar_type(scales.size))
+        e_lo = np.frexp(lo)[1]
+        bins = np.zeros(np.frexp(t0)[1] - e_lo + 1, np.int64)
+        runs, last = [], -1
+        for k in range(0, remoteness.size, 1 << 16):
+            mant, exps = np.frexp(remoteness[k:k + (1 << 16)])
+            bins += np.bincount(exps - e_lo, minlength=bins.size)
+            levels = np.clip(top_exp - exps - (mant > top_mant) + 1, 0, scales.size)
+            at = np.flatnonzero(np.not_equal(levels, np.append(last, levels[:-1])))
+            runs.append((at + k, levels[at].astype(np.min_scalar_type(scales.size))))
+            last = levels[-1]
+        if np.count_nonzero(bins) < 6:
+            raise ConfigError("family resolution too coarse: fewer than 6 dyadic levels")
+        self._run_starts, self._run_levels = map(np.concatenate, zip(*runs))
 
     def __len__(self) -> int:
         return self.remoteness.size

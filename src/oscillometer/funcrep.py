@@ -156,7 +156,8 @@ def _window_means(values: np.ndarray, arcs: _WindowLayout, axis: int) -> np.ndar
     the sums between consecutive nodes and the values at them,
     `_node_prefix` the prefix and `_arc_means` each arc's mean.
     """
-    return _arc_means(_node_prefix(*_node_sums(values, arcs.nodes, axis)), arcs)
+    return _arc_means(_node_prefix(*([x] for x in _node_sums(values, arcs.nodes, axis))),
+                      arcs)
 
 
 def _node_sums(values: np.ndarray, nodes: np.ndarray,
@@ -168,13 +169,15 @@ def _node_sums(values: np.ndarray, nodes: np.ndarray,
             np.moveaxis(np.take(values, nodes, axis=axis), axis, 0))
 
 
-def _node_prefix(segments: np.ndarray, at_nodes: np.ndarray) -> np.ndarray:
-    """q_k = prefix(node_k) + v[node_k] / 2 at every node k from the
-    `_node_sums` of an axis, with the axis total appended as a last row."""
-    q = np.empty((len(segments) + 1,) + segments.shape[1:], dtype=segments.dtype)
+def _node_prefix(segments: list, at_nodes: list) -> np.ndarray:
+    """q_k = prefix(node_k) + v[node_k] / 2 at every node k, with the axis
+    total as a last row, from the `_node_sums` of an axis given as lists of
+    per-block pieces, each read straight into q."""
+    q = np.concatenate([segments[0][:1], *segments])
     q[0] = 0
-    np.cumsum(segments, axis=0, out=q[1:])
-    q[:-1] += at_nodes / 2
+    np.cumsum(q[1:], axis=0, out=q[1:])
+    for v, at in zip(at_nodes, np.cumsum([0, *map(len, at_nodes)])):
+        q[at:at + len(v)] += v / 2
     return q
 
 

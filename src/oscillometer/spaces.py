@@ -281,12 +281,6 @@ def compose_mobius(f: TaylorFunction, a: complex, lam: complex = 1.0) -> TaylorF
 _RECT_BLOCK = 1 << 16
 
 
-def _joined(parts: list) -> np.ndarray:
-    """Per-block pieces joined along their first axis; one piece is taken as
-    it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _rect_values(F: TorusSamples, arcs_i, arcs_j, block: int = _RECT_BLOCK) -> np.ndarray:
     """Rectangular oscillations of F over each arc pair I x J, with the I
     arcs (zeta) and J arcs (lambda) given by their `_window_layout`s, J-major
@@ -331,12 +325,12 @@ def _rect_values(F: TorusSamples, arcs_i, arcs_j, block: int = _RECT_BLOCK) -> n
         for got, x, axis in zip(sums, (Fb, A, U, np.abs(A) ** 2), (0, 1, 1, 1)):
             got.append(_node_sums(x, at, axis))
     del buf, Fb, A, U
-    # each quantity's pieces are joined into its prefix, then let go
-    q_f, q_a, q_u, q_e = (_node_prefix(*map(_joined, zip(*sums.pop(0))))
-                          for _ in range(4))
+    # a prefix holds half its pieces: F's and A's go first, U's and |A|^2's as read
+    prefixes = (_node_prefix(*map(list, zip(*sums.pop(0)))) for _ in range(4))
+    q_f, q_a = next(prefixes), next(prefixes)
     # E_{IxJ} |F|^2 - E_I |F_J|^2 - E_J |F_I|^2 + |F_IxJ|^2, J-major
-    q2 = np.subtract(_arc_means(q_u, arcs_i).T, _arc_means(q_e, arcs_i).T, order="C")
-    del q_u, q_e
+    q2 = np.subtract(_arc_means(next(prefixes), arcs_i).T,
+                     _arc_means(next(prefixes), arcs_i).T, order="C")
     # E_J |F_I|^2, from `rows` I arcs (a block's size) at a time
     for lo in range(0, arcs_i.ncells.size, rows):
         B = _arc_means(q_f, arcs_i, slice(lo, lo + rows))      # F_I per lambda
@@ -784,52 +778,64 @@ def _build_weighted(desc: SpaceDescriptor):
     return (lambda idx: _records(z=z[idx])), remoteness, eval_all
 
 
-def lip_pair_indices(dom: BoxDomain, cap: int):
-    """Flat-index pairs sampling the quotient family: all pairs when they fit
-    under the cap, otherwise dyadic-offset strata (see _strata).
-
-    Returns (ia, ib, dist) with dist the Euclidean node separations, step
-    times the norm of each pair's integer offset: pairs of one offset have
-    one distance, so each enters the tail profile at its own offset's level
-    (differences of rounded coordinates scatter by a few ulps of the
-    coordinates, enough to move a pair one level coarser).
-    """
-    if _stratified(dom, cap):
-        ia, ib, reach = _strata_pairs(dom, cap)
-    else:
-        n_total = math.prod(dom.shape)
-        ia, ib = np.triu_indices(n_total, k=1)
-        nodes = np.stack(np.unravel_index(np.arange(n_total), dom.shape), axis=1)
-        offsets = nodes[ib]
-        offsets -= nodes[ia]
-        reach = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
-    return ia, ib, dom.step * reach
+def _pair_index(idx, n: int) -> np.ndarray:
+    """Indices into n pairs, negative ones from the end; else IndexError."""
+    idx = np.asarray(idx, dtype=np.int64)
+    idx = idx + n * (idx < 0)
+    if np.any((idx < 0) | (idx >= n)):
+        raise IndexError(f"pair index out of range for {n} pairs")
+    return idx
 
 
-def _stratified(dom: BoxDomain, cap: int) -> bool:
-    """Whether the grid has more node pairs than the cap takes."""
-    n_total = math.prod(dom.shape)
-    return n_total * (n_total - 1) // 2 > cap
+# an all-pairs row with fewer pairs than this is gathered, not sliced: a slice
+# costs about 1 us, what gathering a few hundred pairs costs, and the gathered
+# ends stay under 128^2 x 8 bytes
+_MIN_ROW_PAIRS = 128
 
 
 def _build_lip(desc: SpaceDescriptor):
-    dom = desc.lip_domain
-    cap = desc.resolution["pair_cap"]
-    coords = _grid_coords(dom)
-    if _stratified(dom, cap):
-        return _build_lip_strata(dom, cap, desc.alpha, coords)
-    # every pair: one gather of the pair indices.  Slicing per offset vector
-    # is slower here (2112 offsets on 33 x 33 nodes: 12-16 against 2.4-3.2 ms)
-    ia, ib, dist = lip_pair_indices(dom, cap)
-    denom = dist ** desc.alpha
+    """Every node pair when they fit under the cap, else the strata.  All
+    pairs come in np.triu_indices order: row i, the entries starts[i] ..
+    starts[i + 1] - 1, pairs flat node i with each j > i.  A pair's distance
+    is the step times the norm of its integer offset, so all pairs of one
+    offset enter the tail profile at one level (differences of rounded
+    coordinates scatter by a few ulps, enough to move a level)."""
+    dom, alpha, coords = desc.lip_domain, desc.alpha, _grid_coords(desc.lip_domain)
+    n = math.prod(dom.shape)
+    if n * (n - 1) // 2 > desc.resolution["pair_cap"]:
+        return _build_lip_strata(dom, desc.resolution["pair_cap"], alpha, coords)
+    starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
+    size = int(starts[-1])
+    # the rows from `short` on: their first nodes, then their second
+    short = max(n - _MIN_ROW_PAIRS, 0)
+    tail = np.concatenate(np.triu_indices(n - short, k=1)) + short
+    cuts = starts[:short + 1].tolist()
+
+    def differences(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """v[i] - v[j] for every pair (i, j), in entry order."""
+        for i in range(short):
+            np.subtract(v[i], v[i + 1:], out=out[cuts[i]:cuts[i + 1]])
+        ends = v[tail]
+        np.subtract(ends[:ends.size // 2], ends[ends.size // 2:], out=out[cuts[-1]:])
+        return out
+
+    # the squared integer offsets, summed exactly in floats axis by axis
+    dist, gap = np.zeros(size), np.empty(size)
+    for u in np.unravel_index(np.arange(n), dom.shape):
+        dist += np.square(differences(u.astype(float), gap), out=gap)
+    del gap
+    dist = np.multiply(np.sqrt(dist, out=dist), dom.step, out=dist)
+    denom = dist ** alpha
 
     def describe(idx: np.ndarray) -> np.recarray:
-        return _records(x=coords[ia[idx]], y=coords[ib[idx]])
+        idx = _pair_index(idx, size)
+        row = np.searchsorted(starts, idx, side="right") - 1
+        return _records(x=coords[row], y=coords[idx - starts[row] + row + 1])
 
     def eval_all(f: EuclideanSamples) -> np.ndarray:
-        flat = _box_values(f, dom)
         with np.errstate(over="ignore"):    # inf, refused by the profile
-            return np.abs(flat[ia] - flat[ib]) / denom
+            out = differences(_box_values(f, dom), np.empty(size))
+            return np.divide(np.abs(out, out=out), denom, out=out)
 
     return describe, dist, eval_all
 
@@ -849,10 +855,7 @@ def _build_lip_strata(dom: BoxDomain, cap: int, alpha: float, coords: np.ndarray
     offs = np.array([st.off for st in strata])
 
     def describe(idx: np.ndarray) -> np.recarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        idx = idx + n * (idx < 0)
-        if np.any((idx < 0) | (idx >= n)):
-            raise IndexError(f"pair index out of range for {n} pairs")
+        idx = _pair_index(idx, n)
         which = np.searchsorted(firsts, idx, side="right") - 1
         ia = np.empty(idx.shape, np.int64)
         for k in np.unique(which):
@@ -1031,16 +1034,6 @@ def _split(block: tuple, step: int, stride: int, a: int) -> list:
     parts = [part(0, q - 1, 0, cols, 0), part(q - 1, q, 0, j, 0),
              part(q - 1, q, j, cols, 1), part(q, rows, 0, cols, 1)] if q else [(block, 1)]
     return [(p, moved) for p, moved in parts if p[1] > 0 and p[2] > 0]
-
-
-def _strata_pairs(dom: BoxDomain, cap: int):
-    """The strata's pairs spelled out: (ia, ib, reach), reach the norm of
-    each pair's integer offset."""
-    strata = _strata(dom, cap)
-    sizes = [st.size for st in strata]
-    ia = np.concatenate([st.sources(np.arange(st.size), dom.shape) for st in strata])
-    ib = ia + np.repeat([st.off for st in strata], sizes)
-    return ia, ib, np.repeat([st.reach for st in strata], sizes)
 
 
 def _build_rect(desc: SpaceDescriptor):

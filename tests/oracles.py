@@ -1,7 +1,8 @@
 """Single-entry references for the family kernels: one arc, one disc centre
-or one smoothing radius at a time, and the out-of-place Horner loops the
-package's in-place ones must match.  Only the tests call them; the package
-evaluates whole grids at once."""
+or one smoothing radius at a time, the out-of-place Horner loops the
+package's in-place ones must match, and the lip families' pairs spelled out
+as index vectors.  Only the tests call them; the package evaluates whole
+grids at once."""
 
 from __future__ import annotations
 
@@ -12,10 +13,10 @@ import numpy as np
 
 from oscillometer.approx import _poisson_members
 from oscillometer.errors import ConfigError, NumericalError
-from oscillometer.funcrep import (TWO_PI, PeriodicSamples, QuadratureRule,
-                                  TaylorFunction, TorusSamples, _window_layout,
-                                  _window_means, mobius_apply)
-from oscillometer.spaces import KKernel, _direct_osc
+from oscillometer.funcrep import (TWO_PI, BoxDomain, PeriodicSamples,
+                                  QuadratureRule, TaylorFunction, TorusSamples,
+                                  _window_layout, _window_means, mobius_apply)
+from oscillometer.spaces import KKernel, _direct_osc, _strata
 
 
 @dataclass(frozen=True)
@@ -118,3 +119,30 @@ def horner(f: TaylorFunction, z) -> tuple:
     for k in range(f.coeffs.size, 0, -1):
         deriv = deriv * z + k * f.coeffs[k - 1]
     return value + f.const, deriv
+
+
+def strata_pairs(dom: BoxDomain, cap: int):
+    """The strata's pairs spelled out: (ia, ib, reach), reach the norm of
+    each pair's integer offset."""
+    strata = _strata(dom, cap)
+    sizes = [st.size for st in strata]
+    ia = np.concatenate([st.sources(np.arange(st.size), dom.shape) for st in strata])
+    ib = ia + np.repeat([st.off for st in strata], sizes)
+    return ia, ib, np.repeat([st.reach for st in strata], sizes)
+
+
+def lip_pair_indices(dom: BoxDomain, cap: int):
+    """Flat-index pairs sampling the quotient family: all pairs, in the
+    order of np.triu_indices, when they fit under the cap, otherwise the
+    dyadic-offset strata.  Returns (ia, ib, dist), dist the step times the
+    norm of each pair's integer offset."""
+    n_total = math.prod(dom.shape)
+    if n_total * (n_total - 1) // 2 > cap:
+        ia, ib, reach = strata_pairs(dom, cap)
+    else:
+        ia, ib = np.triu_indices(n_total, k=1)
+        nodes = np.stack(np.unravel_index(np.arange(n_total), dom.shape), axis=1)
+        offsets = nodes[ib]
+        offsets -= nodes[ia]
+        reach = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
+    return ia, ib, dom.step * reach

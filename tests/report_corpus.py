@@ -12,8 +12,9 @@ exit code is not the one listed for it here.
 
 The jobs are norm, distance, distance with approximants (the sandwich) and
 the assumption check on all six spaces at light resolutions, the qk
-invariance check, weighted on an annulus and a box, lip in 2-d, on strata
-in 1-d and 2-d and with entries past the float range (exit 3), a bloch
+invariance check, weighted on an annulus and a box, lip in 2-d, on all
+pairs just under the pair cap in 1-d and 2-d, on strata in 1-d and 2-d and
+with entries past the float range (exit 3), a bloch
 lacunary sandwich and a degree-16 weighted norm (both read through the ring
 fold), bmo at p = 1.5 and on every midpoint, ladders that reach past their
 resolution keys, configs refused for keys no reader takes, configs refused
@@ -120,6 +121,15 @@ JOBS += [
       "function": builtin("holder_cusp")}, 0),
     ("lip-2d-strata-views", "distance",
      {"space": dict(LIP, domain={"lo": [-1, -1], "hi": [1, 1], "step": 0.0078125}),
+      "function": builtin("holder_cusp")}, 0),
+    # all pairs just under the default cap of 10^6: 1414 nodes in 1-d, rows
+    # of up to 1413 pairs, and 37 x 38 nodes in 2-d (987,715 pairs)
+    ("lip-all-pairs-cap", "distance",
+     {"space": dict(LIP, domain={"lo": [-0.706], "hi": [0.707], "step": 0.001}),
+      "function": builtin("holder_cusp")}, 0),
+    ("lip-2d-all-pairs-cap", "distance",
+     {"space": dict(LIP, domain={"lo": [-0.5, -0.5], "hi": [0.625, 0.65625],
+                                 "step": 0.03125}),
       "function": builtin("holder_cusp")}, 0),
     # a jump of 2**64 over one step of 1e-302: the quotient is past the float
     # range, and the profile refuses it

@@ -15,8 +15,8 @@ from oscillometer.family import seminorm_sup
 from oscillometer.funcrep import (BoxDomain, EuclideanSamples,
                                   PeriodicSamples, TaylorFunction,
                                   TorusSamples)
-from oscillometer.spaces import SpaceDescriptor, build_family, lip_pair_indices
-from oracles import poisson
+from oscillometer.spaces import SpaceDescriptor, build_family
+from oracles import lip_pair_indices, poisson
 
 EPS = np.finfo(float).eps
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oscillometer.approx import ApproxFamily, assumption_check
 from oscillometer.distance import distance_estimate, sandwich_check
@@ -163,6 +163,71 @@ class TestTailProfileProperty:
                 assert np.array_equal(got, want)
 
 
+def direct_runs(remoteness):
+    """The grid's ladder, run starts and run levels from the whole-vector
+    formula, or None for a grid too coarse (fewer than 6 dyadic levels)."""
+    mant, exps = np.frexp(remoteness)
+    if np.count_nonzero(np.bincount(exps - exps.min())) < 6:
+        return None
+    t0 = remoteness.max()
+    depth = int(np.floor(np.log2(t0 / remoteness.min()) + 1e-9))
+    scales = t0 * 0.5 ** np.arange(depth + 1)
+    top_mant, top_exp = np.frexp(scales[0] * (1 + 1e-12))
+    levels = np.clip(top_exp - exps - (mant > top_mant) + 1, 0, scales.size)
+    starts = np.flatnonzero(np.diff(levels, prepend=-1))
+    return scales, starts, levels[starts].astype(np.min_scalar_type(scales.size))
+
+
+@st.composite
+def remoteness_runs(draw):
+    """Up to six runs, each one value or values scattered over a few
+    binary exponents, some longer than the 2^16 entries the grid levels at a
+    time and some ending at, before or after a multiple of 2^16, so runs
+    cross chunk boundaries.  The values draw on 3 to 10 binary exponents,
+    so some grids have fewer than 6 dyadic levels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    top, spread = draw(st.integers(-20, 3)), draw(st.integers(3, 10))
+    parts = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.sampled_from([1, 7, 1000, 65535, 65536, 65537, 90000]))
+        exps = top - rng.integers(0, spread, 1 if draw(st.booleans()) else size)
+        parts.append(np.broadcast_to(rng.uniform(0.5, 1.0, exps.size) * 2.0 ** exps, size))
+    return np.concatenate(parts)
+
+
+class TestLevelRunsProperty:
+    # a grid levels its remoteness 2^16 entries at a time, carrying the
+    # last level across each chunk boundary: its ladder and runs must be
+    # those of the whole-vector formula bit for bit, and it must refuse the
+    # same grids
+    @settings(max_examples=40, deadline=None)
+    @given(remoteness_runs())
+    @example(np.repeat([1.0, 2.0 ** -3, 2.0 ** -6], [65535, 3, 65537]))
+    @example(np.repeat(2.0 ** -np.arange(6), [65536, 1, 1, 1, 1, 65536]))
+    @example(np.repeat(2.0 ** -np.arange(5), [65536, 1, 1, 1, 70000]))
+    def test_matches_whole_vector(self, rho):
+        want = direct_runs(rho)
+        if want is None:
+            with pytest.raises(ConfigError, match="fewer than 6 dyadic levels"):
+                OperatorFamilyGrid("x", by_index, rho, None, 0.02)
+            return
+        fam = OperatorFamilyGrid("x", by_index, rho, None, 0.02)
+        for got, expected in zip((fam.default_scales, fam._run_starts, fam._run_levels),
+                                 want):
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    @pytest.mark.parametrize("at", [0, 70000, -1])
+    def test_refuses_nonpositive_and_nonfinite(self, bad, at):
+        # min and max stand in for the per-entry check: a NaN anywhere
+        # makes both NaN
+        rho = np.repeat(2.0 ** -np.arange(8), 10000)
+        rho[at] = bad
+        with pytest.raises(ConfigError, match="positive and finite"):
+            OperatorFamilyGrid("x", by_index, rho, None, 0.02)
+
+
 class TestLimsupEstimate:
     def test_constant_tail(self):
         prof = TailProfile(2.0 ** -np.arange(4, dtype=float),
@@ -309,14 +374,15 @@ def test_bmo_sorted_memory_bounded():
     assert peak <= 4 * 131072 * 8
 
 
-@pytest.mark.parametrize("scale, bound_mib", [(1.0, 7.5), (1 + 1j, 12.5)],
+@pytest.mark.parametrize("scale, bound_mib", [(1.0, 7.0), (1 + 1j, 10.5)],
                          ids=["real", "complex"])
 def test_rect_memory_bounded(scale, bound_mib):
     # the torus is read in blocks of about 2**16 values (16 at n = 1024), so
     # an evaluation holds the per-segment tables, the count^2 moments and
-    # one block, never an n x n temporary: under one 16 MiB complex input
-    # (6.62 and 11.28 MiB measured, bounds 13% and 11% above; the
-    # whole-torus form read 27.1 and 41.6 MiB)
+    # one block, never an n x n temporary, and each prefix is read from its
+    # pieces with no joined copy: under one 16 MiB complex input (6.24 and
+    # 9.52 MiB measured, bounds 12% and 10% above; joining the pieces first
+    # read 6.62 and 11.28 MiB, the whole-torus form 27.1 and 41.6 MiB)
     grid = build_family(SpaceDescriptor("rect_bmo"))
     f = torus_builtin("step_tensor", 1024) * scale
     grid.evaluate_all(f)
@@ -346,3 +412,68 @@ def test_lip_strata_memory_bounded():
         tracemalloc.stop()
     assert peak <= 1.0625 * 8 * len(grid)
 
+
+
+def _kept_bytes(grid) -> int:
+    """Bytes of the arrays a grid keeps: its remoteness, ladder and runs,
+    and every array its evaluator and describe close over, nested functions
+    included."""
+    stack = [grid.remoteness, grid.default_scales, grid._run_starts,
+             grid._run_levels, grid._eval_all, grid.describe]
+    seen, total = set(), 0
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            total += item.nbytes
+        elif callable(item):
+            stack.extend(cell.cell_contents for cell in item.__closure__ or ())
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+    return total
+
+
+def test_lip_all_pairs_memory_bounded():
+    # the all-pairs family keeps its distances and denominators, no pair
+    # index: a build holds those, one scratch vector while the squared
+    # offsets are summed and one 2^16-entry level chunk (1.20 measured; the
+    # pair-index build read 1.95 of the arrays it kept, ia and ib among
+    # them), and an evaluation writes each long row straight into the
+    # output (1.028 measured; the pair gather 2.0)
+    dom = BoxDomain([-1.0, -1.0], [1.0, 1.0], 0.0625)
+    desc = SpaceDescriptor("lip", alpha=0.5, lip_domain=dom)
+    build_family(desc)
+    tracemalloc.start()
+    try:
+        grid = build_family(desc)
+        _, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 1.25 * _kept_bytes(grid)
+    f = EuclideanSamples(dom, np.random.default_rng(0).normal(size=dom.shape), 0.5)
+    grid.evaluate_all(f)
+    tracemalloc.start()
+    try:
+        grid.evaluate_all(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0625 * 8 * len(grid)
+
+
+def test_level_runs_memory_bounded():
+    # a grid finds its levels and runs 2^16 entries at a time: beyond its
+    # input it holds one chunk's temporaries and the runs (1.76 MiB measured
+    # on the 862,921 strata entries; the whole-vector form read 26.3 MiB)
+    dom = BoxDomain([-1.0], [1.0], 1e-5)
+    rho = build_family(SpaceDescriptor("lip", alpha=0.5, lip_domain=dom)).remoteness
+    OperatorFamilyGrid("lip", by_index, rho, None, 0.02)
+    tracemalloc.start()
+    try:
+        OperatorFamilyGrid("lip", by_index, rho, None, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 from numpy.lib.stride_tricks import sliding_window_view
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oscillometer.errors import ConfigError
 from oscillometer.funcrep import (TWO_PI, BoxDomain, EuclideanSamples,
@@ -15,17 +15,17 @@ from oscillometer.funcrep import (TWO_PI, BoxDomain, EuclideanSamples,
                                   TaylorFunction, TorusSamples,
                                   _window_layout, _window_means)
 from oscillometer.spaces import (_SORTED_MIN_SPACING, KKernel, SpaceDescriptor,
-                                 _arc_layout, _build_lip_strata, _direct_osc,
-                                 _disc_radii, _grid_coords, _rect_values,
-                                 _strata_pairs, build_family, compose_mobius,
-                                 kernel_from_config, lip_pair_indices,
-                                 weight_from_config)
+                                 _arc_layout, _build_lip_strata,
+                                 _direct_osc, _disc_radii, _grid_coords,
+                                 _rect_values, build_family, compose_mobius,
+                                 kernel_from_config, weight_from_config)
 from oscillometer.family import OperatorFamilyGrid, seminorm_sup, tail_profile
 from oscillometer import spaces as spaces_module
 from oscillometer.builtins import (circle_builtin, lacunary, log_singular,
                                    make_function, step_half_values,
                                    taylor_builtin, torus_builtin)
-from oracles import Arc, bmo_oscillation, horner, qk_local, snap_arc
+from oracles import (Arc, bmo_oscillation, horner, lip_pair_indices, qk_local,
+                     snap_arc, strata_pairs)
 
 
 def direct_oscillation(values, start, ncells, p):
@@ -998,7 +998,7 @@ class TestStrataPairsProperty:
     @given(strata_grids())
     def test_matches_definition(self, case):
         dom, cap = case
-        ia, ib, reach = _strata_pairs(dom, cap)
+        ia, ib, reach = strata_pairs(dom, cap)
         want_a, want_b = direct_strata(dom.shape, dom.lo, dom.step, cap)
         assert ia.dtype == ib.dtype == np.int64
         assert np.array_equal(ia, want_a)
@@ -1023,7 +1023,7 @@ class TestStrataEvaluationProperty:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spaces_module, "_MIN_VIEW_PICKS", min_view_picks)
             describe, dist, eval_all = _build_lip_strata(dom, cap, alpha, coords)
-        ia, ib, reach = _strata_pairs(dom, cap)
+        ia, ib, reach = strata_pairs(dom, cap)
         assert bitwise_equal(dist, dom.step * reach)
         rng = np.random.default_rng(seed)
         values = rng.normal(size=dom.shape)
@@ -1036,6 +1036,70 @@ class TestStrataEvaluationProperty:
             assert bitwise_equal(got.y, coords[ib[idx]])
         with pytest.raises(IndexError):
             describe(np.array([ia.size]))
+
+
+def box_domain(lo, step: float, shape: tuple) -> BoxDomain:
+    """A box grid of any number of axes: BoxDomain takes one or two, while
+    the all-pairs lip builder reads only the shape, step and axes."""
+    dom = object.__new__(BoxDomain)
+    dom.lo, dom.step, dom.shape = np.asarray(lo, dtype=float), float(step), tuple(shape)
+    dom.hi, dom.ndim = dom.lo + dom.step * (np.array(shape) - 1), len(shape)
+    return dom
+
+
+@st.composite
+def all_pairs_grids(draw):
+    """A 1-, 2- or 3-D box grid of 33 to 480 nodes, all pairs under the
+    default cap, so grids whose rows are all gathered and grids with long
+    rows sliced both occur (the threshold is _MIN_ROW_PAIRS = 128 pairs a
+    row).  One axis of at least 33 nodes gives the 6 dyadic levels a grid
+    needs.  The step is 0.25, the corner on a half-step lattice around the
+    origin, or 1e-302, where a jump of 2**64 overflows the quotient at
+    alpha 1."""
+    ndim = draw(st.sampled_from([1, 2, 3]))
+    most = {1: 400, 2: 60, 3: 50}[ndim]
+    short = draw(st.lists(st.integers(2, 8 if ndim == 2 else 3),
+                          min_size=ndim - 1, max_size=ndim - 1))
+    shape = tuple(draw(st.permutations([draw(st.integers(33, most)), *short])))
+    step = draw(st.sampled_from([0.25, 1e-302]))
+    return box_domain([step / 2 * draw(st.integers(-100, 20)) for _ in shape], step, shape)
+
+
+class TestAllPairsProperty:
+    # the all-pairs family slices each long row of the pair triangle and
+    # gathers the short ones; values, distances and records must be those of
+    # the np.triu_indices pair gather bit for bit, in any dimension
+    @settings(max_examples=80, deadline=None)
+    @given(dom=all_pairs_grids(), alpha=st.sampled_from([0.5, 1.0]) | st.floats(0.01, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1), jump=st.booleans())
+    @example(dom=box_domain([-1.0], 0.25, (128,)), alpha=0.5, seed=1, jump=False)
+    @example(dom=box_domain([0.0], 0.25, (129,)), alpha=0.5, seed=2, jump=False)
+    @example(dom=box_domain([0.0, 0.0, 0.0], 1e-302, (3, 40, 2)), alpha=1.0, seed=3,
+             jump=True)
+    def test_matches_pair_gather(self, dom, alpha, seed, jump):
+        desc = SpaceDescriptor("lip", alpha=alpha, lip_domain=dom)
+        fam = build_family(desc)
+        ia, ib, dist = lip_pair_indices(dom, desc.resolution["pair_cap"])
+        assert bitwise_equal(fam.remoteness, dist)
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=dom.shape)
+        if jump:
+            values.flat[rng.integers(values.size)] = 2.0 ** 64
+        flat = values.ravel()
+        with np.errstate(over="ignore"):
+            want = np.abs(flat[ia] - flat[ib]) / dist ** alpha
+        got = fam.evaluate_all(EuclideanSamples(dom, values, alpha))
+        assert bitwise_equal(got, want)
+        if jump and dom.step < 1e-300 and alpha == 1.0:
+            assert np.isinf(got).any()
+        coords = _grid_coords(dom)
+        for idx in (np.arange(ia.size), rng.integers(-ia.size, ia.size, 9)):
+            rec = fam.describe(idx)
+            assert bitwise_equal(rec.x, coords[ia[idx]])
+            assert bitwise_equal(rec.y, coords[ib[idx]])
+        for bad in (ia.size, -ia.size - 1, 2 ** 40):
+            with pytest.raises(IndexError):
+                fam.describe(np.array([bad]))
 
 
 class TestHomogeneity:
@@ -1163,8 +1227,13 @@ def test_evaluator_closure_cells_are_bound(small_grids, key):
         # the small lip grids take every pair, the strata grids fewer
         nodes = math.prod(desc.lip_domain.shape)
         assert (len(grid) == nodes * (nodes - 1) // 2) == (key in _SMALL_SPACES)
-    for cell in grid._eval_all.__closure__ or ():
-        cell.cell_contents
+    # the all-pairs evaluator reads its rows through a nested function
+    # (lip_2d slices rows, lip_1d gathers them all): its cells count too
+    stack = [grid._eval_all]
+    while stack:
+        for cell in getattr(stack.pop(), "__closure__", None) or ():
+            if callable(cell.cell_contents):
+                stack.append(cell.cell_contents)
 
 
 def _random_input(desc, kind: str, rng):
