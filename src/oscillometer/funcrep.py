@@ -250,6 +250,11 @@ class TaylorFunction:
         return self.value_fn is not None and self.deriv_fn is not None
 
     @property
+    def exact(self) -> bool:
+        """Held coefficients with no truncation tail (trusted radius inf)."""
+        return self.coeffs is not None and self.radius_cap == np.inf
+
+    @property
     def evaluable_on_disc(self) -> bool:
         """True when values are trusted on the whole closed disc (closed form
         present, or an exact polynomial with no truncation tail)."""
@@ -259,7 +264,7 @@ class TaylorFunction:
     def _check_radius(self, z: np.ndarray) -> None:
         """Refuse z beyond the trusted radius; an exact polynomial (cap inf)
         is trusted everywhere, and its z is not read."""
-        if self.radius_cap == np.inf:
+        if self.exact:
             return
         r = np.abs(z)
         if np.any(r > self.radius_cap + 1e-13):
@@ -329,9 +334,8 @@ class TaylorFunction:
             # forms; the difference of two exact polynomials stays exact
             vf = lambda z, a=self, b=other: a.value(z) - b.value(z)
             df = lambda z, a=self, b=other: a.deriv(z) - b.deriv(z)
-            exact = coeffs is not None and cap == np.inf
             return TaylorFunction(coeffs, vf, df, const=self.const - other.const,
-                                  radius_cap=np.inf if exact else 1.0)
+                                  radius_cap=np.inf if self.exact and other.exact else 1.0)
         return TaylorFunction(coeffs, const=self.const - other.const, radius_cap=cap)
 
 

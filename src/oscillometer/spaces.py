@@ -612,33 +612,30 @@ def _disc_nodes(radii: np.ndarray, n_ang: int, keys: str) -> np.ndarray:
     return np.concatenate(pts)
 
 
-# an input with closed forms as well as exact coefficients folds up to this
-# many whole turns: the fold costs a pass over the grid per turn, lacunary's
-# closed forms one squaring per doubling of the degree, and they cross at 8
-# turns on 64 angles, 16 on 128 and 32 on 512 (measured on bloch grids)
+# an exact input with closed forms as well folds up to this many whole
+# turns: the fold costs a pass over the grid per turn, lacunary's closed
+# forms one squaring per doubling of the degree, and they cross at 8 turns
+# on 64 angles, 16 on 128 and 32 on 512 (measured on bloch grids)
 _CLOSED_FORM_TURNS = 8
 
 
 def _folds(f: TaylorFunction, n_ang: int) -> bool:
     """Whether bloch or weighted rings of n_ang angles read f by `_ring_fold`:
-    exact coefficients (trusted radius inf), at least log2(n_ang) of them
-    (Horner's rule keeps fewer), and no closed forms cheaper than the fold."""
-    if f.coeffs is None or not np.isinf(f.radius_cap) or f.coeffs.size < math.log2(n_ang):
-        return False
-    return not f.has_closed_form or f.coeffs.size <= _CLOSED_FORM_TURNS * n_ang
+    every exact f of any degree, unless its closed forms cost less."""
+    return f.exact and (not f.has_closed_form or f.coeffs.size <= _CLOSED_FORM_TURNS * n_ang)
 
 
 def _ring_fold(series: np.ndarray, radii: np.ndarray, n_ang: int) -> np.ndarray:
-    """The power series sum_j s_j z^j of each row of `series` at every node of
-    `_disc_nodes(radii, n_ang)`, radii in [0, 1].  On the ring
-    z = rho e^{2 pi i m / n_ang}, term j = q n_ang + r folds into slot r with
-    weight rho^(q n_ang) rho^r: Horner's rule in rho^n_ang sums the whole
-    turns q (a BLAS product stalled 16 ms a call on its threads), and one
-    unnormalised inverse FFT per ring reads the ring off.  The powers rho^r
-    are taken per call, one turn's worth at most, so a grid that never folds
-    pays nothing for them, and none past the first exact 0 (as in
-    `approx._powers`: an underflowing pow costs ten normal ones).  A centre
-    (radius 0) holds s_0 at every angle; the output starts at the last."""
+    """The power series sum_j s_j z^j of each row of `series` (of any length;
+    an empty one reads 0) at every node of `_disc_nodes(radii, n_ang)`, radii
+    in [0, 1].  On the ring z = rho e^{2 pi i m / n_ang}, term j = q n_ang + r
+    folds into slot r with weight rho^(q n_ang) rho^r: Horner's rule in
+    rho^n_ang sums the whole turns q (a BLAS product stalled 16 ms a call on
+    its threads), and one unnormalised inverse FFT per ring reads the ring
+    off.  The powers rho^r are taken per call, up to one turn's worth (a grid
+    that never folds pays nothing for them), and none past the first exact 0
+    (as in `approx._powers`: an underflowing pow costs ten normal ones).  A
+    centre (radius 0) holds s_0 at every angle; the output starts at the last."""
     lead, size = series.shape[:-1], series.shape[-1]
     slots = np.arange(float(min(size, n_ang)))
     with np.errstate(divide="ignore"):
@@ -724,8 +721,7 @@ def _build_qk(desc: SpaceDescriptor):
     def eval_all(f: TaylorFunction) -> np.ndarray:
         if not isinstance(f, TaylorFunction):
             raise ConfigError("the invariant-integral family needs a TaylorFunction")
-        if (garsia and f.coeffs is not None and np.isinf(f.radius_cap)
-                and f.coeffs.size < COUNT_CAP // 2):
+        if garsia and f.exact and f.coeffs.size < COUNT_CAP // 2:
             vals = littlewood_paley(f.coeffs)
         else:
             vals = pointwise(f)

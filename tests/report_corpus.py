@@ -14,15 +14,15 @@ The jobs are norm, distance, distance with approximants (the sandwich) and
 the assumption check on all six spaces at light resolutions, the qk
 invariance check, weighted on an annulus and a box, lip in 2-d, on all
 pairs just under the pair cap in 1-d and 2-d, on strata in 1-d and 2-d and
-with entries past the float range (exit 3), a bloch
-lacunary sandwich and a degree-16 weighted norm (both read through the ring
-fold), bmo at p = 1.5 and on every midpoint, ladders that reach past their
-resolution keys, configs refused for keys no reader takes, configs refused
-for blocks the command does not read, an assumption check on a ladder too
-short for its verdict, configs refused for the task they name or lack,
-for an invariance check off qk and for a centre outside the disc, and
-rect_bmo at default resolution (its torus read in 16 blocks) and on seeded
-complex samples.
+with entries past the float range (exit 3), a bloch lacunary sandwich, a
+degree-16 weighted norm and a degree-4 bloch norm at default resolution
+(all read through the ring fold), bmo at p = 1.5 and on every midpoint,
+ladders that reach past their resolution keys, configs refused for keys no
+reader takes, configs refused for blocks the command does not read, an
+assumption check on a ladder too short for its verdict, configs refused for
+the task they name or lack, for an invariance check off qk and for a centre
+outside the disc, and rect_bmo at default resolution (its torus read in 16
+blocks) and on seeded complex samples.
 """
 
 import contextlib
@@ -138,7 +138,8 @@ JOBS += [
       "function": {"kind": "samples", "values": [0, 2 ** 64] + [0] * 99}}, 3),
     # exact polynomials the bloch and weighted rings read through the ring
     # fold: lacunary (1024 coefficients, and closed forms) with its dilation
-    # members and their differences, and a degree-16 polynomial
+    # members and their differences, a degree-16 polynomial, and a degree-4
+    # one on the default 512 angles
     ("bloch-lacunary-sandwich", "distance",
      {"space": BLOCH, "function": builtin("lacunary"),
       "approximants": ladder("dilation", 5)}, 0),
@@ -147,6 +148,9 @@ JOBS += [
          [1, 0], [0.5, -0.5], [0, 0.25], [-0.75, 0], [0.25, 0.25], [0, -0.5],
          [0.125, 0], [0.5, 0.5], [-0.25, 0], [0, 0.125], [0.375, -0.25],
          [0, 0], [-0.125, 0.5], [0.25, 0], [0, -0.25], [0.5, 0.125]]}}, 0),
+    ("bloch-poly-4-default", "norm",
+     {"space": {"space": "bloch"},
+      "function": builtin("poly", coeffs=[[1, 0], [0.5, -0.5], [0, 0.25], [-0.75, 0]])}, 0),
     ("bmo-p1.5", "distance",
      {"space": dict(BMO, p=1.5), "function": builtin("triangle")}, 0),
     ("bmo-all-midpoints", "distance",

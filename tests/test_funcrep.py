@@ -276,7 +276,7 @@ class TestEvalDeriv:
         f = {"polynomial": TaylorFunction.polynomial(coeffs, const=0.75 - 0.5j),
              "truncated": TaylorFunction(coeffs, const=0.75 - 0.5j),
              "dilated": dilate(TaylorFunction(coeffs, const=0.75 - 0.5j), 0.9)}[kind]
-        assert (f.radius_cap == np.inf) == (kind == "polynomial")
+        assert (f.radius_cap == np.inf) == f.exact == (kind == "polynomial")
         reach = min(1.0, f.radius_cap)
         z = (reach * np.sqrt(rng.uniform(size=(8, 16)))
              * np.exp(2j * np.pi * rng.uniform(size=(8, 16))))
@@ -310,7 +310,7 @@ class TestTaylorFunction:
         f = lacunary() * 1.5
         g = dilate(f, 0.75)
         d = f - g
-        assert d.has_closed_form and d.radius_cap == np.inf
+        assert d.has_closed_form and d.radius_cap == np.inf and d.exact
         z = np.array([0.3 + 0.2j, -0.6j])
         assert np.array_equal(d.deriv(z), f.deriv(z) - g.deriv(z))
         assert np.array_equal(d.coeffs, f.coeffs - g.coeffs)
@@ -319,7 +319,7 @@ class TestTaylorFunction:
         # log_singular's coefficients are truncated: the difference is
         # trusted on the disc through its closed forms only
         d = log_singular() - TaylorFunction.polynomial([0.5, 0.25])
-        assert d.has_closed_form and d.radius_cap == 1.0
+        assert d.has_closed_form and d.radius_cap == 1.0 and not d.exact
 
     def test_difference_of_polynomials_stays_coefficient_only(self):
         rng = np.random.default_rng(11)
@@ -328,7 +328,7 @@ class TestTaylorFunction:
         q = TaylorFunction.polynomial(rng.normal(size=7) + 1j * rng.normal(size=7))
         d = p - q
         assert not d.has_closed_form
-        assert d.radius_cap == np.inf
+        assert d.radius_cap == np.inf and d.exact
         z = 0.999 * np.exp(2j * np.pi * rng.uniform(size=50)) * rng.uniform(size=50)
         # |p|, |q| <= 0.5 + sum |coefficients| on the disc
         scale = 0.5 + np.abs(p.coeffs).sum() + np.abs(q.coeffs).sum()

@@ -1328,10 +1328,9 @@ _FOLD_ANNULUS = SpaceDescriptor("weighted", resolution=_SMALL_DISC, weight=weigh
 
 
 class TestRingFold:
-    """bloch, and weighted on the disc and the annulus, read an exact
-    polynomial of at least log2(angles) coefficients (6 on the small grids'
-    64 angles) through `_ring_fold`: one inverse FFT per ring, not Horner's
-    rule at every node."""
+    """bloch, and weighted on the disc and the annulus, read every exact
+    polynomial, of any degree, through `_ring_fold`: one inverse FFT per
+    ring, not Horner's rule at every node."""
 
     @pytest.fixture(scope="class")
     def fold_grids(self, small_grids):
@@ -1340,14 +1339,17 @@ class TestRingFold:
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["bloch", "weighted", "annulus"]),
-           st.sampled_from(["taylor", "lacunary"]), st.integers(6, 3 * 64),
+           st.sampled_from(["taylor", "lacunary"]), st.integers(1, 3 * 64),
            st.integers(0, 2 ** 32 - 1))
     def test_fold_matches_horner(self, fold_grids, key, kind, degree, seed):
-        # degrees from the rule's threshold up to 3 whole turns, and lacunary
-        # up to the 8 turns it folds: every entry lies within 4 degree eps of
-        # the majorant (sum |a_k| |z|^k, or sum k |a_k| |w|^(k-1) for f') of
-        # Horner's entry, about the rounding Horner's rule carries itself
-        # (measured: under 0.9 degree eps over 450 inputs)
+        # degrees from 1 up to 3 whole turns, and lacunary up to the 8 turns
+        # it folds: every entry lies within 4 degree eps of the majorant (sum
+        # |a_k| |z|^k, or sum k |a_k| |w|^(k-1) for f') of Horner's entry,
+        # about the rounding Horner's rule carries itself. Measured: under 0.9
+        # degree eps over 450 inputs of degree 6 up; under 2.2 over 20,000
+        # inputs each of degrees 2-5. A degree-1 f on weighted rings reached
+        # 4.03 eps in 75,000 inputs, since the 64-point FFT's rounding does
+        # not shrink with the degree: it alone is held to 8 eps
         desc, grid = fold_grids[key]
         rng = np.random.default_rng(seed)
         if kind == "lacunary":
@@ -1365,14 +1367,15 @@ class TestRingFold:
         else:
             want, major = np.abs(value), abs(f.const) + (np.abs(f.coeffs) * r ** k).sum(axis=1)
         weight = 1.0 - r[:, 0] ** 2         # bloch's, and the weight 1 - |z|^2
-        bound = 4 * f.coeffs.size * EPS * weight * major
+        terms = f.coeffs.size if key == "bloch" else max(f.coeffs.size, 2)
+        bound = 4 * terms * EPS * weight * major
         assert np.all(np.abs(grid.evaluate_all(f) - weight * want) <= bound)
 
     @pytest.mark.parametrize("key", ["bloch", "weighted"])
     def test_fold_rule(self, small_grids, monkeypatch, key):
-        # the rule reads the coefficients: 6 = log2(64) exact ones fold, 5
-        # and a truncated series do not; lacunary folds up to 8 whole turns
-        # (512 coefficients) and takes its closed forms past them
+        # every exact polynomial folds, from one coefficient up, and a
+        # truncated series does not; lacunary folds up to 8 whole turns (512
+        # coefficients) and takes its closed forms past them
         _, grid = small_grids[key]
         calls = []
         fold = spaces_module._ring_fold
@@ -1380,18 +1383,20 @@ class TestRingFold:
                             lambda *args: calls.append(args) or fold(*args))
         truncated = TaylorFunction(0.5 ** np.arange(1, 65))
         assert truncated.radius_cap < 1.0
-        for f, folds in [(TaylorFunction.polynomial(np.ones(5)), False),
-                         (TaylorFunction.polynomial(np.ones(6)), True),
-                         (truncated, False), (lacunary(9), True), (lacunary(10), False)]:
+        exact = [(TaylorFunction.polynomial(np.ones(n)), True) for n in range(1, 6)]
+        for f, folds in exact + [(truncated, False), (lacunary(9), True),
+                                 (lacunary(10), False)]:
             calls.clear()
             grid.evaluate_all(f)
             assert len(calls) == folds
 
-    def test_empty_series_on_one_angle(self):
-        # on one angle log2(1) = 0 coefficients fold: the empty polynomial
-        # folds no turn at all and reads 0 everywhere, as Horner's rule does
-        grid = build_family(SpaceDescriptor("bloch", resolution=dict(_SMALL_DISC, angles=1)))
+    @pytest.mark.parametrize("angles", [1, 64])
+    def test_empty_series_folds_to_zeros(self, angles):
+        # the empty polynomial folds no turn at all, on one angle as on the
+        # small grids' 64, and reads 0 everywhere, as Horner's rule does
+        grid = build_family(SpaceDescriptor("bloch", resolution=dict(_SMALL_DISC, angles=angles)))
         empty = TaylorFunction.polynomial([])
+        assert spaces_module._folds(empty, angles)
         assert np.array_equal(grid.evaluate_all(empty), np.zeros(len(grid)))
 
     def test_annulus_past_the_unit_circle_keeps_horner(self):
